@@ -469,7 +469,7 @@ def compile_emscripten(source: str, name: str = "program",
     start = time.perf_counter()
     ir = compile_source(source, name, memory_size=memory_size,
                         stack_size=stack_size)
-    optimize_module(ir, level=opt_level, unroll=False)
+    optimize_module(ir, level=opt_level)
     wasm = compile_ir_to_wasm(ir)
     elapsed = time.perf_counter() - start
     wasm.compile_seconds = elapsed

@@ -65,13 +65,12 @@ class ModuleLowering:
         self.table_sig_base = 0
         self.table_len = 0
         #: §6.4 range-driven check elision: only eliding targets
-        #: (tiered engines) under the optimizing tier, revertable with
-        #: ``REPRO_RANGES=0``.  The oracle flag makes the lowering
-        #: attach ``--check-ranges`` assertions to committed defs.
+        #: (tiered engines), revertable with ``REPRO_RANGES=0``.  The
+        #: oracle flag makes the lowering attach ``--check-ranges``
+        #: assertions to committed defs.
         from ..ir.passes.ranges import ranges_enabled
-        from ..tier import get_tier
         self.elide = (getattr(config, "elide_checks", False)
-                      and ranges_enabled() and get_tier() == "fuse")
+                      and ranges_enabled())
         self.oracle = check_ranges_enabled()
         self.check_stats = {
             "stack_total": 0, "stack_elided": 0,
@@ -108,7 +107,8 @@ class ModuleLowering:
                 if value:
                     registry.counter(f"codegen.checks.{key}").inc(value)
         program.layout()
-        program.initial_image = bytes(self.module.initial_memory())
+        program.data_segments = [(seg.addr, seg.data)
+                                 for seg in self.module.data]
         program.heap_base = self.module.heap_base
         return program
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 
 from ..ir.module import Module
-from ..ir.passes import optimize_module, verify_after_pass
+from ..ir.passes import optimize_module, unroll_module, verify_after_pass
 from ..mcc import compile_source
 from ..obs import span
 from ..x86.program import X86Program
@@ -26,16 +26,29 @@ from .target import NATIVE, TargetConfig
 def compile_ir_native(module: Module, config: TargetConfig = None,
                       opt_level: int = 2, unroll: bool = True) -> X86Program:
     """Compile an IR module with the native pipeline (mutates ``module``)."""
-    config = config or NATIVE
     start = time.perf_counter()
-    optimize_module(module, level=opt_level, unroll=unroll)
+    optimize_module(module, level=opt_level)
+    # ``optimize_module`` skips its unroll tail at level 0, and so do we.
+    program = compile_native_tail(module, config,
+                                  unroll=unroll and opt_level > 0)
+    program.compile_stats["compile_seconds"] = time.perf_counter() - start
+    return program
+
+
+def compile_native_tail(module: Module, config: TargetConfig = None,
+                        unroll: bool = True) -> X86Program:
+    """The native-only half of the pipeline, after the mid-end it
+    shares with wasm: unrolling, memory-operand folding, and lowering
+    (mutates ``module``)."""
+    config = config or NATIVE
+    if unroll:
+        unroll_module(module)
     if config.fold_mem_ops:
         with span("codegen.memfold", module=module.name):
             fold_module(module)
             for func in module.functions.values():
                 verify_after_pass("memfold", func, module)
     program = lower_module(module, config)
-    program.compile_stats["compile_seconds"] = time.perf_counter() - start
     program.compile_stats["pipeline"] = "native"
     return program
 

@@ -20,7 +20,7 @@ import time
 from ..asmjs import ASMJS_CHROME, ASMJS_FIREFOX
 from ..browser.browser import execute_program
 from ..codegen.emscripten import compile_ir_to_wasm
-from ..codegen.native import compile_ir_native
+from ..codegen.native import compile_native_tail
 from ..ir.passes import opt_pipeline_fingerprint, optimize_module
 from ..jit.engine import CHROME_ENGINE, FIREFOX_ENGINE
 from ..kernel import BrowsixRuntime, Kernel, NativeRuntime
@@ -154,47 +154,62 @@ def compile_benchmark(spec: BenchmarkSpec, targets=None,
 
 
 def _compile_benchmark(spec, targets, engines, store, result):
-
-    if "native" in targets:
-        program = key = None
-        if store is not None:
-            key = store.key("native", spec.source, spec.name,
-                            spec.memory_size, ("opt", 2), ("unroll", True),
-                            ("pipeline", opt_pipeline_fingerprint(
-                                level=2, unroll=True)))
-            program = store.get(key)
-        if program is None:
-            ir = compile_source(spec.source, spec.name,
-                                memory_size=spec.memory_size)
-            program = compile_ir_native(ir)
-            if store is not None:
-                store.put(key, program)
-        result.programs["native"] = program
-        result.compile_seconds["native"] = \
-            program.compile_stats["compile_seconds"]
-
+    """Compile once: one frontend and one shared mid-end run feed the
+    wasm backend first (it only reads the IR) and then the native-only
+    tail (unrolling, memfold and lowering rewrite the IR in place).
+    Each half keeps its own cache key, so a partial hit compiles only
+    the missing half."""
+    native = "native" in targets
     wasm_targets = [t for t in targets if t != "native"]
-    if wasm_targets:
-        wasm_key = cached = None
-        if store is not None:
+    program = native_key = cached = wasm_key = None
+    if store is not None:
+        if native:
+            native_key = store.key("native", spec.source, spec.name,
+                                   spec.memory_size, ("opt", 2),
+                                   ("unroll", True),
+                                   ("pipeline", opt_pipeline_fingerprint(
+                                       level=2, unroll=True)))
+            program = store.get(native_key)
+        if wasm_targets:
             wasm_key = store.key("emscripten", spec.source, spec.name,
                                  spec.memory_size, ("opt", 2),
                                  ("unroll", False),
                                  ("pipeline", opt_pipeline_fingerprint(
                                      level=2, unroll=False)))
             cached = store.get(wasm_key)
-        if cached is None:
-            start = time.perf_counter()
-            ir = compile_source(spec.source, spec.name,
-                                memory_size=spec.memory_size)
-            optimize_module(ir, level=2, unroll=False)
-            wasm = compile_ir_to_wasm(ir)
-            wasm_bytes = encode_module(wasm)
-            emcc_seconds = time.perf_counter() - start
+    need_native = native and program is None
+    need_wasm = bool(wasm_targets) and cached is None
+
+    if need_native or need_wasm:
+        # Table 2: Clang is charged the shared mid-end plus its tail
+        # (no frontend, as a JIT is not charged for producing the
+        # wasm); Emscripten is charged everything from source to bytes.
+        start = time.perf_counter()
+        ir = compile_source(spec.source, spec.name,
+                            memory_size=spec.memory_size)
+        midend_start = time.perf_counter()
+        optimize_module(ir, level=2)
+        midend_seconds = time.perf_counter() - midend_start
+        if need_wasm:
+            wasm_bytes = encode_module(compile_ir_to_wasm(ir))
+            cached = (wasm_bytes, time.perf_counter() - start)
             if store is not None:
-                store.put(wasm_key, (wasm_bytes, emcc_seconds))
-        else:
-            wasm_bytes, emcc_seconds = cached
+                store.put(wasm_key, cached)
+        if need_native:
+            tail_start = time.perf_counter()
+            program = compile_native_tail(ir)
+            program.compile_stats["compile_seconds"] = \
+                midend_seconds + time.perf_counter() - tail_start
+            if store is not None:
+                store.put(native_key, program)
+
+    if native:
+        result.programs["native"] = program
+        result.compile_seconds["native"] = \
+            program.compile_stats["compile_seconds"]
+
+    if wasm_targets:
+        wasm_bytes, emcc_seconds = cached
         result.wasm_bytes = wasm_bytes
         for target in wasm_targets:
             engine = engines[target]

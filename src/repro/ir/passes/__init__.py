@@ -56,7 +56,7 @@ __all__ = [
     "inline_calls", "rotate_loops", "simplify_cfg", "unroll_loops",
     "global_value_numbering", "sparse_conditional_constant_propagation",
     "reduce_strength", "run_ssa_midend", "ssa_enabled",
-    "optimize_module", "opt_pipeline_fingerprint",
+    "optimize_module", "unroll_module", "opt_pipeline_fingerprint",
     "jit_pipeline_fingerprint",
     "PassBlameError", "verify_after_pass",
     "RangeSimplifyPass", "annotate_ranges", "ranges_enabled", "set_ranges",
@@ -206,10 +206,17 @@ def _pipeline_passes(level: int, licm: bool, rotate: bool, use_ssa: bool):
     return passes
 
 
+#: The native tail's unroll policy (``unroll_module``), fingerprinted
+#: by ``opt_pipeline_fingerprint(unroll=True)``.
+UNROLL_FACTOR = 4
+UNROLL_MAX_INSTRS = 86
+
+
 def opt_pipeline_fingerprint(level: int = 2, inline_threshold: int = 20,
                              rotate: bool = True, licm: bool = True,
-                             unroll: bool = False, unroll_factor: int = 4,
-                             unroll_max_instrs: int = 86,
+                             unroll: bool = False,
+                             unroll_factor: int = UNROLL_FACTOR,
+                             unroll_max_instrs: int = UNROLL_MAX_INSTRS,
                              ssa: bool = None) -> str:
     """Fingerprint of the optimization pipeline these settings produce.
 
@@ -236,33 +243,29 @@ def jit_pipeline_fingerprint(optimizing_tier: bool, ssa: bool = None) -> str:
     into JIT compile-cache keys alongside the engine signature.
 
     The range configuration is part of the identity: toggling
-    ``REPRO_RANGES``/``--check-ranges`` or changing the execution tier
-    changes what an eliding engine emits (checks elided, oracle
-    assertions attached), so it must never serve stale code."""
-    from ...tier import get_tier
+    ``REPRO_RANGES``/``--check-ranges`` changes what an eliding engine
+    emits (checks elided, oracle assertions attached), so it must never
+    serve stale code.  The execution tier is not: it changes only how
+    fast the simulator runs a program, never the program."""
     use_ssa = (ssa_enabled() if ssa is None else bool(ssa)) \
         and optimizing_tier
     return pipeline_fingerprint(
         list(_SSA_PIPELINE) if use_ssa else [], ("jit-ssa", use_ssa),
         ("jit-ranges", ranges_enabled(), RANGES_VERSION,
-         check_ranges_enabled(), get_tier()))
+         check_ranges_enabled()))
 
 
 def optimize_module(module: Module, level: int = 2,
                     inline_threshold: int = 20,
                     rotate: bool = True,
                     licm: bool = True,
-                    unroll: bool = False,
-                    unroll_factor: int = 4,
-                    unroll_max_instrs: int = 86,
                     ssa: bool = None) -> Module:
     """Run the middle-end pipeline over every function in ``module``.
 
     ``level`` 0 disables everything; 1 runs local cleanups; 2 adds
-    inlining, the SSA mid-end, LICM, and loop rotation.  ``unroll``
-    additionally unrolls small innermost loops (native backend only —
-    the paper's JITs do not unroll, and this is the 429.mcf i-cache
-    mechanism).  ``ssa=None`` follows ``REPRO_SSA`` (default on).
+    inlining, the SSA mid-end, LICM, and loop rotation.  This is the
+    half both backends share; native follows it with ``unroll_module``.
+    ``ssa=None`` follows ``REPRO_SSA`` (default on).
     """
     if level <= 0:
         return module
@@ -301,14 +304,20 @@ def optimize_module(module: Module, level: int = 2,
                 for func in module.functions.values():
                     _run_pass(_ROTATE, func, module, fam)
                     _run_pass(_CLEANUP, func, module, fam)
-    if unroll:
-        with span("opt.unroll", module=module.name):
-            for func in module.functions.values():
-                if unroll_loops(func, factor=unroll_factor,
-                                max_instrs=unroll_max_instrs):
-                    verify_after_pass("unroll", func, module)
-                    localize_temps(func)
-                    verify_after_pass("localize", func, module)
-                simplify_cfg(func)
-                verify_after_pass("simplifycfg", func, module)
+    return module
+
+
+def unroll_module(module: Module) -> Module:
+    """The native-only tail after ``optimize_module``: unroll small
+    innermost loops (the paper's JITs do not unroll, and this is the
+    429.mcf i-cache mechanism, §6.3)."""
+    with span("opt.unroll", module=module.name):
+        for func in module.functions.values():
+            if unroll_loops(func, factor=UNROLL_FACTOR,
+                            max_instrs=UNROLL_MAX_INSTRS):
+                verify_after_pass("unroll", func, module)
+                localize_temps(func)
+                verify_after_pass("localize", func, module)
+            simplify_cfg(func)
+            verify_after_pass("simplifycfg", func, module)
     return module

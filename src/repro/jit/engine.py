@@ -60,22 +60,12 @@ class Engine:
         """Whether this compile runs the range pipeline: the engine must
         opt in (``elide_checks`` — tiered engines only), the SSA mid-end
         must be on (the simplification pass is phi-aware and the facts
-        come out of the SSA region), the execution tier must be the
-        optimizing ``fuse`` tier, and ``REPRO_RANGES`` must not revert
-        it."""
+        come out of the SSA region), and ``REPRO_RANGES`` must not
+        revert it.  The execution tier plays no part: it is a pure
+        simulator-speed setting."""
         return (getattr(self.config, "elide_checks", False)
                 and self.optimizing_tier and ssa_enabled()
-                and ranges_enabled()
-                and self.execution_tier() == "fuse")
-
-    @staticmethod
-    def execution_tier() -> str:
-        """The execution tier new machines will run this engine's
-        output at (see :mod:`repro.tier`).  Resolved at machine
-        construction, not baked into the program: a cached program
-        re-run under a different ``--tier`` uses the new tier."""
-        from ..tier import get_tier
-        return get_tier()
+                and ranges_enabled())
 
     def compile_module(self, module: WasmModule) -> X86Program:
         """Compile an in-memory wasm module (already validated)."""
@@ -140,7 +130,6 @@ class Engine:
         program.compile_stats.setdefault(
             "compile_seconds", time.perf_counter() - start)
         program.compile_stats["pipeline"] = self.name
-        program.compile_stats["tier"] = self.execution_tier()
         return program
 
     def __repr__(self):

@@ -94,7 +94,9 @@ class X86Program:
         self.extern_sigs: dict[str, object] = {}  # name -> ir FuncType
         self.abi = None                           # set by the backend
         self.compile_stats: dict[str, float] = {}
-        self.initial_image: bytes = b""           # guest memory image
+        #: Guest linear-memory initializers, (addr, bytes) each, applied
+        #: to zeroed memory like a wasm module's data segments.
+        self.data_segments: list[tuple[int, bytes]] = []
         self.heap_base: int = 0                   # for sys_heap_base
         #: Branch-target alignment (JIT engines pad targets with nops).
         self.code_alignment: int = 1

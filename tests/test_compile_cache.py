@@ -1,13 +1,22 @@
-"""The content-addressed compile cache: hits, misses, invalidation."""
+"""The content-addressed compile cache: hits, misses, invalidation, and
+the compile-once path that fills it."""
 
 import hashlib
+import pickle
 
 import pytest
 
-from repro.benchsuite import polybench_benchmark
-from repro.harness import compilecache
+from repro.benchsuite import polybench_benchmark, spec_benchmark
+from repro.codegen.emscripten import compile_ir_to_wasm
+from repro.codegen.native import compile_ir_native
+from repro.harness import compilecache, runner
 from repro.harness.compilecache import CompileCache
 from repro.harness.runner import compile_benchmark
+from repro.ir import verify
+from repro.ir.passes import optimize_module
+from repro.ir.verify import check_ranges_enabled, set_check_ranges
+from repro.mcc import compile_source
+from repro.wasm import encode_module
 
 TARGETS = ("native", "chrome")
 
@@ -108,3 +117,104 @@ def test_repro_no_cache_env(monkeypatch):
     assert compilecache.resolve_cache(None) is None
     monkeypatch.delenv("REPRO_NO_CACHE")
     assert compilecache.is_enabled()
+
+
+# -- compile once: one frontend + mid-end feeds both backends ----------------
+#
+# The harness optimizes each benchmark once, emits wasm from that IR, then
+# runs the native-only tail (unroll, memfold, lower) on the same module.
+# These tests pin that the shared path builds exactly what the two
+# independent pipelines build.  429.mcf is where unrolling matters.
+
+EQUIVALENCE = [(spec_benchmark, "429.mcf"), (spec_benchmark, "401.bzip2"),
+               (polybench_benchmark, "gemm")]
+
+
+def _frontend(spec):
+    return compile_source(spec.source, spec.name,
+                          memory_size=spec.memory_size)
+
+
+def _image(program):
+    """Everything a compiled program puts in front of the machine."""
+    return ([f.listing() for f in program.functions.values()],
+            program.data_segments, program.rodata_image())
+
+
+def _artifacts(compiled):
+    return dict({target: _image(program)
+                 for target, program in compiled.programs.items()},
+                wasm=compiled.wasm_bytes)
+
+
+@pytest.fixture(scope="module", params=EQUIVALENCE,
+                ids=[name for _, name in EQUIVALENCE])
+def shared(request):
+    make, name = request.param
+    spec = make(name, "test")
+    return spec, compile_benchmark(spec, TARGETS, cache=False)
+
+
+@pytest.fixture
+def oracle_config(monkeypatch):
+    """Lets a test toggle ``--check-ranges``; restored afterwards."""
+    monkeypatch.setattr(verify, "_CHECK_RANGES", check_ranges_enabled())
+    monkeypatch.setenv("REPRO_CHECK_RANGES",
+                       "1" if check_ranges_enabled() else "0")
+
+
+def test_shared_native_equals_independent_pipeline(shared):
+    spec, compiled = shared
+    independent = compile_ir_native(_frontend(spec))
+    assert _image(compiled.programs["native"]) == _image(independent)
+
+
+def test_shared_wasm_equals_independent_pipeline(shared):
+    spec, compiled = shared
+    ir = optimize_module(_frontend(spec), level=2)
+    assert compiled.wasm_bytes == encode_module(compile_ir_to_wasm(ir))
+
+
+def test_unrolling_changes_mcf():
+    """Keeps the 429.mcf case meaningful: its native tail must unroll."""
+    spec = spec_benchmark("429.mcf", "test")
+    unrolled = compile_ir_native(_frontend(spec))
+    plain = compile_ir_native(_frontend(spec), unroll=False)
+    assert _image(unrolled)[0] != _image(plain)[0]
+
+
+@pytest.mark.parametrize("first", [("native",), ("chrome",)],
+                         ids=["native-hit", "wasm-hit"])
+def test_partial_hit_compiles_only_the_missing_half(shared, first, tmp_path,
+                                                    monkeypatch):
+    spec, fresh = shared
+    cache = CompileCache(directory=str(tmp_path))
+    compile_benchmark(spec, first, cache=cache)
+
+    calls = {}
+    for name in ("compile_source", "optimize_module", "compile_ir_to_wasm",
+                 "compile_native_tail"):
+        real = getattr(runner, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(runner, name, counted)
+    again = compile_benchmark(spec, TARGETS, cache=cache)
+
+    missing = "compile_ir_to_wasm" if first == ("native",) \
+        else "compile_native_tail"
+    assert calls == {"compile_source": 1, "optimize_module": 1, missing: 1}
+    assert _artifacts(again) == _artifacts(fresh)
+
+
+@pytest.mark.parametrize("oracle", [False, True],
+                         ids=["plain", "check-ranges"])
+def test_wasm_backend_leaves_its_ir_untouched(shared, oracle, oracle_config):
+    spec, _compiled = shared
+    set_check_ranges(oracle)
+    ir = optimize_module(_frontend(spec), level=2)
+    before = pickle.dumps(ir)
+    compile_ir_to_wasm(ir)
+    assert pickle.dumps(ir) == before

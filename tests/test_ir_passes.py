@@ -12,7 +12,7 @@ from repro.ir.loops import dominators, loop_depths, natural_loops
 from repro.ir.passes import (
     collapse_defs, eliminate_dead_code, fold_constants, hoist_invariants,
     inline_calls, localize_temps, optimize_module, propagate_copies,
-    rotate_loops, simplify_cfg, unroll_loops,
+    rotate_loops, simplify_cfg, unroll_loops, unroll_module,
 )
 from repro.mcc import compile_source
 
@@ -53,7 +53,9 @@ def _reference(source):
 def test_optimize_module_preserves_semantics(source, level, unroll):
     expected = _reference(source)
     module = compile_source(source, "opt")
-    optimize_module(module, level=level, unroll=unroll)
+    optimize_module(module, level=level)
+    if unroll:
+        unroll_module(module)
     verify_module(module)
     assert _run(module) == expected
 
@@ -164,7 +166,7 @@ int main(void) {
 def test_unroll_duplicates_loop_and_preserves_behaviour():
     expected = _reference(LOOPY)
     module = compile_source(LOOPY, "t")
-    optimize_module(module, level=2, unroll=False)
+    optimize_module(module, level=2)
     before = module.instruction_count()
     for func in module.functions.values():
         if unroll_loops(func, factor=4):

@@ -1,5 +1,6 @@
 """Interval range analysis: domain algebra, widening termination,
-check elision in the tiered engines, the runtime soundness oracle
+check elision in the tiered engines (the same at every execution
+tier), the runtime soundness oracle
 (``--check-ranges``), bit-identity for non-eliding engines, and
 compile-cache freshness across every range-configuration toggle."""
 
@@ -22,7 +23,7 @@ from repro.ir.verify import (RangeOracleError, check_ranges_enabled,
                              set_check_ranges)
 from repro.jit import CHROME_ENGINE, CHROME_TIERED, FIREFOX_TIERED
 from repro.mcc import compile_source
-from repro.tier import set_tier
+from repro.tier import TIERS, set_tier
 from repro.wasm import WasmInstance, encode_module
 from repro.wasm.binary import decode_module
 from repro.x86 import X86Machine
@@ -212,7 +213,6 @@ def test_widening_terminates_on_adversarial_nest(range_config):
 # -- check elision in the tiered engines -----------------------------------
 
 def test_gemm_elision_meets_floor(range_config):
-    set_tier("fuse")
     set_ranges(True)
     spec = polybench_benchmark("gemm", "test")
     compiled = compile_benchmark(spec, ("chrome", "chrome-tiered"),
@@ -232,7 +232,6 @@ def test_gemm_elision_meets_floor(range_config):
 
 
 def test_ranges_off_reverts_elision(range_config):
-    set_tier("fuse")
     set_ranges(False)
     spec = polybench_benchmark("gemm", "test")
     compiled = compile_benchmark(spec, ("chrome-tiered",), cache=False)
@@ -241,14 +240,19 @@ def test_ranges_off_reverts_elision(range_config):
     assert stats["indirect_elided"] == 0
 
 
-def test_non_fuse_tier_never_elides(range_config):
-    set_tier("quicken")
+def test_elision_is_tier_invariant(range_config):
+    """The execution tier only changes how fast the simulator runs: an
+    eliding engine emits the same checks at every tier."""
     set_ranges(True)
     spec = polybench_benchmark("gemm", "test")
-    compiled = compile_benchmark(spec, ("chrome-tiered",), cache=False)
-    stats = compiled.program_for("chrome-tiered").compile_stats["checks"]
-    assert stats["stack_elided"] == 0
-    assert stats["indirect_elided"] == 0
+    stats = {}
+    for tier in TIERS:
+        set_tier(tier)
+        compiled = compile_benchmark(spec, ("chrome-tiered",), cache=False)
+        stats[tier] = \
+            compiled.program_for("chrome-tiered").compile_stats["checks"]
+    assert stats["off"] == stats["quicken"] == stats["fuse"]
+    assert stats["off"]["stack_elided"] + stats["off"]["indirect_elided"] > 0
 
 
 # -- bit-identity for non-eliding engines ----------------------------------
@@ -278,7 +282,6 @@ def test_oracle_off_by_default(range_config):
 # -- the runtime soundness oracle ------------------------------------------
 
 def test_x86_oracle_clean_on_eliding_engine(range_config):
-    set_tier("fuse")
     set_ranges(True)
     set_check_ranges(True)
     rc, out, machine = run_engine(MASKED_LOOP, CHROME_TIERED)
@@ -287,7 +290,6 @@ def test_x86_oracle_clean_on_eliding_engine(range_config):
 
 
 def test_x86_oracle_catches_planted_lie(range_config):
-    set_tier("fuse")
     set_ranges(True)
     set_check_ranges(True)
     data, wasm, ir = compile_wasm_bytes(MASKED_LOOP)
@@ -377,7 +379,6 @@ def test_seeded_random_soundness(seed, range_config):
     x86 machine (eliding engine) and the wasm interpreter, and match
     the IR reference interpreter exactly."""
     source = _seeded_program(seed)
-    set_tier("fuse")
     set_ranges(True)
     set_check_ranges(True)
     ref_value, ref_out = run_ir(source)
@@ -396,7 +397,6 @@ def test_seeded_random_soundness(seed, range_config):
 # -- compile-cache freshness ------------------------------------------------
 
 def test_fingerprints_roll_with_range_config(range_config):
-    set_tier("fuse")
     set_ranges(True)
     set_check_ranges(False)
     base_opt = opt_pipeline_fingerprint()
@@ -412,9 +412,8 @@ def test_fingerprints_roll_with_range_config(range_config):
     assert jit_pipeline_fingerprint(True) != base_jit
     set_check_ranges(False)
 
+    # The execution tier is no part of any artifact's identity.
     set_tier("off")
-    assert jit_pipeline_fingerprint(True) != base_jit
-    set_tier("fuse")
     assert opt_pipeline_fingerprint() == base_opt
     assert jit_pipeline_fingerprint(True) == base_jit
 
@@ -422,7 +421,6 @@ def test_fingerprints_roll_with_range_config(range_config):
 def test_cache_never_serves_stale_range_config(tmp_path, range_config):
     """REPRO_RANGES=0 after a cached eliding compile must recompile:
     the cached program elides checks, the fresh one must not."""
-    set_tier("fuse")
     set_ranges(True)
     cache = CompileCache(directory=str(tmp_path))
     spec = polybench_benchmark("gemm", "test")
@@ -448,7 +446,6 @@ def test_cache_never_serves_stale_range_config(tmp_path, range_config):
 # -- the stat surface -------------------------------------------------------
 
 def test_safety_check_counters_drop_under_elision(range_config):
-    set_tier("fuse")
     set_ranges(True)
     from repro.obs.hwc import HwcModel
 

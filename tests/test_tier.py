@@ -139,16 +139,19 @@ def test_wasm_fused_profile_attribution_exact():
 
 @pytest.mark.parametrize("name", ["gemm", "bicg"])
 def test_benchmark_cells_bit_identical_across_tiers(name):
+    """Compiled and run at each tier, including the tiered engines,
+    whose range-driven check elision must not follow the tier."""
     spec = polybench_benchmark(name, "test")
-    compiled = compile_benchmark(spec, TARGETS, cache=False)
+    targets = TARGETS + ["chrome-tiered", "firefox-tiered"]
     cells = {}
     for tier in TIERS:
         set_tier(tier)
+        compiled = compile_benchmark(spec, targets, cache=False)
         cells[tier] = {
             target: run_compiled(compiled, target, runs=2)
-            for target in TARGETS
+            for target in targets
         }
-    for target in TARGETS:
+    for target in targets:
         base = cells["off"][target]
         for tier in ("quicken", "fuse"):
             cell = cells[tier][target]

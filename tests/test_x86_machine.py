@@ -1,8 +1,13 @@
 """Simulated x86-64 machine unit tests."""
 
+import pickle
+
 import pytest
 
+from repro.benchsuite import spec_benchmark
 from repro.errors import TrapError
+from repro.harness.runner import compile_benchmark
+from repro.mcc import compile_source
 from repro.x86 import ICache, Imm, Instr, Label, Mem, Reg, X86Machine, X86Program
 from repro.x86.registers import (
     R8, R9, RAX, RBX, RCX, RDI, RDX, RSI, XMM0, xmm,
@@ -311,3 +316,35 @@ class TestICache:
         cache = ICache(size=1024, ways=4)
         cache.fetch(0x13E, 8)  # crosses the 0x140 line boundary
         assert cache.accesses == 2
+
+
+# -- compiled programs carry data segments, not memory images ---------------
+
+@pytest.fixture(scope="module")
+def proxies():
+    """Two SPEC proxies with four data segments each: (IR module, programs
+    compiled for native and chrome)."""
+    out = {}
+    for name in ("401.bzip2", "464.h264ref"):
+        spec = spec_benchmark(name, "test")
+        module = compile_source(spec.source, spec.name,
+                                memory_size=spec.memory_size)
+        compiled = compile_benchmark(spec, ("native", "chrome"), cache=False)
+        out[name] = (module, compiled.programs)
+    return out
+
+
+@pytest.mark.parametrize("target", ["native", "chrome"])
+def test_compiled_programs_pickle_compactly(proxies, target):
+    _module, programs = proxies["401.bzip2"]
+    assert len(pickle.dumps(programs[target])) < 1 << 20
+
+
+@pytest.mark.parametrize("name", ["401.bzip2", "464.h264ref"])
+def test_fresh_memory_matches_module_image(proxies, name):
+    module, programs = proxies[name]
+    assert len(module.data) == 4
+    expected = module.initial_memory()
+    for target, program in programs.items():
+        memory = X86Machine(program).memory
+        assert memory[:program.linear_size] == expected, target
