@@ -790,11 +790,13 @@ def _add_verify_arg(p) -> None:
 def _add_tier_arg(p) -> None:
     p.add_argument("--tier", choices=("off", "quicken", "fuse"),
                    default=None,
-                   help="interpreter execution tier: plain table "
-                        "dispatch (off), per-op specialization "
-                        "(quicken), or quickening plus "
-                        "superinstruction fusion (fuse, the default); "
-                        "results are bit-identical at every tier")
+                   help="simulator execution tier: plain table "
+                        "dispatch (off, the reference); otherwise the x86 "
+                        "machine runs straight-line blocks as closures "
+                        "and the wasm interpreter adds per-op "
+                        "specialization (quicken) plus superinstruction "
+                        "fusion (fuse, the default); results are "
+                        "bit-identical at every tier")
 
 
 def _add_shards_arg(p) -> None:

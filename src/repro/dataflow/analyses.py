@@ -75,16 +75,24 @@ class DefiniteAssignment(Analysis):
 
     direction = "forward"
 
+    def __init__(self, code=None):
+        #: Optional label -> [(instr, uses, defs)] the caller has
+        #: already listed (the IR verifier), so prepare need not.
+        self._code = code
+
     def prepare(self, func):
         universe = {p.id for p in func.params}
         gen = {}
-        for block in func.blocks.values():
+        for key, block in func.blocks.items():
+            rows = self._code[key] if self._code is not None else \
+                [(instr, instr.uses(), instr.defs())
+                 for instr in block.all_instrs()]
             defs = set()
-            for instr in block.all_instrs():
-                for reg in instr.defs():
+            for _, uses, instr_defs in rows:
+                for reg in instr_defs:
                     defs.add(reg.id)
                     universe.add(reg.id)
-                for reg in instr.uses():
+                for reg in uses:
                     universe.add(reg.id)
             gen[block.label] = frozenset(defs)
         self._gen = gen
@@ -103,11 +111,12 @@ class DefiniteAssignment(Analysis):
         return assigned | self._gen[block.label]
 
 
-def definite_assignment(func: Function):
+def definite_assignment(func: Function, code: dict = None):
     """Per-block definitely-assigned vreg ids at block *entry*, keyed by
     label.  Walk the block forward, adding each instruction's defs, to
-    get the fact at any interior point."""
-    result = solve(func, DefiniteAssignment())
+    get the fact at any interior point.  ``code`` optionally gives each
+    block's ``(instr, uses, defs)`` rows, already listed."""
+    result = solve(func, DefiniteAssignment(code))
     return {label: set(fact) for label, fact in result.in_facts.items()}
 
 

@@ -92,6 +92,26 @@ def check_ranges_enabled() -> bool:
     return _CHECK_RANGES
 
 
+class _Where:
+    """The ``func/label: instr`` prefix of an error message, formatted
+    only when an error is raised (``repr`` of every checked instruction
+    would cost a fifth of the verifier's time)."""
+
+    __slots__ = ("func", "label", "instr", "pred")
+
+    def __init__(self, func, label, instr, pred=None):
+        self.func = func
+        self.label = label
+        self.instr = instr
+        self.pred = pred
+
+    def __format__(self, spec):
+        text = f"{self.func.name}/{self.label}: {self.instr!r}"
+        if self.pred is not None:
+            text += f" [from {self.pred}]"
+        return format(text, spec)
+
+
 def _operand_ty(op):
     if isinstance(op, (VReg, Const)):
         return op.ty
@@ -113,11 +133,17 @@ def verify_function(func: Function, module: Module = None) -> None:
     from ..obs import get_registry
     get_registry().counter("analysis.verifier_runs").inc()
 
+    # Each block's (instruction, uses, defs), listed once for every
+    # check below.
+    code = {}
     defined = {p.id for p in func.params}
-    for block in func.blocks.values():
+    for label, block in func.blocks.items():
+        rows = code[label] = []
         for instr in block.all_instrs():
-            for reg in instr.defs():
+            defs = instr.defs()
+            for reg in defs:
                 defined.add(reg.id)
+            rows.append((instr, instr.uses(), defs))
 
     for label, block in func.blocks.items():
         if block.term is None:
@@ -128,9 +154,9 @@ def verify_function(func: Function, module: Module = None) -> None:
                 raise VerifyError(
                     f"{func.name}/{label}: branch to missing {succ}",
                     function=func.name, block=label)
-        for instr in block.all_instrs():
+        for instr, uses, _ in code[label]:
             try:
-                _verify_instr(func, label, instr, defined, module)
+                _verify_instr(func, label, instr, uses, defined, module)
             except VerifyError as exc:
                 if exc.function is None:
                     exc.function = func.name
@@ -138,12 +164,12 @@ def verify_function(func: Function, module: Module = None) -> None:
                 raise
 
     if getattr(func, "ssa", False):
-        _verify_ssa(func)
+        _verify_ssa(func, code)
     else:
-        _verify_def_before_use(func)
+        _verify_def_before_use(func, code)
 
 
-def _verify_ssa(func: Function) -> None:
+def _verify_ssa(func: Function, code: dict) -> None:
     """SSA-form invariants: exactly one static assignment per register,
     phi incoming edges matching the CFG predecessors, phis forming a
     block prefix, and every use dominated by its definition (a phi's
@@ -153,9 +179,9 @@ def _verify_ssa(func: Function) -> None:
     from .ssa import domtree
 
     sites = {p.id: (None, -1) for p in func.params}
-    for label, block in func.blocks.items():
-        for index, instr in enumerate(block.all_instrs()):
-            for reg in instr.defs():
+    for label, rows in code.items():
+        for index, (instr, _, defs) in enumerate(rows):
+            for reg in defs:
                 if reg.id in sites:
                     raise VerifyError(
                         f"{func.name}/{label}: {instr!r}: second "
@@ -188,10 +214,9 @@ def _verify_ssa(func: Function) -> None:
                 detail=f"def-before-use of {reg}")
 
     for label in reachable:
-        block = func.blocks[label]
         in_prefix = True
         block_preds = set(preds.get(label, []))
-        for index, instr in enumerate(block.all_instrs()):
+        for index, (instr, uses, _) in enumerate(code[label]):
             if isinstance(instr, Phi):
                 if not in_prefix:
                     raise VerifyError(
@@ -208,17 +233,16 @@ def _verify_ssa(func: Function) -> None:
                         detail="phi/predecessor agreement")
                 for pred_label, value in instr.incoming.items():
                     if isinstance(value, VReg) and pred_label in reachable:
-                        check_use(value, pred_label,
-                                  len(func.blocks[pred_label].all_instrs()),
-                                  f"{func.name}/{label}: {instr!r} "
-                                  f"[from {pred_label}]")
+                        check_use(value, pred_label, len(code[pred_label]),
+                                  _Where(func, label, instr, pred_label))
                 continue
             in_prefix = False
-            for reg in instr.uses():
-                check_use(reg, label, index, f"{func.name}/{label}: {instr!r}")
+            where = _Where(func, label, instr)
+            for reg in uses:
+                check_use(reg, label, index, where)
 
 
-def _verify_def_before_use(func: Function) -> None:
+def _verify_def_before_use(func: Function, code: dict) -> None:
     """Strict def-before-use over reachable blocks: every use must be
     definitely assigned on all paths from the entry."""
     # Imported lazily: repro.dataflow imports repro.ir submodules, and
@@ -226,26 +250,25 @@ def _verify_def_before_use(func: Function) -> None:
     # import here would blow up whichever package is imported first.
     from ..dataflow import definite_assignment
 
-    entry_facts = definite_assignment(func)
+    entry_facts = definite_assignment(func, code)
     reachable = func.reachable_blocks()
     for label in reachable:
-        block = func.blocks[label]
-        assigned = set(entry_facts[label])
-        for instr in block.all_instrs():
-            for reg in instr.uses():
+        assigned = entry_facts[label]
+        for instr, uses, defs in code[label]:
+            for reg in uses:
                 if reg.id not in assigned:
                     raise VerifyError(
                         f"{func.name}/{label}: {instr!r}: use of {reg} "
                         f"without a definition on every path from entry",
                         function=func.name, block=label,
                         detail=f"def-before-use of {reg}")
-            for reg in instr.defs():
+            for reg in defs:
                 assigned.add(reg.id)
 
 
-def _verify_instr(func, label, instr, defined, module):
-    where = f"{func.name}/{label}: {instr!r}"
-    for reg in instr.uses():
+def _verify_instr(func, label, instr, uses, defined, module):
+    where = _Where(func, label, instr)
+    for reg in uses:
         if reg.id not in defined:
             raise VerifyError(f"{where}: use of undefined {reg}",
                               function=func.name, block=label,

@@ -4,16 +4,20 @@ The interpreters have three tiers, mirroring the quickening/superinstruction
 design Titzer describes for baseline wasm compilers:
 
 - ``off``     — plain pre-decoded table dispatch; no re-decoding ever happens.
+  This is the reference the other tiers must match exactly.
 - ``quicken`` — hot functions are re-decoded with per-opcode specializations
   (e.g. trap-free numeric ops skip the guest-trap guard).
 - ``fuse``    — quickening plus superinstruction fusion: hot adjacent
   pairs/triples are collapsed into single handlers with pre-bound operands.
 
+The simulated x86 machine runs its block engine (:mod:`repro.x86.blocks`)
+at every tier but ``off``.
+
 All tiers produce bit-identical results (times, perf counters, profiles,
-stdout); the tier only changes how fast the simulator itself runs.  Hotness
-is per function: a function is promoted after ``HOT_CALLS`` entries, or
-immediately if it contains a loop, so cold startup code keeps the cheap
-plain-dispatch decode.
+stdout); the tier only changes how fast the simulator itself runs.  In the
+interpreters hotness is per function: a function is promoted after
+``HOT_CALLS`` entries, or immediately if it contains a loop, so cold startup
+code keeps the cheap plain-dispatch decode.
 
 The active tier comes from, in priority order: an explicit per-instance
 argument, ``set_tier()`` (the ``--tier`` CLI knob), the ``REPRO_TIER``

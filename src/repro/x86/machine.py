@@ -15,7 +15,7 @@ import struct
 from time import monotonic as _monotonic
 
 from ..errors import CellTimeout, FuelExhausted, TrapError
-from ..tier import HOT_CALLS, note_promotion, tier_level
+from ..tier import tier_level
 from .icache import ICache
 from .isa import Imm, Mem, Reg
 from .perf import PerfCounters
@@ -74,35 +74,6 @@ K_TRAP = 34
 K_NOP = 35
 K_UNKNOWN = 36
 
-# Superinstruction kind (fuse tier): negative so the hot loop filters it
-# with one ``kind < 0`` compare.  A fused entry replaces only the FIRST
-# slot of its pair; the second slot keeps its original entry, so a
-# branch targeting it executes the original instruction and no target
-# remapping is needed (pairs whose second slot is a basic-block leader
-# are simply not fused).  The fused handler executes constituent 1,
-# replicates the loop header's bookkeeping (retired count, fuel
-# checkpoint, i-cache fetch, profile charge) for the consumed slot, then
-# executes constituent 2 — so counters, profiles, and trap/fuel points
-# are bit-identical to unfused dispatch.
-#
-# payload: (c1, pay1, c2, pay2, book2) where c1/c2 select a micro-op
-# from the fusable set below (pay1/pay2 are the original decode
-# payloads) and book2 = (first, last, single, instr) of the consumed
-# second slot.  Any fusable micro-op combines with any other; jcc is
-# second-position only (a taken branch must end the pair).
-K_F_PAIR = -1
-# Micro-op codes, ordered roughly by dynamic frequency in the
-# PolyBench kernels:
-#   0 sse (reg operand)   1 movsd load    2 alu (reg/imm operands)
-#   3 cmp                 4 movsd store   5 jcc
-#   6 mov r32,r32         7 mov r64,r64   8 mov r,imm
-#   9 test               10 mov load     11 mov store (reg)
-#  12 mov store (imm)
-# The movsd payloads are additionally quickened: the effective-address
-# fields are pre-extracted so the fused body skips the _ea/read_mem
-# call overhead (bounds checks and trap messages are replicated
-# verbatim).
-
 _ALU_IDX = {"add": 0, "sub": 1, "and": 2, "or": 3, "xor": 4, "imul": 5}
 _SHIFT_IDX = {"shl": 0, "shr": 1, "sar": 2}
 _SSE_IDX = {"addsd": 0, "subsd": 1, "mulsd": 2, "divsd": 3,
@@ -118,6 +89,296 @@ def _operand_ref(opnd, size):
     if isinstance(opnd, Imm):
         return 1, int(opnd.value) & (_M32 if size == 4 else _M64)
     return 2, opnd
+
+
+# -- semantics shared with the block engine ---------------------------------------
+# Memory and flag helpers, and a handler ``op(regs, xmm, memory, f, pay)``
+# per decoded kind both executors run the same way; callers charge the
+# counters.  ``f`` holds the flags: the machine, or the engine's cell.
+
+
+class Flags:
+    """The block engine's flags cell, shared by a machine's closures."""
+
+    __slots__ = ("zf", "sf", "of", "cf")
+
+
+_F64 = struct.Struct("<d")
+_U64 = struct.Struct("<Q")
+
+
+def _ea_of(regs, mem: Mem) -> int:
+    addr = mem.disp
+    if mem.base is not None:
+        addr += regs[mem.base]
+    if mem.index is not None:
+        addr += regs[mem.index] * mem.scale
+    return addr & _M64
+
+
+def _load_mem(memory, addr: int, size: int) -> int:
+    if addr + size > len(memory) or addr < 0:
+        raise TrapError(f"out-of-bounds load at {addr:#x}")
+    return int.from_bytes(memory[addr:addr + size], "little")
+
+
+def _store_mem(memory, addr: int, size: int, value: int) -> None:
+    if addr + size > len(memory) or addr < 0:
+        raise TrapError(f"out-of-bounds store at {addr:#x}")
+    memory[addr:addr + size] = (value & ((1 << (size * 8)) - 1)) \
+        .to_bytes(size, "little")
+
+
+def _read_f64(regs, memory, mem: Mem) -> float:
+    addr = _ea_of(regs, mem)
+    if addr + 8 > len(memory) or addr < 0:
+        raise TrapError(f"out-of-bounds read at {addr:#x}")
+    return _F64.unpack_from(memory, addr)[0]
+
+
+def _int_operand(regs, memory, kind, value, size, mask) -> int:
+    """A cmp/test operand by its ``_operand_ref`` kind."""
+    if kind == 0:
+        return regs[value] & _M32 if size == 4 else regs[value]
+    if kind == 1:
+        return value
+    return _load_mem(memory, _ea_of(regs, value), value.size) & mask
+
+
+def _value_of(regs, memory, op, size: int) -> int:
+    if isinstance(op, Reg):
+        return regs[op.reg] & _M32 if size == 4 else regs[op.reg]
+    if isinstance(op, Imm):
+        return int(op.value) & (_M32 if size == 4 else _M64)
+    return _load_mem(memory, _ea_of(regs, op), op.size)
+
+
+def _sub_flags(f, a: int, b: int, mask: int, shift: int) -> None:
+    result = (a - b) & mask
+    f.zf = 1 if result == 0 else 0
+    f.sf = (result >> shift) & 1
+    f.cf = 1 if a < b else 0
+    f.of = ((a ^ b) & (a ^ result)) >> shift & 1
+
+
+#: Condition tests by ``_COND_IDX`` index, over anything holding flags.
+_CONDS = (
+    lambda f: f.zf == 1, lambda f: f.zf == 0, lambda f: f.sf != f.of,
+    lambda f: f.zf == 1 or f.sf != f.of,
+    lambda f: f.zf == 0 and f.sf == f.of, lambda f: f.sf == f.of,
+    lambda f: f.cf == 1, lambda f: f.cf == 1 or f.zf == 1,
+    lambda f: f.cf == 0 and f.zf == 0, lambda f: f.cf == 0,
+    lambda f: f.sf == 1, lambda f: f.sf == 0,
+)
+
+
+def _cond_of(f, cond) -> bool:
+    """Test a condition given by name or index; unknown names trap."""
+    index = _COND_IDX.get(cond) if isinstance(cond, str) else cond
+    if index is None:
+        raise TrapError(f"unknown condition {cond}")
+    return _CONDS[index](f)
+
+
+def _alu_result(f, alu, x, y, mask, shift, sbit) -> int:
+    """add/sub/and/or/xor/imul of pre-masked operands; sets the flags."""
+    if alu == 0:
+        result = (x + y) & mask
+        f.cf = 1 if x + y > mask else 0
+        f.of = (~(x ^ y) & (x ^ result)) >> shift & 1
+    elif alu == 1:
+        result = (x - y) & mask
+        f.cf = 1 if x < y else 0
+        f.of = ((x ^ y) & (x ^ result)) >> shift & 1
+    else:
+        if alu == 5:
+            result = (x - (sbit << 1) if x & sbit else x) * \
+                (y - (sbit << 1) if y & sbit else y) & mask
+        else:
+            result = x & y if alu == 2 else x | y if alu == 3 else x ^ y
+        f.of = f.cf = 0
+    f.zf = 1 if result == 0 else 0
+    f.sf = (result >> shift) & 1
+    return result
+
+
+def _op_cmp(regs, xmm, memory, f, pay):
+    ak, av, bk, bv, _nl, size, mask, shift = pay
+    _sub_flags(f, _int_operand(regs, memory, ak, av, size, mask),
+               _int_operand(regs, memory, bk, bv, size, mask), mask, shift)
+
+
+def _op_test(regs, xmm, memory, f, pay):
+    ak, av, bk, bv, _nl, size, mask, shift = pay
+    result = _int_operand(regs, memory, ak, av, size, mask) & \
+        _int_operand(regs, memory, bk, bv, size, mask) & mask
+    f.zf = 1 if result == 0 else 0
+    f.sf = (result >> shift) & 1
+    f.of = f.cf = 0
+
+
+def _op_movx(regs, xmm, memory, f, pay):
+    dst, src, b_is_mem, sign, src_bits, smask, size = pay
+    raw = _load_mem(memory, _ea_of(regs, src), src.size) if b_is_mem \
+        else regs[src] & smask
+    regs[dst] = (_signed(raw, src_bits) if sign else raw) & \
+        (_M32 if size == 4 else _M64)
+
+
+def _op_shift(regs, xmm, memory, f, pay):
+    sh, a, a_is_mem, count, size, bits = pay
+    if count is None:
+        count = regs[RCX] & (bits - 1)
+    if a_is_mem:
+        ea = _ea_of(regs, a)
+        x = _load_mem(memory, ea, a.size)
+    else:
+        x = regs[a.reg] & _M32 if size == 4 else regs[a.reg]
+    if sh == 0:
+        result = x << count
+    elif sh == 1:
+        result = x >> count
+    else:
+        result = _signed(x, bits) >> count
+    result &= (1 << bits) - 1
+    f.zf = 1 if result == 0 else 0
+    f.sf = (result >> (bits - 1)) & 1
+    if a_is_mem:
+        _store_mem(memory, ea, a.size, result)
+    else:
+        regs[a.reg] = result & (_M32 if size == 4 else _M64)
+
+
+def _op_push(regs, xmm, memory, f, pay):
+    src, imm = pay
+    regs[RSP] = (regs[RSP] - 8) & _M64
+    _store_mem(memory, regs[RSP], 8, regs[src] if src is not None else imm)
+
+
+def _op_pop(regs, xmm, memory, f, pay):
+    value = _load_mem(memory, regs[RSP], 8)
+    regs[RSP] = (regs[RSP] + 8) & _M64
+    regs[pay] = value
+
+
+def _op_setcc(regs, xmm, memory, f, pay):
+    regs[pay[0]] = 1 if _cond_of(f, pay[1]) else 0
+
+
+def _op_cdq(regs, xmm, memory, f, pay):
+    regs[RDX] = _M32 if regs[RAX] & 0x80000000 else 0
+
+
+def _op_cqo(regs, xmm, memory, f, pay):
+    regs[RDX] = _M64 if regs[RAX] >> 63 else 0
+
+
+def _op_idiv(regs, xmm, memory, f, pay):
+    a, _nl, size, bits, is_signed = pay
+    divisor = _value_of(regs, memory, a, size)
+    if size == 4:
+        dividend = ((regs[RDX] & _M32) << 32) | (regs[RAX] & _M32)
+    else:
+        dividend = (regs[RDX] << 64) | regs[RAX]
+    if is_signed:
+        sd = _signed(dividend, 64 if size == 4 else 128)
+        sv = _signed(divisor, bits)
+        if sv == 0:
+            raise TrapError("integer divide by zero")
+        q = abs(sd) // abs(sv)
+        if (sd < 0) != (sv < 0):
+            q = -q
+        r = sd - q * sv
+    else:
+        if divisor == 0:
+            raise TrapError("integer divide by zero")
+        q, r = divmod(dividend, divisor)
+    wmask = _M32 if size == 4 else _M64
+    regs[RAX] = q & wmask
+    regs[RDX] = r & wmask
+
+
+def _op_sse(regs, xmm, memory, f, pay):
+    """addsd/subsd/mulsd/divsd/minsd/maxsd; a ``divsd`` charges fdivs
+    only after its operand loaded."""
+    sse, a, b_is_mem, bb = pay
+    y = _read_f64(regs, memory, bb) if b_is_mem else xmm[bb]
+    x = xmm[a]
+    if sse == 0:
+        xmm[a] = x + y
+    elif sse == 1:
+        xmm[a] = x - y
+    elif sse == 2:
+        xmm[a] = x * y
+    elif sse == 3:
+        if y == 0.0:
+            xmm[a] = (float("inf") if x > 0 else
+                      float("-inf") if x < 0 else float("nan"))
+        else:
+            xmm[a] = x / y
+    else:
+        xmm[a] = min(x, y) if sse == 4 else max(x, y)
+
+
+def _op_ucomisd(regs, xmm, memory, f, pay):
+    a, b_is_mem, bb = pay
+    x = xmm[a]
+    y = _read_f64(regs, memory, bb) if b_is_mem else xmm[bb]
+    if x != x or y != y:      # unordered
+        f.zf = f.cf = 1
+    else:
+        f.zf, f.cf = int(x == y), int(x < y)
+    f.sf = f.of = 0
+
+
+def _op_cvtsi2sd(regs, xmm, memory, f, pay):
+    dst, b, size, bits = pay
+    xmm[dst] = float(_signed(_value_of(regs, memory, b, size), bits))
+
+
+def _op_cvttsd2si(regs, xmm, memory, f, pay):
+    dst, src, size, lo, hi = pay
+    x = xmm[src]
+    if x != x:
+        raise TrapError("invalid conversion: NaN to integer")
+    truncated = int(x)
+    if not lo <= truncated <= hi:
+        raise TrapError("integer overflow in float->int conversion")
+    regs[dst] = truncated & (_M32 if size == 4 else _M64)
+
+
+def _op_sqrtsd(regs, xmm, memory, f, pay):
+    dst, b_is_mem, bb = pay
+    y = _read_f64(regs, memory, bb) if b_is_mem else xmm[bb]
+    xmm[dst] = math.sqrt(y) if y >= 0 else float("nan")
+
+
+def _op_pd(regs, xmm, memory, f, pay):
+    is_xor, a, b_is_mem, bb = pay
+    mask_bits = _load_mem(memory, _ea_of(regs, bb), 8) if b_is_mem \
+        else _U64.unpack(_F64.pack(xmm[bb]))[0]
+    x_bits = _U64.unpack(_F64.pack(xmm[a]))[0]
+    out = x_bits ^ mask_bits if is_xor else x_bits & mask_bits
+    xmm[a] = _F64.unpack(_U64.pack(out))[0]
+
+
+def _op_neg(regs, xmm, memory, f, pay):
+    reg, size, bits = pay
+    x = regs[reg] & _M32 if size == 4 else regs[reg]
+    mask = (1 << bits) - 1
+    _sub_flags(f, 0, x & mask, mask, bits - 1)
+    regs[reg] = -x & (_M32 if size == 4 else _M64)
+
+
+#: Decoded kind -> shared handler.
+SHARED_OPS = {
+    K_CMP: _op_cmp, K_TEST: _op_test, K_MOVX: _op_movx,
+    K_SHIFT: _op_shift, K_PUSH: _op_push, K_POP: _op_pop,
+    K_SETCC: _op_setcc, K_CDQ: _op_cdq, K_CQO: _op_cqo, K_IDIV: _op_idiv,
+    K_SSE: _op_sse, K_UCOMISD: _op_ucomisd, K_CVTSI2SD: _op_cvtsi2sd,
+    K_CVTTSD2SI: _op_cvttsd2si, K_SQRTSD: _op_sqrtsd, K_PD: _op_pd,
+    K_NEG: _op_neg,
+}
 
 
 class X86Machine:
@@ -155,11 +416,18 @@ class X86Machine:
         self.profile = profile
         self._leaders_cache = {}
         #: Execution tier (0=off, 1=quicken, 2=fuse); ``None`` follows
-        #: the process-wide setting from :mod:`repro.tier`.  The decode
-        #: pass already quickens (pre-extracted operands), so tiers 0
-        #: and 1 are identical here; tier 2 adds superinstructions.
+        #: the process-wide setting from :mod:`repro.tier`.  Tier off
+        #: runs the per-instruction reference loop (:meth:`_execute`);
+        #: any other tier runs uninstrumented calls on the block engine
+        #: (:mod:`repro.x86.blocks`), which retires the same events.
         self._tier = tier_level(tier)
-        self._backjump_cache = {}
+        #: Block-engine state: per-function block tables, every block
+        #: built so far, the flags cell, and the dynamic counters.
+        #: Closures bind registers and memory, never the machine.
+        self._blocks = {}
+        self._built = []
+        self._flags = Flags()
+        self._dyn = [0] * len(PerfCounters.__slots__)
         #: Optional :class:`repro.obs.hwc.HwcModel`.  It observes each
         #: retired instruction pre-dispatch (one hook call) and never
         #: mutates machine or counter state, so execution results and
@@ -169,10 +437,8 @@ class X86Machine:
             hwc.attach(self)
         #: The ``--check-ranges`` soundness oracle: when on, every
         #: instruction carrying an ``assert_range`` fact has the
-        #: committed register value validated right after it retires.
-        #: Superinstruction fusion is disabled under the oracle (fused
-        #: pairs skip the loop-top hook; fusion is counter-bit-identical
-        #: anyway, so the oracle still checks the same program).
+        #: committed register value validated right after it retires,
+        #: so oracle runs take the reference loop.
         from ..ir.verify import check_ranges_enabled
         self._oracle = check_ranges_enabled()
 
@@ -191,34 +457,16 @@ class X86Machine:
     # -- operand helpers -----------------------------------------------------------
 
     def _ea(self, mem: Mem) -> int:
-        addr = mem.disp
-        if mem.base is not None:
-            addr += self.regs[mem.base]
-        if mem.index is not None:
-            addr += self.regs[mem.index] * mem.scale
-        return addr & _M64
+        return _ea_of(self.regs, mem)
 
-    def _load_int(self, addr: int, size: int, signed_load: bool = False) -> int:
-        if addr + size > len(self.memory) or addr < 0:
-            raise TrapError(f"out-of-bounds load at {addr:#x}")
-        value = int.from_bytes(self.memory[addr:addr + size], "little",
-                               signed=signed_load)
-        return value
+    def _load_int(self, addr: int, size: int) -> int:
+        return _load_mem(self.memory, addr, size)
 
     def _store_int(self, addr: int, size: int, value: int) -> None:
-        if addr + size > len(self.memory) or addr < 0:
-            raise TrapError(f"out-of-bounds store at {addr:#x}")
-        self.memory[addr:addr + size] = (value & ((1 << (size * 8)) - 1)) \
-            .to_bytes(size, "little")
+        _store_mem(self.memory, addr, size, value)
 
     def _value(self, op, size: int) -> int:
-        if isinstance(op, Reg):
-            value = self.regs[op.reg]
-            return value & _M32 if size == 4 else value
-        if isinstance(op, Imm):
-            return int(op.value) & (_M32 if size == 4 else _M64)
-        # Mem
-        return self._load_int(self._ea(op), op.size)
+        return _value_of(self.regs, self.memory, op, size)
 
     def _write_reg(self, reg: int, size: int, value: int) -> None:
         if size == 4:
@@ -235,13 +483,7 @@ class X86Machine:
 
     def _set_flags_sub(self, a: int, b: int, bits: int) -> None:
         mask = (1 << bits) - 1
-        a &= mask
-        b &= mask
-        result = (a - b) & mask
-        self.zf = 1 if result == 0 else 0
-        self.sf = (result >> (bits - 1)) & 1
-        self.cf = 1 if a < b else 0
-        self.of = ((a ^ b) & (a ^ result)) >> (bits - 1) & 1
+        _sub_flags(self, a & mask, b & mask, mask, bits - 1)
 
     def _set_flags_add(self, a: int, b: int, bits: int) -> None:
         mask = (1 << bits) - 1
@@ -254,31 +496,7 @@ class X86Machine:
         self.of = (~(a ^ b) & (a ^ result)) >> (bits - 1) & 1
 
     def _cond(self, cond: str) -> bool:
-        if cond == "e":
-            return self.zf == 1
-        if cond == "ne":
-            return self.zf == 0
-        if cond == "l":
-            return self.sf != self.of
-        if cond == "le":
-            return self.zf == 1 or self.sf != self.of
-        if cond == "g":
-            return self.zf == 0 and self.sf == self.of
-        if cond == "ge":
-            return self.sf == self.of
-        if cond == "b":
-            return self.cf == 1
-        if cond == "be":
-            return self.cf == 1 or self.zf == 1
-        if cond == "a":
-            return self.cf == 0 and self.zf == 0
-        if cond == "ae":
-            return self.cf == 0
-        if cond == "s":
-            return self.sf == 1
-        if cond == "ns":
-            return self.sf == 0
-        raise TrapError(f"unknown condition {cond}")
+        return _cond_of(self, cond)
 
     # -- execution ----------------------------------------------------------------
 
@@ -298,118 +516,10 @@ class X86Machine:
 
     def _decode_func(self, func):
         key = id(func)
-        rec = self._decode_cache.get(key)
-        if rec is None:
-            # [decoded code, promoted tier level, entry count]
-            rec = [self._build_decode(func), 0, 0]
-            self._decode_cache[key] = rec
-        if self._tier >= 2 and rec[1] < 2 and not self._oracle:
-            rec[2] += 1
-            if rec[2] >= HOT_CALLS or self._has_backjump(rec[0]):
-                fused, sites = self._fuse_decode(rec[0])
-                rec[0] = fused
-                rec[1] = 2
-                note_promotion(sites)
-        return rec[0]
-
-    def _has_backjump(self, dcode) -> bool:
-        """True if the decoded function contains a backward jump (a
-        loop): such functions are promoted on first entry instead of
-        waiting out HOT_CALLS."""
-        key = id(dcode)
-        cached = self._backjump_cache.get(key)
-        if cached is None:
-            # The tuple pins dcode so its id stays valid as a key.
-            cached = (dcode, any(
-                (e[0] == K_JMP and e[1] <= idx) or
-                (e[0] == K_JCC and e[1][1] <= idx)
-                for idx, e in enumerate(dcode)))
-            self._backjump_cache[key] = cached
-        return cached[1]
-
-    def _fuse_decode(self, decoded):
-        """Superinstruction pass (fuse tier): collapse hot adjacent
-        pairs into single fused entries.
-
-        Only the FIRST slot of a pair is replaced; the consumed second
-        slot keeps its original entry, so branches into the middle of a
-        pair still execute the original instruction and no target
-        remapping is needed.  Pairs whose second slot is a basic-block
-        leader are left unfused so block-level profile attribution
-        stays exact.  Returns (fused code, number of fused sites)."""
-        n = len(decoded)
-        leaders = set()
-        for idx, entry in enumerate(decoded):
-            kind = entry[0]
-            if kind == K_JCC:
-                leaders.add(entry[1][1])
-                leaders.add(idx + 1)
-            elif kind == K_JMP:
-                leaders.add(entry[1])
-                leaders.add(idx + 1)
-            elif kind in (K_CALL, K_CALLR, K_HOSTCALL):
-                leaders.add(idx + 1)
-        out = list(decoded)
-        sites = 0
-        i = 0
-        while i < n - 1:
-            if (i + 1) in leaders:
-                i += 1
-                continue
-            e1 = decoded[i]
-            m1 = self._fuse_code(e1, first=True)
-            if m1 is None:
-                i += 1
-                continue
-            e2 = decoded[i + 1]
-            m2 = self._fuse_code(e2, first=False)
-            if m2 is None:
-                i += 1
-                continue
-            out[i] = (K_F_PAIR,
-                      (m1[0], m1[1], m2[0], m2[1],
-                       (e2[2], e2[3], e2[4], e2[5])),
-                      e1[2], e1[3], e1[4], e1[5])
-            sites += 1
-            i += 2
-        return out, sites
-
-    @staticmethod
-    def _fuse_code(entry, first):
-        """(micro-op code, payload) of a decoded entry if it is fusable
-        in the given pair position, else None."""
-        kind = entry[0]
-        pay = entry[1]
-        if kind == K_SSE:
-            return None if pay[2] else (0, pay)   # reg operand only
-        if kind == K_MOVSD_LOAD:
-            mem = pay[1]
-            return (1, (pay[0], mem.base, mem.index, mem.scale, mem.disp))
-        if kind == K_ALU:
-            # reg destination, reg/imm source only
-            return None if (pay[3] or pay[4] == 2) else (2, pay)
-        if kind == K_CMP:
-            return (3, pay)
-        if kind == K_MOVSD_STORE:
-            mem = pay[0]
-            return (4, (pay[1], mem.base, mem.index, mem.scale, mem.disp))
-        if kind == K_JCC:
-            return None if first else (5, pay)    # taken ends the pair
-        if kind == K_MOV_RR32:
-            return (6, pay)
-        if kind == K_MOV_RR:
-            return (7, pay)
-        if kind == K_MOV_RI:
-            return (8, pay)
-        if kind == K_TEST:
-            return (9, pay)
-        if kind == K_MOV_LOAD:
-            return (10, pay)
-        if kind == K_MOV_STORE_R:
-            return (11, pay)
-        if kind == K_MOV_STORE_I:
-            return (12, pay)
-        return None
+        dcode = self._decode_cache.get(key)
+        if dcode is None:
+            dcode = self._decode_cache[key] = self._build_decode(func)
+        return dcode
 
     def _build_decode(self, func):
         """Decode one function into (kind, payload, first, last, single,
@@ -582,13 +692,17 @@ class X86Machine:
                     leaders.add(idx + 1)
                 elif kind in (K_CALL, K_CALLR, K_HOSTCALL):
                     leaders.add(idx + 1)
-            # The tuple pins dcode so its id stays valid as a key even
-            # after tier promotion replaces the cached decode list.
+            # The tuple pins dcode so its id stays valid as a key.
             cached = (dcode, leaders)
             self._leaders_cache[key] = cached
         return cached[1]
 
     def _execute(self, func) -> None:
+        if (self._tier and self.profile is None and self.hwc is None
+                and not self._oracle):
+            from .blocks import run_blocks
+            return run_blocks(self, func)
+        # The reference loop, one decoded instruction at a time.
         regs = self.regs
         xmm = self.xmm
         memory = self.memory
@@ -749,442 +863,7 @@ class X86Machine:
                 if hwc_retire is not None:
                     hwc_retire(ins, self)
 
-                if kind < 0:                          # K_F_PAIR
-                    # Fused superinstruction: execute constituent 1,
-                    # replicate the loop header's bookkeeping for the
-                    # consumed second slot, execute constituent 2 —
-                    # counters, fuel, i-cache, and profile charges land
-                    # exactly as under plain dispatch.
-                    c1, q1, c2, q2, book2 = pay
-                    if c1 == 0:                       # sse (reg)
-                        c_fpu += 1
-                        sse = q1[0]
-                        a = q1[1]
-                        y = xmm[q1[3]]
-                        x = xmm[a]
-                        if sse == 0:
-                            xmm[a] = x + y
-                        elif sse == 1:
-                            xmm[a] = x - y
-                        elif sse == 2:
-                            xmm[a] = x * y
-                        elif sse == 3:
-                            c_fdivs += 1
-                            if y == 0.0:
-                                xmm[a] = (float("inf") if x > 0 else
-                                          float("-inf") if x < 0
-                                          else float("nan"))
-                            else:
-                                xmm[a] = x / y
-                        elif sse == 4:
-                            xmm[a] = min(x, y)
-                        else:
-                            xmm[a] = max(x, y)
-                    elif c1 == 1:                     # movsd load
-                        c_loads += 1
-                        dst, base, index, scale, disp = q1
-                        addr = disp
-                        if base is not None:
-                            addr += regs[base]
-                        if index is not None:
-                            addr += regs[index] * scale
-                        addr &= _M64
-                        if addr + 8 > memlen:
-                            raise TrapError(
-                                f"out-of-bounds read at {addr:#x}")
-                        xmm[dst] = unpack_from("<d", memory, addr)[0]
-                    elif c1 == 2:                     # alu (reg/imm)
-                        alu, aa, bb, _am, b_kind, size, bits, \
-                            mask, shift, sbit = q1
-                        x = regs[aa]
-                        if size == 4:
-                            x &= _M32
-                        if b_kind == 0:
-                            y = regs[bb]
-                            if size == 4:
-                                y &= _M32
-                        else:
-                            y = bb
-                        if alu == 0:                  # add
-                            full = x + y
-                            result = full & mask
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.cf = 1 if full > mask else 0
-                            self.of = (~(x ^ y) & (x ^ result)) \
-                                >> shift & 1
-                        elif alu == 1:                # sub
-                            result = (x - y) & mask
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.cf = 1 if x < y else 0
-                            self.of = ((x ^ y) & (x ^ result)) \
-                                >> shift & 1
-                        elif alu == 5:                # imul
-                            c_muls += 1
-                            sx = x - (sbit << 1) if x & sbit else x
-                            sy = y - (sbit << 1) if y & sbit else y
-                            result = (sx * sy) & mask
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.of = self.cf = 0
-                        else:                         # and/or/xor
-                            if alu == 2:
-                                result = x & y
-                            elif alu == 3:
-                                result = x | y
-                            else:
-                                result = x ^ y
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.of = self.cf = 0
-                        regs[aa] = result if size == 4 else result & _M64
-                    elif c1 == 3 or c1 == 9:          # cmp / test
-                        ak, av, bk, bv, nl, size, mask, shift = q1
-                        c_loads += nl
-                        if ak == 0:
-                            x = regs[av]
-                            if size == 4:
-                                x &= _M32
-                        elif ak == 1:
-                            x = av
-                        else:
-                            x = self._load_int(self._ea(av),
-                                               av.size) & mask
-                        if bk == 0:
-                            y = regs[bv]
-                            if size == 4:
-                                y &= _M32
-                        elif bk == 1:
-                            y = bv
-                        else:
-                            y = self._load_int(self._ea(bv),
-                                               bv.size) & mask
-                        if c1 == 3:                   # cmp
-                            result = (x - y) & mask
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.cf = 1 if x < y else 0
-                            self.of = ((x ^ y) & (x ^ result)) \
-                                >> shift & 1
-                        else:                         # test
-                            result = (x & y) & mask
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.of = self.cf = 0
-                    elif c1 == 4:                     # movsd store
-                        c_stores += 1
-                        src, base, index, scale, disp = q1
-                        addr = disp
-                        if base is not None:
-                            addr += regs[base]
-                        if index is not None:
-                            addr += regs[index] * scale
-                        addr &= _M64
-                        if addr + 8 > memlen:
-                            raise TrapError(
-                                f"out-of-bounds write at {addr:#x}")
-                        pack_into("<d", memory, addr, xmm[src])
-                    elif c1 == 6:                     # mov r32,r32
-                        regs[q1[0]] = regs[q1[1]] & _M32
-                    elif c1 == 7:                     # mov r64,r64
-                        regs[q1[0]] = regs[q1[1]]
-                    elif c1 == 8:                     # mov r,imm
-                        regs[q1[0]] = q1[1]
-                    elif c1 == 10:                    # mov load
-                        c_loads += 1
-                        dst, base, index, scale, disp, msize, wmask = q1
-                        addr = disp
-                        if base is not None:
-                            addr += regs[base]
-                        if index is not None:
-                            addr += regs[index] * scale
-                        addr &= _M64
-                        if addr + msize > memlen:
-                            raise TrapError(
-                                f"out-of-bounds load at {addr:#x}")
-                        regs[dst] = from_bytes(memory[addr:addr + msize],
-                                               "little") & wmask
-                    elif c1 == 11:                    # mov store (reg)
-                        c_stores += 1
-                        base, index, scale, disp, msize, smask, src = q1
-                        addr = disp
-                        if base is not None:
-                            addr += regs[base]
-                        if index is not None:
-                            addr += regs[index] * scale
-                        addr &= _M64
-                        if addr + msize > memlen:
-                            raise TrapError(
-                                f"out-of-bounds store at {addr:#x}")
-                        memory[addr:addr + msize] = \
-                            (regs[src] & smask).to_bytes(msize, "little")
-                    else:                             # mov store (imm)
-                        c_stores += 1
-                        base, index, scale, disp, msize, vbytes = q1
-                        addr = disp
-                        if base is not None:
-                            addr += regs[base]
-                        if index is not None:
-                            addr += regs[index] * scale
-                        addr &= _M64
-                        if addr + msize > memlen:
-                            raise TrapError(
-                                f"out-of-bounds store at {addr:#x}")
-                        memory[addr:addr + msize] = vbytes
-
-                    # --- consumed slot's bookkeeping (header replica) ---
-                    f2, l2, s2, ins = book2
-                    i += 1
-                    n_instr += 1
-                    c_instr += 1
-                    if n_instr > checkpoint:
-                        if n_instr > budget:
-                            raise FuelExhausted(
-                                "fuel exhausted: instruction budget "
-                                "exceeded")
-                        if _monotonic() > deadline:
-                            raise CellTimeout(
-                                f"wall-clock deadline exceeded after "
-                                f"{n_instr} instructions")
-                        checkpoint = min(budget,
-                                         n_instr + self.DEADLINE_STRIDE)
-                    if s2:
-                        if f2 != last_line:
-                            access_line(f2)
-                            last_line = f2
-                    else:
-                        line = f2
-                        while True:
-                            if line != last_line:
-                                access_line(line)
-                            if line >= l2:
-                                break
-                            line += 1
-                        last_line = l2
-                    if prof_detail:
-                        if prof_ops:
-                            op = ins.op
-                            cur_ops[op] = cur_ops.get(op, 0) + 1
-                        if prof_blocks:
-                            # The consumed slot is never a leader (such
-                            # pairs are not fused), so cur_block stays.
-                            cur_blocks[cur_block] = \
-                                cur_blocks.get(cur_block, 0) + 1
-
-                    if hwc_retire is not None:
-                        hwc_retire(ins, self)
-
-                    if c2 == 0:                       # sse (reg)
-                        c_fpu += 1
-                        sse = q2[0]
-                        a = q2[1]
-                        y = xmm[q2[3]]
-                        x = xmm[a]
-                        if sse == 0:
-                            xmm[a] = x + y
-                        elif sse == 1:
-                            xmm[a] = x - y
-                        elif sse == 2:
-                            xmm[a] = x * y
-                        elif sse == 3:
-                            c_fdivs += 1
-                            if y == 0.0:
-                                xmm[a] = (float("inf") if x > 0 else
-                                          float("-inf") if x < 0
-                                          else float("nan"))
-                            else:
-                                xmm[a] = x / y
-                        elif sse == 4:
-                            xmm[a] = min(x, y)
-                        else:
-                            xmm[a] = max(x, y)
-                    elif c2 == 5:                     # jcc
-                        c_branches += 1
-                        c_cond += 1
-                        c = q2[0]
-                        if c == 0:
-                            taken = self.zf == 1
-                        elif c == 1:
-                            taken = self.zf == 0
-                        elif c == 2:
-                            taken = self.sf != self.of
-                        elif c == 3:
-                            taken = self.zf == 1 or self.sf != self.of
-                        elif c == 4:
-                            taken = self.zf == 0 and self.sf == self.of
-                        elif c == 5:
-                            taken = self.sf == self.of
-                        elif c == 6:
-                            taken = self.cf == 1
-                        elif c == 7:
-                            taken = self.cf == 1 or self.zf == 1
-                        elif c == 8:
-                            taken = self.cf == 0 and self.zf == 0
-                        elif c == 9:
-                            taken = self.cf == 0
-                        elif c == 10:
-                            taken = self.sf == 1
-                        elif c == 11:
-                            taken = self.sf == 0
-                        else:
-                            taken = self._cond(c)
-                        if taken:
-                            i = q2[1]
-                            last_line = -1
-                    elif c2 == 1:                     # movsd load
-                        c_loads += 1
-                        dst, base, index, scale, disp = q2
-                        addr = disp
-                        if base is not None:
-                            addr += regs[base]
-                        if index is not None:
-                            addr += regs[index] * scale
-                        addr &= _M64
-                        if addr + 8 > memlen:
-                            raise TrapError(
-                                f"out-of-bounds read at {addr:#x}")
-                        xmm[dst] = unpack_from("<d", memory, addr)[0]
-                    elif c2 == 2:                     # alu (reg/imm)
-                        alu, aa, bb, _am, b_kind, size, bits, \
-                            mask, shift, sbit = q2
-                        x = regs[aa]
-                        if size == 4:
-                            x &= _M32
-                        if b_kind == 0:
-                            y = regs[bb]
-                            if size == 4:
-                                y &= _M32
-                        else:
-                            y = bb
-                        if alu == 0:                  # add
-                            full = x + y
-                            result = full & mask
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.cf = 1 if full > mask else 0
-                            self.of = (~(x ^ y) & (x ^ result)) \
-                                >> shift & 1
-                        elif alu == 1:                # sub
-                            result = (x - y) & mask
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.cf = 1 if x < y else 0
-                            self.of = ((x ^ y) & (x ^ result)) \
-                                >> shift & 1
-                        elif alu == 5:                # imul
-                            c_muls += 1
-                            sx = x - (sbit << 1) if x & sbit else x
-                            sy = y - (sbit << 1) if y & sbit else y
-                            result = (sx * sy) & mask
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.of = self.cf = 0
-                        else:                         # and/or/xor
-                            if alu == 2:
-                                result = x & y
-                            elif alu == 3:
-                                result = x | y
-                            else:
-                                result = x ^ y
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.of = self.cf = 0
-                        regs[aa] = result if size == 4 else result & _M64
-                    elif c2 == 3 or c2 == 9:          # cmp / test
-                        ak, av, bk, bv, nl, size, mask, shift = q2
-                        c_loads += nl
-                        if ak == 0:
-                            x = regs[av]
-                            if size == 4:
-                                x &= _M32
-                        elif ak == 1:
-                            x = av
-                        else:
-                            x = self._load_int(self._ea(av),
-                                               av.size) & mask
-                        if bk == 0:
-                            y = regs[bv]
-                            if size == 4:
-                                y &= _M32
-                        elif bk == 1:
-                            y = bv
-                        else:
-                            y = self._load_int(self._ea(bv),
-                                               bv.size) & mask
-                        if c2 == 3:                   # cmp
-                            result = (x - y) & mask
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.cf = 1 if x < y else 0
-                            self.of = ((x ^ y) & (x ^ result)) \
-                                >> shift & 1
-                        else:                         # test
-                            result = (x & y) & mask
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.of = self.cf = 0
-                    elif c2 == 4:                     # movsd store
-                        c_stores += 1
-                        src, base, index, scale, disp = q2
-                        addr = disp
-                        if base is not None:
-                            addr += regs[base]
-                        if index is not None:
-                            addr += regs[index] * scale
-                        addr &= _M64
-                        if addr + 8 > memlen:
-                            raise TrapError(
-                                f"out-of-bounds write at {addr:#x}")
-                        pack_into("<d", memory, addr, xmm[src])
-                    elif c2 == 6:                     # mov r32,r32
-                        regs[q2[0]] = regs[q2[1]] & _M32
-                    elif c2 == 7:                     # mov r64,r64
-                        regs[q2[0]] = regs[q2[1]]
-                    elif c2 == 8:                     # mov r,imm
-                        regs[q2[0]] = q2[1]
-                    elif c2 == 10:                    # mov load
-                        c_loads += 1
-                        dst, base, index, scale, disp, msize, wmask = q2
-                        addr = disp
-                        if base is not None:
-                            addr += regs[base]
-                        if index is not None:
-                            addr += regs[index] * scale
-                        addr &= _M64
-                        if addr + msize > memlen:
-                            raise TrapError(
-                                f"out-of-bounds load at {addr:#x}")
-                        regs[dst] = from_bytes(memory[addr:addr + msize],
-                                               "little") & wmask
-                    elif c2 == 11:                    # mov store (reg)
-                        c_stores += 1
-                        base, index, scale, disp, msize, smask, src = q2
-                        addr = disp
-                        if base is not None:
-                            addr += regs[base]
-                        if index is not None:
-                            addr += regs[index] * scale
-                        addr &= _M64
-                        if addr + msize > memlen:
-                            raise TrapError(
-                                f"out-of-bounds store at {addr:#x}")
-                        memory[addr:addr + msize] = \
-                            (regs[src] & smask).to_bytes(msize, "little")
-                    else:                             # mov store (imm)
-                        c_stores += 1
-                        base, index, scale, disp, msize, vbytes = q2
-                        addr = disp
-                        if base is not None:
-                            addr += regs[base]
-                        if index is not None:
-                            addr += regs[index] * scale
-                        addr &= _M64
-                        if addr + msize > memlen:
-                            raise TrapError(
-                                f"out-of-bounds store at {addr:#x}")
-                        memory[addr:addr + msize] = vbytes
-                elif kind == 0:                       # K_MOV_RR
+                if kind == 0:                         # K_MOV_RR
                     regs[pay[0]] = regs[pay[1]]
                 elif kind == 1:                       # K_MOV_RR32
                     regs[pay[0]] = regs[pay[1]] & _M32
@@ -1251,122 +930,24 @@ class X86Machine:
                     else:
                         c_loads += 1
                         y = self._load_int(self._ea(bb), bb.size) & mask
-                    # Operands are pre-masked; flags are computed inline
-                    # (same math as _set_flags_add/_sub/_logic).
-                    if alu == 0:                      # add
-                        full = x + y
-                        result = full & mask
-                        self.zf = 1 if result == 0 else 0
-                        self.sf = (result >> shift) & 1
-                        self.cf = 1 if full > mask else 0
-                        self.of = (~(x ^ y) & (x ^ result)) >> shift & 1
-                    elif alu == 1:                    # sub
-                        result = (x - y) & mask
-                        self.zf = 1 if result == 0 else 0
-                        self.sf = (result >> shift) & 1
-                        self.cf = 1 if x < y else 0
-                        self.of = ((x ^ y) & (x ^ result)) >> shift & 1
-                    elif alu == 5:                    # imul
+                    if alu == 5:
                         c_muls += 1
-                        sx = x - (sbit << 1) if x & sbit else x
-                        sy = y - (sbit << 1) if y & sbit else y
-                        result = (sx * sy) & mask
-                        self.zf = 1 if result == 0 else 0
-                        self.sf = (result >> shift) & 1
-                        self.of = self.cf = 0
-                    else:                             # and/or/xor
-                        if alu == 2:
-                            result = x & y
-                        elif alu == 3:
-                            result = x | y
-                        else:
-                            result = x ^ y
-                        self.zf = 1 if result == 0 else 0
-                        self.sf = (result >> shift) & 1
-                        self.of = self.cf = 0
+                    result = _alu_result(self, alu, x, y, mask, shift, sbit)
                     if a_is_mem:
                         c_stores += 1
                         self._store_int(ea, aa.size, result)
                     else:
                         regs[aa] = result if size == 4 else result & _M64
                 elif kind == 7:                       # K_CMP
-                    ak, av, bk, bv, nl, size, mask, shift = pay
-                    c_loads += nl
-                    if ak == 0:
-                        x = regs[av]
-                        if size == 4:
-                            x &= _M32
-                    elif ak == 1:
-                        x = av
-                    else:
-                        x = self._load_int(self._ea(av), av.size) & mask
-                    if bk == 0:
-                        y = regs[bv]
-                        if size == 4:
-                            y &= _M32
-                    elif bk == 1:
-                        y = bv
-                    else:
-                        y = self._load_int(self._ea(bv), bv.size) & mask
-                    result = (x - y) & mask
-                    self.zf = 1 if result == 0 else 0
-                    self.sf = (result >> shift) & 1
-                    self.cf = 1 if x < y else 0
-                    self.of = ((x ^ y) & (x ^ result)) >> shift & 1
+                    c_loads += pay[4]
+                    _op_cmp(regs, xmm, memory, self, pay)
                 elif kind == 8:                       # K_TEST
-                    ak, av, bk, bv, nl, size, mask, shift = pay
-                    c_loads += nl
-                    if ak == 0:
-                        x = regs[av]
-                        if size == 4:
-                            x &= _M32
-                    elif ak == 1:
-                        x = av
-                    else:
-                        x = self._load_int(self._ea(av), av.size) & mask
-                    if bk == 0:
-                        y = regs[bv]
-                        if size == 4:
-                            y &= _M32
-                    elif bk == 1:
-                        y = bv
-                    else:
-                        y = self._load_int(self._ea(bv), bv.size) & mask
-                    result = (x & y) & mask
-                    self.zf = 1 if result == 0 else 0
-                    self.sf = (result >> shift) & 1
-                    self.of = self.cf = 0
+                    c_loads += pay[4]
+                    _op_test(regs, xmm, memory, self, pay)
                 elif kind == 9:                       # K_JCC
                     c_branches += 1
                     c_cond += 1
-                    c = pay[0]
-                    if c == 0:
-                        taken = self.zf == 1
-                    elif c == 1:
-                        taken = self.zf == 0
-                    elif c == 2:
-                        taken = self.sf != self.of
-                    elif c == 3:
-                        taken = self.zf == 1 or self.sf != self.of
-                    elif c == 4:
-                        taken = self.zf == 0 and self.sf == self.of
-                    elif c == 5:
-                        taken = self.sf == self.of
-                    elif c == 6:
-                        taken = self.cf == 1
-                    elif c == 7:
-                        taken = self.cf == 1 or self.zf == 1
-                    elif c == 8:
-                        taken = self.cf == 0 and self.zf == 0
-                    elif c == 9:
-                        taken = self.cf == 0
-                    elif c == 10:
-                        taken = self.sf == 1
-                    elif c == 11:
-                        taken = self.sf == 0
-                    else:
-                        taken = self._cond(c)
-                    if taken:
+                    if _cond_of(self, pay[0]):
                         i = pay[1]
                         last_line = -1
                 elif kind == 10:                      # K_JMP
@@ -1377,51 +958,18 @@ class X86Machine:
                     dst, mem, size = pay
                     self._write_reg(dst, size, self._ea(mem))
                 elif kind == 12:                      # K_MOVX
-                    dst, src, b_is_mem, sign, src_bits, smask, size = pay
-                    if b_is_mem:
-                        c_loads += 1
-                        raw = self._load_int(self._ea(src), src.size)
-                    else:
-                        raw = regs[src] & smask
-                    self._write_reg(dst, size,
-                                    _signed(raw, src_bits) if sign else raw)
+                    c_loads += pay[2]
+                    _op_movx(regs, xmm, memory, self, pay)
                 elif kind == 13:                      # K_SHIFT
-                    sh, a, a_is_mem, count, size, bits = pay
-                    if count is None:
-                        count = regs[RCX] & (bits - 1)
-                    if a_is_mem:
-                        c_loads += 1
-                        c_stores += 1
-                        ea = self._ea(a)
-                        x = self._load_int(ea, a.size)
-                    else:
-                        x = regs[a.reg]
-                        if size == 4:
-                            x &= _M32
-                    if sh == 0:
-                        result = x << count
-                    elif sh == 1:
-                        result = x >> count
-                    else:
-                        result = _signed(x, bits) >> count
-                    result &= (1 << bits) - 1
-                    self.zf = 1 if result == 0 else 0
-                    self.sf = (result >> (bits - 1)) & 1
-                    if a_is_mem:
-                        self._store_int(ea, a.size, result)
-                    else:
-                        self._write_reg(a.reg, size, result)
+                    c_loads += pay[2]
+                    c_stores += pay[2]
+                    _op_shift(regs, xmm, memory, self, pay)
                 elif kind == 14:                      # K_PUSH
                     c_stores += 1
-                    src, imm = pay
-                    regs[RSP] = (regs[RSP] - 8) & _M64
-                    self._store_int(regs[RSP], 8,
-                                    regs[src] if src is not None else imm)
+                    _op_push(regs, xmm, memory, self, pay)
                 elif kind == 15:                      # K_POP
                     c_loads += 1
-                    value = self._load_int(regs[RSP], 8)
-                    regs[RSP] = (regs[RSP] + 8) & _M64
-                    self._write_reg(pay, 8, value)
+                    _op_pop(regs, xmm, memory, self, pay)
                 elif kind == 16:                      # K_CALL
                     c_branches += 1
                     c_calls += 1
@@ -1503,45 +1051,18 @@ class X86Machine:
                     c_calls += 1
                     self._do_hostcall(pay)
                 elif kind == 20:                      # K_SETCC
-                    self._write_reg(pay[0], 8,
-                                    1 if self._cond(pay[1]) else 0)
+                    _op_setcc(regs, xmm, memory, self, pay)
                 elif kind == 21:                      # K_CDQ
-                    regs[RDX] = _M32 if regs[RAX] & 0x80000000 else 0
+                    _op_cdq(regs, xmm, memory, self, pay)
                 elif kind == 22:                      # K_CQO
-                    regs[RDX] = _M64 if regs[RAX] >> 63 else 0
+                    _op_cqo(regs, xmm, memory, self, pay)
                 elif kind == 23:                      # K_IDIV
                     c_divs += 1
-                    a, nl, size, bits, is_signed = pay
-                    c_loads += nl
-                    divisor = self._value(a, size)
-                    if size == 4:
-                        dividend = ((regs[RDX] & _M32) << 32) | \
-                            (regs[RAX] & _M32)
-                        total_bits = 64
-                    else:
-                        dividend = (regs[RDX] << 64) | regs[RAX]
-                        total_bits = 128
-                    if is_signed:
-                        sd = _signed(dividend, total_bits)
-                        sv = _signed(divisor, bits)
-                        if sv == 0:
-                            raise TrapError("integer divide by zero")
-                        q = abs(sd) // abs(sv)
-                        if (sd < 0) != (sv < 0):
-                            q = -q
-                        r = sd - q * sv
-                    else:
-                        if divisor == 0:
-                            raise TrapError("integer divide by zero")
-                        q = dividend // divisor
-                        r = dividend % divisor
-                    self._write_reg(RAX, size, q)
-                    self._write_reg(RDX, size, r)
+                    c_loads += pay[1]
+                    _op_idiv(regs, xmm, memory, self, pay)
                 elif kind == 24:                      # K_MOVSD_LOAD
                     c_loads += 1
-                    dst, mem = pay
-                    xmm[dst] = struct.unpack(
-                        "<d", self.read_mem(self._ea(mem), 8))[0]
+                    xmm[pay[0]] = _read_f64(regs, memory, pay[1])
                 elif kind == 25:                      # K_MOVSD_STORE
                     c_stores += 1
                     mem, src = pay
@@ -1551,98 +1072,30 @@ class X86Machine:
                     xmm[pay[0]] = xmm[pay[1]]
                 elif kind == 27:                      # K_SSE
                     c_fpu += 1
-                    sse, a, b_is_mem, bb = pay
-                    if b_is_mem:
-                        c_loads += 1
-                        y = struct.unpack(
-                            "<d", self.read_mem(self._ea(bb), 8))[0]
-                    else:
-                        y = xmm[bb]
-                    x = xmm[a]
-                    if sse == 0:
-                        xmm[a] = x + y
-                    elif sse == 1:
-                        xmm[a] = x - y
-                    elif sse == 2:
-                        xmm[a] = x * y
-                    elif sse == 3:
+                    c_loads += pay[2]
+                    _op_sse(regs, xmm, memory, self, pay)
+                    if pay[0] == 3:
                         c_fdivs += 1
-                        if y == 0.0:
-                            xmm[a] = (float("inf") if x > 0 else
-                                      float("-inf") if x < 0
-                                      else float("nan"))
-                        else:
-                            xmm[a] = x / y
-                    elif sse == 4:
-                        xmm[a] = min(x, y)
-                    else:
-                        xmm[a] = max(x, y)
                 elif kind == 28:                      # K_UCOMISD
                     c_fpu += 1
-                    a, b_is_mem, bb = pay
-                    x = xmm[a]
-                    if b_is_mem:
-                        c_loads += 1
-                        y = struct.unpack(
-                            "<d", self.read_mem(self._ea(bb), 8))[0]
-                    else:
-                        y = xmm[bb]
-                    if x != x or y != y:      # unordered
-                        self.zf = self.cf = 1
-                    elif x == y:
-                        self.zf, self.cf = 1, 0
-                    elif x < y:
-                        self.zf, self.cf = 0, 1
-                    else:
-                        self.zf = self.cf = 0
-                    self.sf = self.of = 0
+                    c_loads += pay[1]
+                    _op_ucomisd(regs, xmm, memory, self, pay)
                 elif kind == 29:                      # K_CVTSI2SD
                     c_fpu += 1
-                    dst, b, size, bits = pay
-                    xmm[dst] = float(_signed(self._value(b, size), bits))
+                    _op_cvtsi2sd(regs, xmm, memory, self, pay)
                 elif kind == 30:                      # K_CVTTSD2SI
                     c_fpu += 1
-                    dst, src, size, lo, hi = pay
-                    x = xmm[src]
-                    if x != x:
-                        raise TrapError(
-                            "invalid conversion: NaN to integer")
-                    truncated = int(x)
-                    if not lo <= truncated <= hi:
-                        raise TrapError(
-                            "integer overflow in float->int conversion")
-                    self._write_reg(dst, size, truncated)
+                    _op_cvttsd2si(regs, xmm, memory, self, pay)
                 elif kind == 31:                      # K_SQRTSD
                     c_fpu += 1
-                    dst, b_is_mem, bb = pay
-                    if b_is_mem:
-                        c_loads += 1
-                        y = struct.unpack(
-                            "<d", self.read_mem(self._ea(bb), 8))[0]
-                    else:
-                        y = xmm[bb]
-                    xmm[dst] = math.sqrt(y) if y >= 0 else float("nan")
+                    c_loads += pay[1]
+                    _op_sqrtsd(regs, xmm, memory, self, pay)
                 elif kind == 32:                      # K_PD
                     c_fpu += 1
-                    is_xor, a, b_is_mem, bb = pay
-                    if b_is_mem:
-                        c_loads += 1
-                        mask_bits = self._load_int(self._ea(bb), 8)
-                    else:
-                        mask_bits = struct.unpack(
-                            "<Q", struct.pack("<d", xmm[bb]))[0]
-                    x_bits = struct.unpack("<Q",
-                                           struct.pack("<d", xmm[a]))[0]
-                    out = x_bits ^ mask_bits if is_xor \
-                        else x_bits & mask_bits
-                    xmm[a] = struct.unpack("<d", struct.pack("<Q", out))[0]
+                    c_loads += pay[2]
+                    _op_pd(regs, xmm, memory, self, pay)
                 elif kind == 33:                      # K_NEG
-                    reg, size, bits = pay
-                    x = regs[reg]
-                    if size == 4:
-                        x &= _M32
-                    self._set_flags_sub(0, x, bits)
-                    self._write_reg(reg, size, -x)
+                    _op_neg(regs, xmm, memory, self, pay)
                 elif kind == 34:                      # K_TRAP
                     raise TrapError(pay)
                 elif kind == 35:                      # K_NOP

@@ -44,11 +44,11 @@ def run_ir(source: str, entry: str = "main"):
 
 
 def run_native(source: str, entry: str = "main",
-               max_instructions: int = 50_000_000):
+               max_instructions: int = 50_000_000, tier: str = None):
     program, module = compile_native(source, "test")
     host = GuestHost(module.heap_base)
     machine = X86Machine(program, host=host,
-                         max_instructions=max_instructions)
+                         max_instructions=max_instructions, tier=tier)
     rax, xmm0 = machine.call(entry)
     return rax & 0xFFFFFFFF, bytes(host.output), machine
 
@@ -67,12 +67,12 @@ def run_wasm_interp(source: str, entry: str = "main"):
 
 
 def run_engine(source: str, engine, entry: str = "main",
-               max_instructions: int = 50_000_000):
+               max_instructions: int = 50_000_000, tier: str = None):
     data, wasm, ir = compile_wasm_bytes(source)
     program = engine.compile_bytes(data)
     host = GuestHost(program.heap_base)
     machine = X86Machine(program, host=host,
-                         max_instructions=max_instructions)
+                         max_instructions=max_instructions, tier=tier)
     rax, xmm0 = machine.call(entry)
     return rax & 0xFFFFFFFF, bytes(host.output), machine
 

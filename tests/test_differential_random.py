@@ -2,16 +2,36 @@
 
 Hypothesis generates small integer programs (expression trees over locals
 plus a loop) and the test requires the native x86 pipeline and the Chrome
-wasm pipeline to match the IR reference interpreter exactly.  Division is
-generated with guarded denominators so programs are trap-free.
+wasm pipeline to match the IR reference interpreter exactly, and the x86
+block engine to match the reference loop (``tier="off"``) on stdout,
+every counter and the i-cache.  Division is generated with guarded
+denominators so programs are trap-free.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_engine, run_ir, run_native
+from conftest import GuestHost, run_engine, run_ir, run_native
 
 from repro.jit import CHROME_ENGINE
+from repro.x86 import X86Machine
+from repro.x86.registers import RAX
+
+
+def assert_matches_reference_loop(machine):
+    """``machine`` ran ``main`` on the block engine; a run of the same
+    program on the reference loop (``tier="off"``) leaves identical
+    output, counters and i-cache state."""
+    program = machine.program
+    host = GuestHost(program.heap_base)
+    reference = X86Machine(program, host=host, tier="off")
+    reference.call("main")
+    assert (reference.regs[RAX], bytes(host.output),
+            reference.perf.as_dict(), reference.icache.accesses,
+            reference.icache.misses) == \
+        (machine.regs[RAX], bytes(machine.host.output),
+         machine.perf.as_dict(), machine.icache.accesses,
+         machine.icache.misses)
 
 
 @st.composite
@@ -70,9 +90,10 @@ int main(void) {{
 @given(programs())
 def test_random_programs_native_matches_reference(source):
     ref_value, ref_out = run_ir(source)
-    rc, out, _ = run_native(source)
+    rc, out, machine = run_native(source, tier="fuse")
     assert out == ref_out
     assert rc == (ref_value or 0) & 0xFFFFFFFF
+    assert_matches_reference_loop(machine)
 
 
 @settings(max_examples=8, deadline=None,
@@ -81,9 +102,10 @@ def test_random_programs_native_matches_reference(source):
 @given(programs())
 def test_random_programs_chrome_matches_reference(source):
     ref_value, ref_out = run_ir(source)
-    rc, out, _ = run_engine(source, CHROME_ENGINE)
+    rc, out, machine = run_engine(source, CHROME_ENGINE, tier="fuse")
     assert out == ref_out
     assert rc == (ref_value or 0) & 0xFFFFFFFF
+    assert_matches_reference_loop(machine)
 
 
 @st.composite
@@ -132,8 +154,9 @@ int main(void) {{
 @given(array_programs())
 def test_random_array_programs_native_matches_reference(source):
     ref_value, ref_out = run_ir(source)
-    rc, out, _ = run_native(source)
+    rc, out, machine = run_native(source, tier="fuse")
     assert out == ref_out
+    assert_matches_reference_loop(machine)
 
 
 @settings(max_examples=6, deadline=None,
@@ -142,5 +165,6 @@ def test_random_array_programs_native_matches_reference(source):
 @given(array_programs())
 def test_random_array_programs_chrome_matches_reference(source):
     ref_value, ref_out = run_ir(source)
-    rc, out, _ = run_engine(source, CHROME_ENGINE)
+    rc, out, machine = run_engine(source, CHROME_ENGINE, tier="fuse")
     assert out == ref_out
+    assert_matches_reference_loop(machine)

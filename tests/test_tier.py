@@ -1,9 +1,10 @@
-"""Tiered execution: quickening and fusion must be invisible.
+"""Tiered execution: quickening, fusion and the x86 block engine must
+be invisible.
 
 The tier model (``--tier off|quicken|fuse``) is a pure speed knob —
-every observable output (result values, stdout, perf counters, profile
-attribution) must be bit-identical at every tier, on every benchmark,
-on every target.  These tests pin that invariant.
+every observable output (result values, stdout, perf counters, i-cache,
+profile attribution) must be bit-identical at every tier, on every
+benchmark, on every target.  These tests pin that invariant.
 """
 
 import pytest
@@ -11,15 +12,17 @@ import pytest
 from conftest import GuestHost, compile_wasm_bytes
 
 from repro import obs
-from repro.benchsuite import matmul_spec, polybench_benchmark
+from repro.benchsuite import matmul_spec, polybench_benchmark, spec_benchmark
 from repro.codegen import compile_native
 from repro.harness.runner import compile_benchmark, run_compiled
 from repro.obs.profile import WasmProfile, profile_benchmark
 from repro.tier import (
-    DEFAULT_TIER, HOT_CALLS, TIERS, get_tier, set_tier, tier_level,
+    DEFAULT_TIER, TIERS, get_tier, set_tier, tier_level,
 )
 from repro.wasm import WasmInstance, decode_module
-from repro.x86.machine import X86Machine
+from repro.x86.machine import (
+    K_CQO, K_NEG, K_NOP, K_SQRTSD, K_TRAP, K_UNKNOWN, X86Machine,
+)
 
 TARGETS = ["native", "chrome", "firefox"]
 
@@ -93,15 +96,6 @@ def test_x86_tiers_bit_identical():
         assert _run_at_tier(program, module.heap_base, tier) == baseline
 
 
-def test_x86_fuse_promotes_hot_functions():
-    program, module = compile_native(LOOPY, "tiertest")
-    registry = obs.enable_metrics()
-    _run_at_tier(program, module.heap_base, "fuse")
-    counters = registry.as_dict()["counters"]
-    assert counters.get("tier.promotions", 0) > 0
-    assert counters.get("tier.fused_ops", 0) > 0
-
-
 # -- bit-identity on the wasm interpreter -------------------------------------------
 
 def test_wasm_tiers_bit_identical():
@@ -137,27 +131,90 @@ def test_wasm_fused_profile_attribution_exact():
 
 # -- bit-identity across the full measurement stack ---------------------------------
 
-@pytest.mark.parametrize("name", ["gemm", "bicg"])
-def test_benchmark_cells_bit_identical_across_tiers(name):
+CELL_TARGETS = TARGETS + ["chrome-tiered", "firefox-tiered"]
+#: gemm and bicg plus the SPEC proxies that, with them, retire every
+#: decoded kind any of the 39 benchmarks retires (astar: test, movx,
+#: setcc; sphinx3: indirect calls; nab_s: cvttsd2si).
+CELL_BENCHMARKS = ["gemm", "bicg", "473.astar", "482.sphinx3", "644.nab_s"]
+#: Kinds no benchmark retires: tests/test_x86_machine.py checks them on
+#: hand-built programs.
+NEVER_RETIRED = {K_CQO, K_SQRTSD, K_NEG, K_TRAP, K_NOP, K_UNKNOWN}
+
+
+@pytest.fixture(scope="module")
+def compiled_cells():
+    """(name, tier) -> the benchmark compiled at that tier, shared by
+    the cell tests of this module.  gemm and bicg are compiled at every
+    tier, which checks that compilation ignores the tier; the SPEC
+    proxies, there for the kinds they retire, are compiled once."""
+    cache = {}
+
+    def compiled(name, tier):
+        is_spec = name[0].isdigit()
+        key = (name, None if is_spec else tier)
+        if key not in cache:
+            set_tier(tier)
+            spec = spec_benchmark(name, "test") if is_spec \
+                else polybench_benchmark(name, "test")
+            cache[key] = compile_benchmark(spec, CELL_TARGETS, cache=False)
+        return cache[key]
+    return compiled
+
+
+@pytest.mark.parametrize("name", CELL_BENCHMARKS)
+def test_benchmark_cells_bit_identical_across_tiers(name, compiled_cells):
     """Compiled and run at each tier, including the tiered engines,
     whose range-driven check elision must not follow the tier."""
-    spec = polybench_benchmark(name, "test")
-    targets = TARGETS + ["chrome-tiered", "firefox-tiered"]
     cells = {}
     for tier in TIERS:
+        compiled = compiled_cells(name, tier)
         set_tier(tier)
-        compiled = compile_benchmark(spec, targets, cache=False)
         cells[tier] = {
             target: run_compiled(compiled, target, runs=2)
-            for target in targets
+            for target in CELL_TARGETS
         }
-    for target in targets:
+    for target in CELL_TARGETS:
         base = cells["off"][target]
         for tier in ("quicken", "fuse"):
             cell = cells[tier][target]
             assert cell.times == base.times, (name, target, tier)
             assert cell.perf.as_dict() == base.perf.as_dict()
             assert cell.run.stdout == base.run.stdout
+            assert cell.run.icache_accesses == base.run.icache_accesses
+            assert cell.run.icache_misses == base.run.icache_misses
+
+
+class _KindRecorder:
+    """A retire hook whose report is the set of decoded kinds retired."""
+
+    def attach(self, machine):
+        self.machine = machine
+        self.retired = set()
+
+    def enter(self, name):
+        pass
+
+    def retire(self, ins, machine):
+        self.retired.add(id(ins))
+
+    def finish(self):
+        pass
+
+    def report(self):
+        machine = self.machine
+        return {entry[0] for func in machine.program.functions.values()
+                for entry in machine._decode_func(func)
+                if id(entry[5]) in self.retired}
+
+
+def test_benchmark_cells_retire_every_kind(compiled_cells):
+    retired = set()
+    for name in CELL_BENCHMARKS:
+        compiled = compiled_cells(name, "off")
+        for target in CELL_TARGETS:
+            retired |= run_compiled(compiled, target, runs=1,
+                                    hwc=_KindRecorder()).run.hwc
+    assert retired == set(range(K_UNKNOWN + 1)) - NEVER_RETIRED
 
 
 def test_verify_totals_with_fusion_enabled():
