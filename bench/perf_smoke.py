@@ -1,12 +1,12 @@
 """Perf-smoke gate: fail CI when the fast paths stop being fast.
 
-Runs the tier and warm-pool scenarios from :mod:`bench.run_bench` and
+Runs the tier and pool scenarios from :mod:`bench.run_bench` and
 enforces floors well below the measured speedups, so noise on a shared
 CI runner does not flake the gate but a real regression (fusion slower
-than table dispatch, block engine slower than the reference loop, warm
-pool slower than a cold pool) fails it.  Bit-identity is asserted
-inside each scenario — a warm-pool, fused or block-engine run that
-diverges raises before the floors are checked.
+than table dispatch, block engine slower than the reference loop, a
+reused pool slower than one forked per sweep) fails it.  Bit-identity
+is asserted inside each scenario — a pooled, fused or block-engine run
+that diverges raises before the floors are checked.
 
 Usage::
 
@@ -26,14 +26,15 @@ from run_bench import (                                   # noqa: E402
 )
 
 #: (scenario, floor): measured speedups are ~1.7x (wasm_fused), ~2.0x
-#: (x86_blocks) and ~1.6x (parallel_warm).  The floors sit well below
+#: (x86_blocks) and 1.1-1.4x (parallel_warm on a 2-vCPU host, unpinned
+#: and pinned to one CPU).  The floors sit well below
 #: them, so they trip only when an optimization has actually regressed,
-#: not on timer jitter.  The sharded
-#: engine cannot beat the single pool on a 1-CPU CI box, so its gate
-#: bounds the coordination *overhead* instead (measured ~0.87x of the
-#: single-pool time on 1 CPU; the 0.75x floor trips only when the
-#: coordinator itself regresses); steal activity and bit-identity are
-#: asserted inside the scenario.
+#: not on timer jitter.  Two shards cannot beat one on a 1-CPU CI box,
+#: so the sharded gate bounds the coordination *overhead* instead
+#: (measured ~0.98x of the one-shard time pinned to one CPU of a 2-vCPU
+#: host; the 0.75x floor trips only when the coordinator itself
+#: regresses); steal activity and bit-identity are asserted inside the
+#: scenario.
 GATES = (
     ("wasm_fused", bench_wasm_fused, 1.05),
     ("x86_blocks", bench_x86_blocks, 1.3),

@@ -18,12 +18,13 @@ baseline and writes ``BENCH_repro.json`` at the repo root:
 * ``parallel_suite``  — a 4-benchmark suite sweep, ``--jobs 4`` vs.
   serial, results asserted bit-identical (degrades honestly to serial
   on a single-CPU box);
-* ``parallel_warm``   — the persistent warm-worker pool vs. a pool
-  rebuilt for every sweep, results asserted bit-identical to serial;
-* ``sharded_sweep``   — a skewed suite sweep on the work-stealing
-  sharded engine (``--shards 2``) vs. the single warm pool at the same
-  ``--jobs``, results asserted bit-identical and steals recorded
-  (degrades honestly to serial on a single-CPU box).
+* ``parallel_warm``   — the sweep scheduler's persistent worker pool
+  reused across sweeps vs. forked afresh for every sweep, results
+  asserted bit-identical to serial;
+* ``sharded_sweep``   — a skewed suite sweep on two work-stealing
+  shards (``--shards 2``) vs. one shard at the same ``--jobs``, results
+  asserted bit-identical and steals recorded (degrades honestly to
+  serial on a single-CPU box).
 
 Usage::
 
@@ -266,8 +267,8 @@ def bench_parallel_suite():
 
 
 def bench_parallel_warm():
-    """Persistent warm pool vs a pool rebuilt per sweep (the old
-    ``ProcessPoolExecutor`` behavior).  Forced on via REPRO_FORCE_JOBS
+    """The scheduler's persistent pool reused across sweeps vs. forked
+    afresh for every sweep.  Forced on via REPRO_FORCE_JOBS
     so the pool runs even on a single-CPU box, with a shared compile
     cache so the comparison isolates pool lifetime from compile work.
     Results are asserted bit-identical against a serial sweep."""
@@ -308,12 +309,13 @@ def bench_parallel_warm():
         for target in targets:
             assert serial[name][target].times == \
                 warm[name][target].times == \
-                cold[name][target].times, "warm pool diverged"
+                cold[name][target].times, "pooled sweep diverged"
     return {
         "description": "4-benchmark x 3-target suite sweep on the "
-                       "persistent warm-worker pool vs a pool rebuilt "
-                       "per sweep; results asserted bit-identical to "
-                       "serial. Measures what repeated sweeps "
+                       "sweep scheduler's persistent pool (--shards 1) "
+                       "vs the same pool forked afresh per sweep; "
+                       "results asserted bit-identical to serial. "
+                       "Measures what repeated sweeps "
                        "(compare/report/bench loops) save.",
         "baseline_seconds": cold_seconds,
         "optimized_seconds": warm_seconds,
@@ -324,14 +326,13 @@ def bench_parallel_warm():
 
 
 def bench_sharded_sweep(force=False):
-    """Work-stealing sharded engine (``--shards 2``) vs. the single
-    warm pool at the same ``--jobs``, on a *skewed* suite (one heavy
-    benchmark first) so the imbalance stealing exists to absorb is
-    actually present.  Results are asserted bit-identical to serial
+    """Two work-stealing shards (``--shards 2``) vs. one shard at the
+    same ``--jobs``, on a *skewed* suite (one heavy benchmark first) so
+    the imbalance stealing exists to absorb is actually present.  Results are asserted bit-identical to serial
     and the steal count is recorded from the metrics registry.
 
     ``force=True`` (the perf-smoke gate) sets REPRO_FORCE_JOBS so both
-    engines run their real pools even on a single-CPU box; the gate
+    shapes run their real pools even on a single-CPU box; the gate
     then bounds the sharding *overhead* rather than expecting a
     speedup no 1-CPU box can deliver.  Unforced, the scenario degrades
     honestly to serial (speedup 1.0, effective_jobs 1) like
@@ -362,7 +363,7 @@ def bench_sharded_sweep(force=False):
     try:
         effective = normalize_jobs(jobs, quiet=True)
         _, (serial, _) = _best_of(lambda: sweep(1, 1), repeats=1)
-        sweep(jobs, 1)  # fork + warm the single pool once
+        sweep(jobs, 1)  # fork + warm the one-shard pool once
         single_seconds, (single, _) = _best_of(
             lambda: sweep(jobs, 1), repeats=3)
         sweep(jobs, 2)  # fork + warm the shard pools once
@@ -391,12 +392,12 @@ def bench_sharded_sweep(force=False):
     if force or effective > 1:
         assert steals > 0, "skewed sweep produced no steals"
     return {
-        "description": "Skewed 5-benchmark x 3-target sweep on the "
-                       "work-stealing sharded engine (--shards 2) vs "
-                       "the single warm pool at the same --jobs; "
-                       "results asserted bit-identical to serial, "
-                       "steal count recorded. Unforced, degrades "
-                       "honestly to serial on a single-CPU box.",
+        "description": "Skewed 5-benchmark x 3-target sweep on two "
+                       "work-stealing shards (--shards 2) vs one shard "
+                       "at the same --jobs; results asserted "
+                       "bit-identical to serial, steal count recorded. "
+                       "Unforced, degrades honestly to serial on a "
+                       "single-CPU box.",
         "baseline_seconds": single_seconds,
         "optimized_seconds": sharded_seconds,
         "speedup": single_seconds / sharded_seconds,

@@ -1,14 +1,14 @@
 """Shard smoke: the sharded sweep engine must be bit-identical to serial.
 
-Runs a small benchmark matrix three ways — serially, on the single
-warm pool (``--jobs 2``), and on the work-stealing sharded engine
-(``--shards 2 --jobs 2``) — and asserts that
+Runs a small benchmark matrix three ways — serially, on one shard
+(``--jobs 2 --shards 1``), and on two work-stealing shards
+(``--jobs 2 --shards 2``) — and asserts that
 
 * every cell's measurements (times, counters, stdout) are
   bit-identical across all three schedules;
 * suite order is preserved in the merged results;
 * the engine actually sharded (``shard.count`` == 2 in the metrics
-  registry) rather than silently falling back to the single pool;
+  registry) rather than silently falling back to one shard;
 * a second sharded sweep reuses the warm shard pools (same worker
   pids), so repeated sweeps do not re-pay the fork cost.
 
@@ -63,7 +63,8 @@ def main(argv=None) -> int:
     names = [spec.name for spec in _suite()]
     print("[shard-smoke] serial sweep ...", flush=True)
     serial = sweep(1, 1)
-    print("[shard-smoke] single-pool sweep (--jobs 2) ...", flush=True)
+    print("[shard-smoke] one-shard sweep (--jobs 2 --shards 1) ...",
+          flush=True)
     single = sweep(2, 1)
     print("[shard-smoke] sharded sweep (--jobs 2 --shards 2) ...",
           flush=True)

@@ -429,12 +429,8 @@ def cmd_report(args) -> int:
             "serve": _serve_block(registry_dict),
             "shard": {
                 "shards": gauges.get("shard.count", 0),
-                "cells": counters.get("shard.cells", 0),
+                "cells": counters.get("runner.cells", 0),
                 "steals": counters.get("shard.steals", 0),
-                "redispatches": counters.get("shard.redispatches", 0),
-                "redispatch_wins":
-                    counters.get("shard.redispatch_wins", 0),
-                "cancelled": counters.get("shard.cancelled", 0),
                 "requeues": counters.get("shard.requeues", 0),
                 "worker_respawns":
                     counters.get("shard.worker_respawns", 0),
@@ -802,10 +798,9 @@ def _add_tier_arg(p) -> None:
 def _add_shards_arg(p) -> None:
     p.add_argument("--shards", type=int, default=None, metavar="N",
                    help="partition the --jobs workers into N "
-                        "work-stealing warm pools with straggler "
-                        "re-dispatch (default: auto from the worker "
-                        "count; 1 = a single pool); results are "
-                        "bit-identical to serial at any shard count")
+                        "work-stealing warm pools (default: auto from "
+                        "the worker count; 1 = a single pool); results "
+                        "are bit-identical to serial at any shard count")
 
 
 def _add_resilience_args(p) -> None:

@@ -2,9 +2,11 @@
 
 A full Table 1 / Fig. 3 sweep measures every benchmark on every target —
 dozens of independent (benchmark, target) cells that the serial drivers
-grind through one at a time.  This module fans those cells out over a
-persistent warm-worker pool (see :class:`_WarmPool`) while keeping
-every measurement *bit-identical* to a serial run:
+grind through one at a time.  :func:`run_suite` has two execution
+paths: in-process, and the work-stealing scheduler over persistent warm
+pools in :mod:`repro.harness.shard`, which runs every pooled sweep
+(fast or tolerant, any shard count).  Every measurement stays
+*bit-identical* to a serial run:
 
 * the simulated machine is deterministic, and the synthesized
   measurement noise is seeded per (benchmark, target) with the existing
@@ -13,7 +15,7 @@ every measurement *bit-identical* to a serial run:
   into a result;
 * results are reassembled in suite order (benchmark order × target
   order), so completion order never changes output;
-* ``jobs=1`` (or a single cell) falls back to the plain serial loop.
+* ``jobs=1`` (or a single cell) runs the plain serial loop in-process.
 
 Jobs are shipped to workers as *spec references* — ``(suite, name,
 size)`` triples resolved through :mod:`repro.benchsuite` — because
@@ -26,16 +28,17 @@ compiled once per toolchain version across the whole pool.
 
 from __future__ import annotations
 
-import atexit
 import os
 import sys
 import time
 
-from ..errors import CellTimeout, WorkerCrashError
 from ..obs import get_registry
+from ..resilience import (RetryPolicy, interrupted_cell, is_failure,
+                          measure_cell)
 from ..tier import get_tier
 from . import compilecache
 from .runner import NOISE, compile_benchmark, run_compiled
+from .shard import normalize_shards, run_sharded_jobs, shutdown_shard_pools
 
 #: Upper bound for auto-selected worker counts: beyond this, pool
 #: startup and artifact pickling dominate the simulated workloads.
@@ -109,504 +112,9 @@ def resolve_ref(ref):
     raise ValueError(f"unknown spec reference {ref!r}")
 
 
-# -- the worker --------------------------------------------------------------------
-
-def _run_cell(ref, target, runs, noise, max_instructions, use_cache):
-    """Measure one (benchmark, target) cell; runs inside a worker.
-
-    Returns (BenchResult, compile_seconds, timing) — all plain picklable
-    data.  ``timing`` carries the worker pid, the wall-clock start, and
-    the cell duration so the parent can aggregate per-worker utilization
-    and queue wait into its metrics registry (the worker's own registry,
-    if any, never crosses the process boundary).
-    """
-    start = time.time()
-    if not use_cache:
-        compilecache.set_enabled(False)
-    spec = resolve_ref(ref)
-    compiled = compile_benchmark(spec, (target,))
-    result = run_compiled(compiled, target, runs=runs, noise=noise,
-                          max_instructions=max_instructions)
-    timing = {"pid": os.getpid(), "start": start,
-              "seconds": time.time() - start}
-    return result, dict(compiled.compile_seconds), timing
-
-
-# -- the warm-worker pool ----------------------------------------------------------
-#
-# ``ProcessPoolExecutor`` paid the full interpreter spin-up — import,
-# registry construction, decode-cache warm-up — once *per pool*, but the
-# pool itself was rebuilt for every ``run_suite`` call, so a bench loop
-# that sweeps repeatedly (compare, bench --repeat, the perf-smoke gate)
-# kept re-paying it.  The warm pool forks its workers once, keeps them
-# alive across sweeps, and streams cells over the same pipe protocol the
-# tolerant scheduler uses.  Workers inherit the parent's imported
-# modules and on-disk compile cache at fork time, so the first cell in a
-# fresh worker is already warm.  Crash isolation is *not* a goal here —
-# that is what ``--tolerant`` / ``--inject`` and their process-per-cell
-# scheduler are for — so a dying warm worker aborts the sweep.
-
-def _warm_worker_main(conn):
-    """Loop of one persistent warm worker: recv job, run, send result.
-
-    Each job carries ``use_cache`` and the parent's tier name because
-    both are process-global state a *persistent* worker would otherwise
-    carry over from whatever the previous sweep set.
-    """
-    from ..tier import set_tier
-
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            break
-        if msg is None:
-            break
-        job_id, (ref, target, runs, noise, max_instructions,
-                 use_cache, tier) = msg
-        start = time.time()
-        try:
-            compilecache.set_enabled(use_cache)
-            set_tier(tier)
-            spec = resolve_ref(ref)
-            compiled = compile_benchmark(spec, (target,))
-            result = run_compiled(compiled, target, runs=runs, noise=noise,
-                                  max_instructions=max_instructions)
-            timing = {"pid": os.getpid(), "start": start,
-                      "seconds": time.time() - start}
-            conn.send((job_id, "ok",
-                       (result, dict(compiled.compile_seconds)), timing))
-        except KeyboardInterrupt:
-            os._exit(130)
-        except BaseException as exc:
-            try:
-                conn.send((job_id, "err", exc, None))
-            except Exception:
-                os._exit(1)
-
-
-class _WarmPool:
-    """A persistent fork-server pool of measurement workers."""
-
-    def __init__(self, width: int):
-        import multiprocessing as mp
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            ctx = mp.get_context()
-        self.ctx = ctx
-        self.width = width
-        self.workers = []
-        self.inflight = {}  # conn -> (job, submit_time)
-        for _ in range(width):
-            self._spawn()
-
-    def _spawn(self):
-        parent_conn, child_conn = self.ctx.Pipe(duplex=True)
-        proc = self.ctx.Process(target=_warm_worker_main,
-                                args=(child_conn,), daemon=True)
-        proc.start()
-        child_conn.close()
-        self.workers.append({"proc": proc, "conn": parent_conn})
-
-    def alive(self) -> bool:
-        return len(self.workers) == self.width and \
-            all(w["proc"].is_alive() for w in self.workers)
-
-    def run_jobs(self, jobs_list):
-        """Stream jobs through the pool; yield results as they complete.
-
-        ``jobs_list`` is a list of dicts with a picklable ``payload``;
-        yields ``(job, value, timing, submitted)`` in completion order.
-        A cell exception is re-raised in the parent (non-tolerant
-        semantics); a worker death raises :class:`WorkerCrashError`.
-        On a raise, cells may still be in flight on other workers — the
-        caller should :meth:`recover` (cell errors or Ctrl-C: the
-        workers are healthy) or :meth:`shutdown` (crash).
-        """
-        from multiprocessing.connection import wait as _wait
-
-        pending = list(enumerate(jobs_list))
-        self.inflight.clear()
-        idle = [w["conn"] for w in self.workers]
-        while pending or self.inflight:
-            while pending and idle:
-                conn = idle.pop()
-                job_id, job = pending.pop(0)
-                conn.send((job_id, job["payload"]))
-                self.inflight[conn] = (job, time.time())
-            for conn in _wait(list(self.inflight)):
-                job, submitted = self.inflight.pop(conn)
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    raise WorkerCrashError(
-                        f"warm pool worker died while measuring "
-                        f"{job['name']}:{job['target']}") from None
-                _, kind, value, timing = msg
-                if kind == "err":
-                    raise value
-                idle.append(conn)
-                yield job, value, timing, submitted
-
-    def recover(self, deadline: float = 10.0) -> None:
-        """Drain in-flight cells after a cell error, keeping the pool.
-
-        A cell *error* (bad target, guest exception) leaves every
-        worker healthy — discarding the whole pool would throw away
-        warm workers for no reason.  Results still in flight are
-        received and dropped; a worker that is dead, or that stays busy
-        past ``deadline`` seconds, is replaced by a fresh fork so the
-        pool keeps its width and stays reusable.
-        """
-        from multiprocessing.connection import wait as _wait
-
-        limit = time.time() + deadline
-        while self.inflight:
-            remaining = limit - time.time()
-            if remaining <= 0:
-                break
-            for conn in _wait(list(self.inflight), timeout=remaining):
-                self.inflight.pop(conn)
-                try:
-                    conn.recv()
-                except (EOFError, OSError):
-                    self._replace(conn)
-        for conn in list(self.inflight):
-            self.inflight.pop(conn)
-            self._replace(conn)
-
-    def _replace(self, conn) -> None:
-        """Retire the worker behind ``conn``; fork a replacement."""
-        for worker in list(self.workers):
-            if worker["conn"] is conn:
-                if worker["proc"].is_alive():
-                    worker["proc"].terminate()
-                worker["proc"].join(timeout=2.0)
-                try:
-                    worker["conn"].close()
-                except OSError:
-                    pass
-                self.workers.remove(worker)
-                self._spawn()
-                return
-
-    def shutdown(self):
-        for w in self.workers:
-            try:
-                w["conn"].send(None)
-            except (OSError, ValueError, BrokenPipeError):
-                pass
-        for w in self.workers:
-            try:
-                w["conn"].close()
-            except OSError:
-                pass
-        for w in self.workers:
-            w["proc"].join(timeout=1.0)
-            if w["proc"].is_alive():
-                w["proc"].terminate()
-                w["proc"].join(timeout=1.0)
-        self.workers = []
-
-
-_POOL = None
-
-
-def _get_warm_pool(width: int) -> _WarmPool:
-    """The process-wide warm pool, rebuilt only when the width changes
-    (or a worker died)."""
-    global _POOL
-    if _POOL is not None and _POOL.width == width and _POOL.alive():
-        return _POOL
-    if _POOL is not None:
-        _POOL.shutdown()
-    _POOL = _WarmPool(width)
-    return _POOL
-
-
-def shutdown_warm_pool():
-    """Tear down the warm pool and any shard pools (atexit, tests,
-    and bench teardown)."""
-    global _POOL
-    if _POOL is not None:
-        _POOL.shutdown()
-        _POOL = None
-    shard_mod = sys.modules.get(__package__ + ".shard")
-    if shard_mod is not None:
-        shard_mod.shutdown_shard_pools()
-
-
-atexit.register(shutdown_warm_pool)
-
-
-# -- the fault-tolerant worker -----------------------------------------------------
-
-def _cell_worker_main(conn, payload):
-    """Entry point of one tolerant-sweep cell process.
-
-    Sends exactly one ``("ok"| "fail", value, compile_seconds,
-    attempts)`` message over ``conn``, unless it crashes first — the
-    parent scheduler treats a closed pipe without a message as a worker
-    death and respawns.  The ``worker`` fault point is drawn here, in a
-    per-incarnation scope (``"{name}:{target}:w{incarnation}"``), so a
-    respawned worker re-draws and the crash/respawn sequence is a pure
-    function of the injection seed.
-    """
-    from ..resilience import RetryPolicy, failure_from_exception, measure_cell
-    from ..resilience import faults
-
-    name, target = payload["name"], payload["target"]
-    plan = payload["plan"]
-    try:
-        if not payload["use_cache"]:
-            compilecache.set_enabled(False)
-        if plan is not None:
-            scope_name = f"{name}:{target}:w{payload['incarnation']}"
-            with faults.scope(plan, scope_name) as injector:
-                if injector.should("worker"):
-                    conn.close()
-                    os._exit(17)  # die before reporting, like a real crash
-        spec = resolve_ref(payload["ref"])
-        policy = RetryPolicy(retries=payload["retries"])
-        result, failure, seconds, attempts = measure_cell(
-            spec, target, runs=payload["runs"], noise=payload["noise"],
-            max_instructions=payload["max_instructions"], plan=plan,
-            policy=policy, timeout=payload["timeout"])
-        if failure is not None:
-            conn.send(("fail", failure, seconds, attempts))
-        else:
-            conn.send(("ok", result, seconds, attempts))
-    except KeyboardInterrupt:
-        os._exit(130)
-    except BaseException as exc:  # pragma: no cover - measure_cell classifies
-        try:
-            conn.send(("fail",
-                       failure_from_exception(name, target, "worker", exc,
-                                              plan=plan),
-                       {}, 1))
-        except (OSError, ValueError):
-            os._exit(1)
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-
-def _spawn_cell(ctx, job, incarnation):
-    """Start one isolated cell process; returns its bookkeeping state."""
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    payload = dict(job, incarnation=incarnation)
-    proc = ctx.Process(target=_cell_worker_main,
-                       args=(child_conn, payload), daemon=True)
-    proc.start()
-    child_conn.close()
-    return {"proc": proc, "conn": parent_conn, "job": job,
-            "incarnation": incarnation, "started": time.time()}
-
-
-def _reap(state):
-    """Close a finished/killed cell's pipe and collect the process."""
-    try:
-        state["conn"].close()
-    except OSError:
-        pass
-    state["proc"].join()
-
-
-def _run_cells_isolated(jobs_list, jobs, plan, policy, timeout, record):
-    """Run cells one-process-each with crash isolation.
-
-    Unlike the shared pool, a dying worker takes down exactly one cell
-    — the scheduler knows which, respawns it up to ``policy.retries``
-    times, and records a ``worker``-phase failure if it keeps dying.  A
-    parent-side watchdog terminates cells that hang past twice the cell
-    ``timeout`` (the in-machine deadline normally fires first; this
-    catches hangs outside the instrumented loop).  ``KeyboardInterrupt``
-    terminates everything in flight and propagates so the caller can
-    mark unfinished cells interrupted.
-    """
-    import multiprocessing as mp
-    from multiprocessing.connection import wait as _wait
-
-    ctx = mp.get_context()
-    pending = list(jobs_list)
-    running = {}  # conn -> state
-
-    def _finish_crash(state):
-        code = state["proc"].exitcode
-        if state["incarnation"] < policy.retries:
-            fresh = _spawn_cell(ctx, state["job"],
-                                state["incarnation"] + 1)
-            running[fresh["conn"]] = fresh
-            return
-        job = state["job"]
-        exc = WorkerCrashError(
-            f"worker died (exit code {code}) before reporting")
-        exc.injected = code == 17
-        from ..resilience import failure_from_exception
-        record(job, None,
-               failure_from_exception(job["name"], job["target"], "worker",
-                                      exc, attempts=state["incarnation"] + 1,
-                                      plan=plan),
-               {}, state["incarnation"] + 1)
-
-    try:
-        while pending or running:
-            while pending and len(running) < jobs:
-                state = _spawn_cell(ctx, pending.pop(0), 0)
-                running[state["conn"]] = state
-            for conn in _wait(list(running), timeout=0.05):
-                state = running.pop(conn)
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    message = None
-                _reap(state)
-                if message is None:
-                    _finish_crash(state)
-                    continue
-                kind, value, seconds, attempts = message
-                job = state["job"]
-                if kind == "ok":
-                    record(job, value, None, seconds, attempts)
-                else:
-                    record(job, None, value, seconds, attempts)
-            if timeout is None:
-                continue
-            now = time.time()
-            for conn, state in list(running.items()):
-                if now - state["started"] <= 2 * timeout + 1.0:
-                    continue
-                running.pop(conn)
-                state["proc"].terminate()
-                _reap(state)
-                job = state["job"]
-                from ..resilience import failure_from_exception
-                record(job, None,
-                       failure_from_exception(
-                           job["name"], job["target"], "execute",
-                           CellTimeout(
-                               f"cell hung past {timeout:g}s; "
-                               f"worker terminated"),
-                           attempts=state["incarnation"] + 1, plan=plan),
-                       {}, state["incarnation"] + 1)
-    except KeyboardInterrupt:
-        for state in running.values():
-            state["proc"].terminate()
-        for state in running.values():
-            _reap(state)
-        raise
-
-
-# -- the fault-tolerant suite runner -----------------------------------------------
-
-def _run_tolerant_suite(benchmarks, targets, runs, noise, max_instructions,
-                        jobs, progress, cache, plan, policy, timeout,
-                        shards: int = 1):
-    """The tolerant sweep: every cell completes or yields a CellFailure.
-
-    Referenceable specs run one-process-per-cell (crash isolation) or,
-    with ``shards`` > 1, through the work-stealing shard engine (crash
-    isolation per *dispatch*: a dying shard worker re-queues its cell
-    and is respawned); ad-hoc specs run in-process through the same
-    :func:`repro.resilience.measure_cell` path.  Ctrl-C stops the sweep
-    and marks every unfinished cell ``interrupted`` — partial results
-    are always returned, never an escaped exception.
-    """
-    from ..resilience import RetryPolicy, interrupted_cell, measure_cell
-
-    policy = policy or RetryPolicy()
-    use_cache = compilecache.resolve_cache(cache) is not None
-    metrics = get_registry()
-    cell_results = {}
-    compile_seconds = {spec.name: {} for spec in benchmarks}
-    remaining = {spec.name: len(targets) for spec in benchmarks}
-
-    def record(job, result, failure, seconds, attempts):
-        name, target = job["name"], job["target"]
-        cell_results[(name, target)] = \
-            failure if failure is not None else result
-        compile_seconds[name].update(seconds or {})
-        if metrics.enabled:
-            metrics.counter("resilience.cells").inc()
-            if attempts > 1:
-                metrics.counter("resilience.retries").inc(attempts - 1)
-            if failure is not None:
-                metrics.counter(
-                    f"resilience.failures.{failure.status}").inc()
-                if failure.injected:
-                    metrics.counter("resilience.injected").inc()
-        remaining[name] -= 1
-        if not remaining[name] and progress is not None:
-            progress(name)
-
-    refs = {spec.name: spec_ref(spec) for spec in benchmarks}
-    fan_out = jobs > 1 and len(benchmarks) * len(targets) > 1
-    pool_cells, serial_cells = [], []
-    for spec in benchmarks:
-        bucket = pool_cells if fan_out and refs[spec.name] is not None \
-            else serial_cells
-        for target in targets:
-            bucket.append((spec, target))
-
-    try:
-        if pool_cells and shards > 1:
-            from ..tier import get_tier as _get_tier
-            from .shard import run_sharded_jobs
-            tier_name = _get_tier()
-            jobs_list = [{
-                "ref": refs[spec.name], "name": spec.name, "target": target,
-                "runs": runs, "noise": noise,
-                "max_instructions": max_instructions,
-                "use_cache": use_cache, "plan": plan, "tier": tier_name,
-                "retries": policy.retries, "timeout": timeout,
-                "tolerant": True,
-            } for spec, target in pool_cells]
-
-            def shard_record(job, kind, value, _timing):
-                payload, seconds, attempts = value
-                if kind == "ok":
-                    record(job, payload, None, seconds, attempts)
-                else:
-                    record(job, None, payload, seconds, attempts)
-
-            run_sharded_jobs(jobs_list, shards, jobs, shard_record,
-                             tolerant=True, retries=policy.retries,
-                             plan=plan)
-        elif pool_cells:
-            jobs_list = [{
-                "ref": refs[spec.name], "name": spec.name, "target": target,
-                "runs": runs, "noise": noise,
-                "max_instructions": max_instructions,
-                "use_cache": use_cache, "plan": plan,
-                "retries": policy.retries, "timeout": timeout,
-            } for spec, target in pool_cells]
-            _run_cells_isolated(jobs_list, jobs, plan, policy, timeout,
-                                record)
-        for spec, target in serial_cells:
-            result, failure, seconds, attempts = measure_cell(
-                spec, target, runs=runs, noise=noise,
-                max_instructions=max_instructions, cache=cache,
-                plan=plan, policy=policy, timeout=timeout)
-            record({"name": spec.name, "target": target},
-                   result, failure, seconds, attempts)
-    except KeyboardInterrupt:
-        pass  # fall through: unfinished cells become interrupted rows
-
-    interrupted = 0
-    for spec in benchmarks:
-        for target in targets:
-            if (spec.name, target) not in cell_results:
-                cell_results[(spec.name, target)] = \
-                    interrupted_cell(spec.name, target, plan)
-                interrupted += 1
-    if interrupted and metrics.enabled:
-        metrics.counter("resilience.failures.INTERRUPTED").inc(interrupted)
-
-    return _merge_results(benchmarks, targets, cell_results), \
-        compile_seconds
+#: Tear down the persistent worker pools (tests, bench teardown); the
+#: name callers outside this package use.
+shutdown_warm_pool = shutdown_shard_pools
 
 
 # -- the suite runner --------------------------------------------------------------
@@ -621,152 +129,116 @@ def run_suite(benchmarks, targets, runs: int = 5, noise: float = NOISE,
     Returns ``(results, compile_seconds)`` where ``results`` maps
     benchmark name -> target -> BenchResult in suite order, and
     ``compile_seconds`` maps benchmark name -> {pipeline: seconds}.
-    ``jobs`` > 1 distributes cells over that many worker processes;
-    ``jobs=None`` auto-selects :func:`default_jobs`.  ``shards`` > 1
-    partitions the workers into that many work-stealing warm pools
-    (see :mod:`repro.harness.shard`); ``shards=None`` auto-selects from
-    the worker count.  Results are bit-identical to serial for every
-    (jobs, shards) combination.
+    ``jobs`` > 1 distributes cells over that many persistent worker
+    processes; ``jobs=None`` auto-selects :func:`default_jobs`.
+    ``shards`` > 1 partitions the workers into that many work-stealing
+    pools (see :mod:`repro.harness.shard`); ``shards=None`` auto-selects
+    from the worker count.  Results are bit-identical to serial for
+    every (jobs, shards) combination.  A worker that dies mid-cell is
+    respawned and its cell re-queued, up to ``policy.retries`` times.
 
-    ``tolerant`` (implied by a fault-injection ``plan``) switches to the
-    crash-isolated scheduler: failed cells come back as
-    :class:`~repro.resilience.CellFailure` values in ``results`` instead
-    of raising, and the sweep always completes the full matrix.
+    ``tolerant`` (implied by a fault-injection ``plan``) makes failed
+    cells come back as :class:`~repro.resilience.CellFailure` values in
+    ``results`` instead of raising, and the sweep always completes the
+    full matrix: Ctrl-C marks unfinished cells ``interrupted``.
     """
-    from .shard import normalize_shards
-
     benchmarks = list(benchmarks)
     targets = list(targets)
     jobs = normalize_jobs(jobs)
     shards = normalize_shards(shards, jobs)
-    if tolerant or plan is not None:
-        return _run_tolerant_suite(
-            benchmarks, targets, runs, noise, max_instructions, jobs,
-            progress, cache, plan, policy, timeout, shards)
-    use_cache = compilecache.resolve_cache(cache) is not None
-
-    serial_specs = list(benchmarks)
-    cell_results = {}       # (name, target) -> BenchResult
-    compile_seconds = {spec.name: {} for spec in benchmarks}
-
-    if jobs > 1 and len(benchmarks) * len(targets) > 1:
-        refs = {spec.name: spec_ref(spec) for spec in benchmarks}
-        pool_specs = [s for s in benchmarks if refs[s.name] is not None]
-        serial_specs = [s for s in benchmarks if refs[s.name] is None]
-        if pool_specs and shards > 1:
-            _run_sharded_suite(pool_specs, targets, refs, runs, noise,
-                               max_instructions, use_cache, jobs, shards,
-                               progress, cell_results, compile_seconds)
-        elif pool_specs:
-            metrics = get_registry()
-            tier_name = get_tier()
-            remaining = {s.name: len(targets) for s in pool_specs}
-            busy_by_pid = {}
-            jobs_list = [{
-                "name": spec.name, "target": target,
-                "payload": (refs[spec.name], target, runs, noise,
-                            max_instructions, use_cache, tier_name),
-            } for spec in pool_specs for target in targets]
-            pool_start = time.time()
-            pool = _get_warm_pool(jobs)
-            try:
-                for job, value, timing, submitted in \
-                        pool.run_jobs(jobs_list):
-                    result, seconds = value
-                    name, target = job["name"], job["target"]
-                    cell_results[(name, target)] = result
-                    compile_seconds[name].update(seconds)
-                    if metrics.enabled:
-                        metrics.histogram("runner.cell_seconds").observe(
-                            timing["seconds"])
-                        metrics.histogram(
-                            "runner.queue_wait_seconds").observe(
-                            max(timing["start"] - submitted, 0.0))
-                        busy_by_pid[timing["pid"]] = \
-                            busy_by_pid.get(timing["pid"], 0.0) + \
-                            timing["seconds"]
-                    remaining[name] -= 1
-                    if not remaining[name] and progress is not None:
-                        progress(name)
-            except WorkerCrashError:
-                # A worker actually died: the pool's state is
-                # unknowable, discard it.
-                shutdown_warm_pool()
-                raise
-            except KeyboardInterrupt:
-                # Ctrl-C routes through the drain path: in-flight
-                # cells finish (dead/unresponsive workers are
-                # replaced) and the warm pool survives for the next
-                # sweep instead of being torn down.
-                pool.recover()
-                raise
-            except BaseException:
-                # A *cell* error: every worker is healthy.  Drain the
-                # in-flight cells and keep the warm pool for the next
-                # sweep instead of discarding live workers.
-                pool.recover()
-                raise
-            if metrics.enabled:
-                pool_wall = max(time.time() - pool_start, 1e-9)
-                metrics.gauge("runner.jobs").set(jobs)
-                metrics.counter("runner.cells").inc(len(jobs_list))
-                for i, pid in enumerate(sorted(busy_by_pid)):
-                    metrics.gauge(f"runner.worker.{i}.utilization").set(
-                        busy_by_pid[pid] / pool_wall)
-
+    tolerant = tolerant or plan is not None
+    policy = policy or RetryPolicy()
     metrics = get_registry()
-    for spec in serial_specs:
-        compiled = compile_benchmark(spec, targets, cache=cache)
-        compile_seconds[spec.name].update(compiled.compile_seconds)
-        for target in targets:
-            cell_start = time.time()
-            cell_results[(spec.name, target)] = run_compiled(
-                compiled, target, runs=runs, noise=noise,
-                max_instructions=max_instructions)
-            if metrics.enabled:
-                metrics.histogram("runner.cell_seconds").observe(
-                    time.time() - cell_start)
-                metrics.counter("runner.cells").inc()
-        if progress is not None:
-            progress(spec.name)
+    cell_results = {}       # (name, target) -> BenchResult | CellFailure
+    compile_seconds = {spec.name: {} for spec in benchmarks}
+    remaining = {spec.name: len(targets) for spec in benchmarks}
+
+    def record(name, target, cell, seconds, attempts=1):
+        cell_results[(name, target)] = cell
+        compile_seconds[name].update(seconds)
+        if tolerant and metrics.enabled:
+            metrics.counter("resilience.cells").inc()
+            if attempts > 1:
+                metrics.counter("resilience.retries").inc(attempts - 1)
+            if is_failure(cell):
+                metrics.counter(
+                    f"resilience.failures.{cell.status}").inc()
+                if cell.injected:
+                    metrics.counter("resilience.injected").inc()
+        remaining[name] -= 1
+        if not remaining[name] and progress is not None:
+            progress(name)
+
+    def pooled(job, _kind, value, _timing):
+        cell, seconds, attempts = value
+        record(job["name"], job["target"], cell, seconds, attempts)
+
+    fan_out = jobs > 1 and len(benchmarks) * len(targets) > 1
+    refs = {spec.name: spec_ref(spec) for spec in benchmarks}
+    pool_specs = [spec for spec in benchmarks
+                  if fan_out and refs[spec.name] is not None]
+    serial_specs = [spec for spec in benchmarks if spec not in pool_specs]
+    use_cache = compilecache.resolve_cache(cache) is not None
+    tier_name = get_tier()
+    jobs_list = [{
+        "ref": refs[spec.name], "name": spec.name, "target": target,
+        "runs": runs, "noise": noise, "max_instructions": max_instructions,
+        "use_cache": use_cache, "tier": tier_name, "tolerant": tolerant,
+        "plan": plan, "retries": policy.retries, "timeout": timeout,
+    } for spec in pool_specs for target in targets]
+
+    try:
+        if jobs_list:
+            run_sharded_jobs(jobs_list, shards, jobs, pooled,
+                             tolerant=tolerant, retries=policy.retries,
+                             plan=plan)
+        for spec in serial_specs:
+            if tolerant:
+                for target in targets:
+                    result, failure, seconds, attempts = measure_cell(
+                        spec, target, runs=runs, noise=noise,
+                        max_instructions=max_instructions, cache=cache,
+                        plan=plan, policy=policy, timeout=timeout)
+                    record(spec.name, target,
+                           failure if failure is not None else result,
+                           seconds, attempts)
+                continue
+            compiled = compile_benchmark(spec, targets, cache=cache)
+            for target in targets:
+                cell_start = time.time()
+                result = run_compiled(compiled, target, runs=runs,
+                                      noise=noise,
+                                      max_instructions=max_instructions)
+                if metrics.enabled:
+                    metrics.histogram("runner.cell_seconds").observe(
+                        time.time() - cell_start)
+                    metrics.counter("runner.cells").inc()
+                record(spec.name, target, result, compiled.compile_seconds)
+    except KeyboardInterrupt:
+        if not tolerant:
+            raise
+        # Fall through: unfinished cells become interrupted rows.
+
+    if tolerant:
+        unfinished = [(spec.name, target) for spec in benchmarks
+                      for target in targets
+                      if (spec.name, target) not in cell_results]
+        for name, target in unfinished:
+            cell_results[(name, target)] = \
+                interrupted_cell(name, target, plan)
+        if unfinished and metrics.enabled:
+            metrics.counter("resilience.failures.INTERRUPTED").inc(
+                len(unfinished))
 
     return _merge_results(benchmarks, targets, cell_results), \
         compile_seconds
 
 
-def _run_sharded_suite(pool_specs, targets, refs, runs, noise,
-                       max_instructions, use_cache, jobs, shards,
-                       progress, cell_results, compile_seconds):
-    """The non-tolerant sharded fast path: fill ``cell_results`` via
-    the work-stealing coordinator."""
-    from .shard import run_sharded_jobs
-
-    tier_name = get_tier()
-    remaining = {s.name: len(targets) for s in pool_specs}
-    jobs_list = [{
-        "ref": refs[spec.name], "name": spec.name, "target": target,
-        "runs": runs, "noise": noise,
-        "max_instructions": max_instructions,
-        "use_cache": use_cache, "tier": tier_name,
-    } for spec in pool_specs for target in targets]
-
-    def record(job, _kind, value, _timing):
-        result, seconds, _attempts = value
-        name, target = job["name"], job["target"]
-        cell_results[(name, target)] = result
-        compile_seconds[name].update(seconds)
-        remaining[name] -= 1
-        if not remaining[name] and progress is not None:
-            progress(name)
-
-    run_sharded_jobs(jobs_list, shards, jobs, record)
-
-
 def _merge_results(benchmarks, targets, cell_results):
     """Reassemble per-cell results in suite order: the merge is a pure
     function of (suite order, cell values), so the output is identical
-    no matter which worker, shard, or speculative copy produced each
-    cell.  Merge time lands in the ``shard.merge_seconds`` gauge."""
+    no matter which worker or shard produced each cell.  Merge time
+    lands in the ``shard.merge_seconds`` gauge."""
     metrics = get_registry()
     merge_start = time.time()
     results = {}

@@ -1,18 +1,17 @@
-"""Sharded sweep engine: a work-stealing coordinator over warm pools.
+"""The sweep scheduler: a work-stealing coordinator over warm pools.
 
-The full benchmark matrix (benchmark x target x size x tier x seed) is
-embarrassingly shardable, but the single warm pool in
-:mod:`repro.harness.parallel` is one scheduling domain: every worker
-pulls from one parent-side queue, and one slow cell at the end of the
-sweep leaves the rest of the pool idle.  This module scales the sweep
-*out* instead of just up:
+Every pooled ``run_suite`` call (``--jobs`` > 1, fast or tolerant, any
+``--shards``) runs here; ``--jobs 1`` and specs that cannot cross a
+process boundary stay in-process (see :mod:`repro.harness.parallel`).
 
-* **Shards.**  ``--shards N`` partitions the ``--jobs`` workers into N
-  addressable :class:`ShardPool`\\ s (persistent fork pools, warm across
-  sweeps exactly like the single pool).  Cells are dealt to per-shard
-  deques in contiguous suite-order slices, so a shard works a compact
-  region of the matrix and repeated sweeps hit the same pool with a
-  warm compile cache.
+* **Warm pools.**  ``--shards N`` partitions the ``--jobs`` workers into
+  N addressable :class:`ShardPool`\\ s (persistent fork pools; N = 1 is
+  a single pool).  Workers are forked once, inherit the parent's
+  imported toolchain and compile cache, and stay alive across sweeps
+  until the pool shape changes.  Cells are dealt to per-shard deques in
+  contiguous suite-order slices, so a shard works a compact region of
+  the matrix and repeated sweeps hit the same pool with a warm compile
+  cache.
 
 * **Work stealing.**  A shard that drains its own deque does not go
   idle: it steals from the *tail* of the richest victim's deque
@@ -20,29 +19,28 @@ sweep leaves the rest of the pool idle.  This module scales the sweep
   locality; stealing gives load balance under skew.  Counted as
   ``shard.steals``.
 
-* **Straggler re-dispatch.**  Completed-cell durations feed a running
-  p99; an in-flight cell that exceeds ``REPRO_STRAGGLER_FACTOR``
-  (default 4) times that p99 while workers sit idle is speculatively
-  re-issued.  First result wins; the loser is cancelled (terminated and
-  its worker respawned).  Counted as ``shard.redispatches`` /
-  ``shard.redispatch_wins`` / ``shard.cancelled``.
-
 * **Crash re-queue.**  A dying worker kills one *dispatch*, never the
   sweep: the cell is re-queued at the head of its home shard, the
   worker is respawned (``shard.worker_respawns``), and only a cell that
   keeps killing workers past its retry budget surfaces — as a
   ``worker``-phase :class:`~repro.resilience.CellFailure` in tolerant
   mode, or a :class:`~repro.errors.WorkerCrashError` otherwise.  The
-  ``worker`` fault point draws in the same
-  ``"{name}:{target}:w{incarnation}"`` scope as the process-per-cell
-  scheduler, so injected crash/respawn sequences are a pure function of
-  the seed, not of shard count or steal order.
+  ``worker`` fault point draws in the per-incarnation scope
+  ``"{name}:{target}:w{incarnation}"``, so injected crash/respawn
+  sequences are a pure function of the seed, not of shard count or
+  steal order.
+
+* **Hang watchdog.**  A tolerant cell with a ``timeout`` that is still
+  in flight ``2 * timeout + 1`` seconds after dispatch (it hung outside
+  the instrumented loop, where the in-machine deadline cannot fire) has
+  its worker replaced and is recorded as an ``execute``-phase
+  :class:`~repro.errors.CellTimeout`.
 
 * **Deterministic merge.**  Results are keyed by (benchmark, target)
   and reassembled in suite order by the caller; every cell is a
   deterministic simulation with per-cell seeded noise, so the merged
   ``SuiteData`` is bit-identical to a serial run no matter the shard
-  count, steal schedule, crash pattern, or which speculative copy wins.
+  count, steal schedule, or crash pattern.
 """
 
 from __future__ import annotations
@@ -50,27 +48,17 @@ from __future__ import annotations
 import atexit
 import collections
 import os
-import sys
 import time
 
-from ..errors import WorkerCrashError
+from ..errors import CellTimeout, WorkerCrashError
 from ..obs import get_registry
 from . import compilecache
-from .parallel import resolve_ref
-from .stats import p99
 
 #: Hard ceiling on shard count; each shard needs at least one worker.
 MAX_SHARDS = 8
 
 #: Auto-selected shard width: one shard per this many workers.
 AUTO_SHARD_WIDTH = 4
-
-#: An in-flight cell becomes a straggler at ``factor * p99`` of the
-#: completed-cell durations (override via ``REPRO_STRAGGLER_FACTOR``).
-STRAGGLER_FACTOR = 4.0
-
-#: Completed cells needed before the p99 deadline is trusted at all.
-STRAGGLER_MIN_SAMPLES = 3
 
 #: Seconds granted to in-flight cells when draining after an error.
 DRAIN_SECONDS = 10.0
@@ -80,8 +68,8 @@ def normalize_shards(shards, jobs: int) -> int:
     """Resolve a ``--shards`` request against the effective ``jobs``.
 
     ``None`` auto-selects one shard per :data:`AUTO_SHARD_WIDTH`
-    workers, so small sweeps keep the single-pool fast path and big
-    boxes shard automatically.  Explicit requests are clamped so every
+    workers, so small sweeps keep a single pool and big boxes shard
+    automatically.  Explicit requests are clamped so every
     shard owns at least one worker.
     """
     if jobs <= 1:
@@ -97,14 +85,6 @@ def shard_widths(shards: int, jobs: int):
     return [base + (1 if i < extra else 0) for i in range(shards)]
 
 
-def straggler_factor() -> float:
-    try:
-        return float(os.environ.get("REPRO_STRAGGLER_FACTOR",
-                                    STRAGGLER_FACTOR))
-    except ValueError:
-        return STRAGGLER_FACTOR
-
-
 # -- the shard worker --------------------------------------------------------------
 
 def _shard_worker_main(conn):
@@ -112,13 +92,14 @@ def _shard_worker_main(conn):
 
     Jobs carry ``use_cache`` and ``tier`` (process-global state a
     persistent worker must not carry over between sweeps) plus the
-    dispatch ``incarnation`` so the ``worker`` fault point draws in the
-    same per-incarnation scope as the process-per-cell scheduler.
-    Tolerant jobs run through :func:`repro.resilience.measure_cell`
-    (fuel/deadline watchdogs, classification, bounded in-worker retry)
-    and reply ``fail`` with a CellFailure instead of raising.
+    dispatch ``incarnation``, which scopes the ``worker`` fault point so
+    a respawned worker re-draws.  Tolerant jobs run through
+    :func:`repro.resilience.measure_cell` (fuel/deadline watchdogs,
+    classification, bounded in-worker retry) and reply ``fail`` with a
+    CellFailure instead of raising.
     """
     from ..tier import set_tier
+    from .parallel import resolve_ref
 
     while True:
         try:
@@ -207,7 +188,8 @@ class ShardPool:
         return worker
 
     def replace(self, worker):
-        """Retire ``worker`` (dead or cancelled) and fork a fresh one.
+        """Retire ``worker`` (dead, hung or unresponsive) and fork a
+        fresh one.
 
         Returns ``(exit_code, fresh_worker)``; the exit code of the
         retired process distinguishes injected deaths (17) from real
@@ -282,23 +264,8 @@ atexit.register(shutdown_shard_pools)
 
 # -- the coordinator ---------------------------------------------------------------
 
-class _JobState:
-    """Parent-side bookkeeping for one sweep cell."""
-
-    __slots__ = ("job", "home", "done", "incarnation", "conns",
-                 "speculated")
-
-    def __init__(self, job, home: int):
-        self.job = job
-        self.home = home          # home shard (partition slice)
-        self.done = False
-        self.incarnation = 0      # bumped per worker crash, like w{N}
-        self.conns = {}           # conn -> speculative flag
-        self.speculated = False
-
-
 class ShardScheduler:
-    """Work-stealing, straggler-re-dispatching scheduler over shards.
+    """Work-stealing scheduler over shard pools.
 
     Drives ``jobs_list`` (picklable cell payloads carrying ``name`` and
     ``target``) to completion across ``pools``.  ``record(job, kind,
@@ -315,27 +282,25 @@ class ShardScheduler:
         self.retries = retries
         self.plan = plan
         self.metrics = get_registry()
-        self.factor = straggler_factor()
-        self.states = []
-        self.deques = [collections.deque() for _ in pools]
+        self.jobs = list(jobs_list)
+        self.incarnation = [0] * len(self.jobs)  # bumped per worker crash
         # Contiguous suite-order slices: shard i owns slice i.  Locality
         # by construction; skew is what stealing exists to absorb.
-        bounds = self._partition(len(jobs_list), len(pools))
-        for index, job in enumerate(jobs_list):
-            home = bounds[index]
-            self.states.append(_JobState(job, home))
-            self.deques[home].append(index)
+        self.home = self._partition(len(self.jobs), len(pools))
+        self.deques = [collections.deque() for _ in pools]
+        for job_id, home in enumerate(self.home):
+            self.deques[home].append(job_id)
         self.idle = {pool.shard_id: list(pool.workers) for pool in pools}
         self.inflight = {}   # conn -> dispatch record
-        self.durations = []  # completed-cell seconds (straggler p99)
         self.busy = collections.defaultdict(float)  # shard -> busy secs
+        self.busy_by_pid = collections.defaultdict(float)  # pid -> busy secs
         self.completed = 0
 
     @staticmethod
     def _partition(cells: int, shards: int):
         """Cell index -> home shard, in contiguous balanced slices."""
         base, extra = divmod(cells, shards)
-        owner, bounds = 0, []
+        bounds = []
         for shard in range(shards):
             size = base + (1 if shard < extra else 0)
             bounds.extend([shard] * size)
@@ -363,50 +328,21 @@ class ShardScheduler:
         self.metrics.counter("shard.steals").inc()
         return job_id
 
-    def _dispatch(self, shard: int, worker, job_id: int,
-                  speculative: bool = False):
-        state = self.states[job_id]
-        payload = dict(state.job, incarnation=state.incarnation)
-        conn = worker["conn"]
-        conn.send((job_id, payload))
-        state.conns[conn] = speculative
-        self.inflight[conn] = {
+    def _dispatch(self, shard: int, worker, job_id: int):
+        payload = dict(self.jobs[job_id],
+                       incarnation=self.incarnation[job_id])
+        try:
+            worker["conn"].send((job_id, payload))
+        except OSError:
+            # The worker died while idle: nothing ran, so no cell is
+            # charged; send to its replacement instead.
+            self._respawn(shard, worker)
+            worker = self.idle[shard].pop()
+            worker["conn"].send((job_id, payload))
+        self.inflight[worker["conn"]] = {
             "job_id": job_id, "worker": worker, "shard": shard,
-            "sent": time.time(), "speculative": speculative,
+            "sent": time.time(),
         }
-
-    def _straggler_deadline(self):
-        if len(self.durations) < STRAGGLER_MIN_SAMPLES:
-            return None
-        return self.factor * max(p99(self.durations), 1e-6)
-
-    def _redispatch_stragglers(self):
-        """Speculatively re-issue overdue cells onto idle workers."""
-        deadline = self._straggler_deadline()
-        if deadline is None:
-            return
-        now = time.time()
-        overdue = sorted(
-            (record for record in self.inflight.values()
-             if now - record["sent"] > deadline
-             and not self.states[record["job_id"]].speculated
-             and not self.states[record["job_id"]].done),
-            key=lambda record: record["sent"])
-        for record in overdue:
-            shard, worker = self._idle_worker()
-            if worker is None:
-                return
-            state = self.states[record["job_id"]]
-            state.speculated = True
-            self.metrics.counter("shard.redispatches").inc()
-            self._dispatch(shard, worker, record["job_id"],
-                           speculative=True)
-
-    def _idle_worker(self):
-        for shard, workers in self.idle.items():
-            if workers:
-                return shard, workers.pop()
-        return None, None
 
     def _fill_idle(self):
         for pool in self.pools:
@@ -416,131 +352,123 @@ class ShardScheduler:
                 if job_id is None:
                     break
                 self._dispatch(shard, self.idle[shard].pop(), job_id)
-        self._redispatch_stragglers()
 
     # -- completion / crash handling -----------------------------------------------
 
-    def _cancel_losers(self, state, winner_conn):
-        """First result won: terminate any speculative copy in flight."""
-        for conn in [c for c in state.conns if c is not winner_conn]:
-            record = self.inflight.pop(conn, None)
-            state.conns.pop(conn, None)
-            if record is None:
-                continue
-            pool = self.pools[record["shard"]]
-            _code, fresh = pool.replace(record["worker"])
-            self.idle[record["shard"]].append(fresh)
-            self.metrics.counter("shard.cancelled").inc()
+    def _respawn(self, shard: int, worker):
+        """Replace a dead, hung or unresponsive worker with an idle fresh
+        one; returns the retired process's exit code."""
+        code, fresh = self.pools[shard].replace(worker)
+        self.idle[shard].append(fresh)
+        self.metrics.counter("shard.worker_respawns").inc()
+        return code
 
-    def _handle_message(self, conn, record, msg, record_cb):
+    def _fail(self, job_id: int, phase: str, exc, attempts: int,
+              record_cb):
+        from ..resilience import failure_from_exception
+        job = self.jobs[job_id]
+        failure = failure_from_exception(
+            job["name"], job["target"], phase, exc, attempts=attempts,
+            plan=self.plan)
+        self.completed += 1
+        record_cb(job, "fail", (failure, {}, attempts), None)
+
+    def _handle_message(self, record, msg, record_cb):
         job_id, kind, value, timing = msg
-        state = self.states[job_id]
-        worker = record["worker"]
-        self.idle[record["shard"]].append(worker)
-        state.conns.pop(conn, None)
+        self.idle[record["shard"]].append(record["worker"])
         if kind == "err":
             self._drain()
             raise value
-        if state.done:
-            # The slow copy of a re-dispatched cell: discard its result.
-            self.metrics.counter("shard.redispatch_wasted").inc()
-            return
-        state.done = True
         self.completed += 1
-        self.durations.append(timing["seconds"])
         self.busy[record["shard"]] += timing["seconds"]
-        if record["speculative"]:
-            self.metrics.counter("shard.redispatch_wins").inc()
+        self.busy_by_pid[timing["pid"]] += timing["seconds"]
         if self.metrics.enabled:
-            self.metrics.histogram("shard.cell_seconds").observe(
+            self.metrics.histogram("runner.cell_seconds").observe(
                 timing["seconds"])
-            self.metrics.histogram("shard.queue_wait_seconds").observe(
+            self.metrics.histogram("runner.queue_wait_seconds").observe(
                 max(timing["start"] - record["sent"], 0.0))
-        self._cancel_losers(state, conn)
-        record_cb(state.job, kind, value, timing)
+        record_cb(self.jobs[job_id], kind, value, timing)
 
-    def _handle_crash(self, conn, record, record_cb):
+    def _handle_crash(self, record, record_cb):
         """A worker died mid-cell: respawn it, re-queue or fail the cell."""
-        state = self.states[record["job_id"]]
-        state.conns.pop(conn, None)
-        pool = self.pools[record["shard"]]
-        code, fresh = pool.replace(record["worker"])
-        self.idle[record["shard"]].append(fresh)
-        self.metrics.counter("shard.worker_respawns").inc()
-        if state.done or state.conns:
-            return  # a surviving copy already won / is still running
-        state.incarnation += 1
-        if state.incarnation <= self.retries:
-            state.speculated = False
-            self.deques[state.home].appendleft(record["job_id"])
+        job_id = record["job_id"]
+        # Its pipe closed, so the worker is exiting: reap it rather than
+        # terminate it, or an injected death (exit 17) reads as SIGTERM.
+        record["worker"]["proc"].join(timeout=2.0)
+        code = self._respawn(record["shard"], record["worker"])
+        self.incarnation[job_id] += 1
+        if self.incarnation[job_id] <= self.retries:
+            self.deques[self.home[job_id]].appendleft(job_id)
             self.metrics.counter("shard.requeues").inc()
             return
-        job = state.job
         exc = WorkerCrashError(
             f"worker died (exit code {code}) before reporting")
         exc.injected = code == 17
         if not self.tolerant:
             self._drain()
             raise exc
-        from ..resilience import failure_from_exception
-        failure = failure_from_exception(
-            job["name"], job["target"], "worker", exc,
-            attempts=state.incarnation, plan=self.plan)
-        state.done = True
-        self.completed += 1
-        record_cb(job, "fail", (failure, {}, state.incarnation), None)
+        self._fail(job_id, "worker", exc, self.incarnation[job_id],
+                   record_cb)
+
+    def _terminate_hung(self, record_cb):
+        """Terminate tolerant cells in flight past ``2 * timeout + 1``
+        seconds: they hung where the in-machine deadline cannot fire."""
+        now = time.time()
+        for conn, record in list(self.inflight.items()):
+            job_id = record["job_id"]
+            timeout = self.jobs[job_id].get("timeout")
+            if timeout is None or now - record["sent"] <= 2 * timeout + 1.0:
+                continue
+            del self.inflight[conn]
+            self._respawn(record["shard"], record["worker"])
+            self._fail(job_id, "execute",
+                       CellTimeout(f"cell hung past {timeout:g}s; "
+                                   f"worker terminated"),
+                       self.incarnation[job_id] + 1, record_cb)
 
     def _drain(self, deadline: float = DRAIN_SECONDS):
         """Collect or retire in-flight cells after an error, keeping
         every healthy worker warm for the next sweep."""
-        from multiprocessing.connection import wait as _wait
+        from multiprocessing.connection import wait
 
         limit = time.time() + deadline
         while self.inflight:
             remaining = limit - time.time()
             if remaining <= 0:
                 break
-            for conn in _wait(list(self.inflight), timeout=remaining):
+            for conn in wait(list(self.inflight), timeout=remaining):
                 record = self.inflight.pop(conn)
-                state = self.states[record["job_id"]]
-                state.conns.pop(conn, None)
                 try:
                     conn.recv()
                 except (EOFError, OSError):
-                    _code, fresh = self.pools[record["shard"]].replace(
-                        record["worker"])
-                    self.idle[record["shard"]].append(fresh)
+                    self._respawn(record["shard"], record["worker"])
                     continue
                 self.idle[record["shard"]].append(record["worker"])
-        for conn, record in list(self.inflight.items()):
+        for record in self.inflight.values():
             # Unresponsive past the drain deadline: replace, stay warm.
-            self.inflight.pop(conn)
-            self.states[record["job_id"]].conns.pop(conn, None)
-            _code, fresh = self.pools[record["shard"]].replace(
-                record["worker"])
-            self.idle[record["shard"]].append(fresh)
+            self._respawn(record["shard"], record["worker"])
+        self.inflight.clear()
 
     # -- the main loop -------------------------------------------------------------
 
     def run(self, record_cb):
-        from multiprocessing.connection import wait as _wait
+        from multiprocessing.connection import wait
 
-        total = len(self.states)
+        total = len(self.jobs)
         start = time.time()
         try:
             while self.completed < total:
                 self._fill_idle()
-                if not self.inflight:
-                    # Every remaining cell crashed its way out already.
-                    break
-                for conn in _wait(list(self.inflight), timeout=0.05):
+                for conn in wait(list(self.inflight), timeout=0.05):
                     record = self.inflight.pop(conn)
                     try:
                         msg = conn.recv()
                     except (EOFError, OSError):
-                        self._handle_crash(conn, record, record_cb)
+                        self._handle_crash(record, record_cb)
                         continue
-                    self._handle_message(conn, record, msg, record_cb)
+                    self._handle_message(record, msg, record_cb)
+                if self.tolerant:
+                    self._terminate_hung(record_cb)
         except KeyboardInterrupt:
             # Ctrl-C routes through the drain path: in-flight cells
             # finish (or their workers are replaced), and the warm
@@ -551,13 +479,16 @@ class ShardScheduler:
         if self.metrics.enabled:
             wall = max(time.time() - start, 1e-9)
             self.metrics.gauge("shard.count").set(len(self.pools))
-            self.metrics.gauge("shard.jobs").set(
+            self.metrics.gauge("runner.jobs").set(
                 sum(pool.width for pool in self.pools))
-            self.metrics.counter("shard.cells").inc(total)
+            self.metrics.counter("runner.cells").inc(total)
             for pool in self.pools:
                 self.metrics.gauge(
                     f"shard.{pool.shard_id}.utilization").set(
                     self.busy[pool.shard_id] / wall)
+            for i, pid in enumerate(sorted(self.busy_by_pid)):
+                self.metrics.gauge(f"runner.worker.{i}.utilization").set(
+                    self.busy_by_pid[pid] / wall)
 
 
 def run_sharded_jobs(jobs_list, shards: int, jobs: int, record,

@@ -1,4 +1,6 @@
-"""Parallel suite runner: bit-identical to serial, stable ordering."""
+"""Parallel suite runner: bit-identical to serial, stable ordering, and
+warm worker pools at the default single shard.  Multi-shard stealing,
+crash re-queue and the hang watchdog are tested in ``test_shard.py``."""
 
 import pytest
 
@@ -8,6 +10,7 @@ from repro.harness.parallel import (
     shutdown_warm_pool, spec_ref,
 )
 from repro.harness import parallel as parallel_mod
+from repro.harness import shard as shard_mod
 from repro.harness.spec import BenchmarkSpec
 
 SUBSET = ["trisolv", "bicg", "mvt", "gesummv"]
@@ -24,6 +27,11 @@ def force_jobs(monkeypatch):
 
 def _suite():
     return [polybench_benchmark(name, "test") for name in SUBSET]
+
+
+def _pids():
+    return [w["proc"].pid for pool in shard_mod._SHARDS["pools"]
+            for w in pool.workers]
 
 
 def test_parallel_matches_serial_bit_for_bit(force_jobs):
@@ -52,20 +60,21 @@ def test_parallel_compile_seconds_reported(force_jobs):
 def test_warm_pool_reused_across_sweeps(force_jobs):
     """A second sweep at the same width reuses the live workers."""
     run_suite(_suite()[:2], ["native"], runs=1, jobs=2, cache=False)
-    pool = parallel_mod._POOL
-    assert pool is not None and pool.alive() and pool.width == 2
-    pids = [w["proc"].pid for w in pool.workers]
+    pools = shard_mod._SHARDS["pools"]
+    assert [pool.width for pool in pools] == [2]
+    assert all(pool.alive() for pool in pools)
+    pids = _pids()
     run_suite(_suite()[2:], ["native"], runs=1, jobs=2, cache=False)
-    assert parallel_mod._POOL is pool
-    assert [w["proc"].pid for w in pool.workers] == pids
+    assert shard_mod._SHARDS["pools"] is pools
+    assert _pids() == pids
 
 
 def test_warm_pool_rebuilt_on_width_change(force_jobs):
     run_suite(_suite()[:2], ["native"], runs=1, jobs=2, cache=False)
-    first = parallel_mod._POOL
+    first = shard_mod._SHARDS["pools"]
     run_suite(_suite()[:2], ["native"], runs=1, jobs=3, cache=False)
-    assert parallel_mod._POOL is not first
-    assert parallel_mod._POOL.width == 3
+    assert shard_mod._SHARDS["pools"] is not first
+    assert [pool.width for pool in shard_mod._SHARDS["pools"]] == [3]
 
 
 def test_warm_pool_cell_error_propagates(force_jobs):
@@ -76,42 +85,14 @@ def test_warm_pool_cell_error_propagates(force_jobs):
     # a *cell* error leaves every worker healthy: the pool is recovered
     # (in-flight cells drained), not discarded, so the next sweep
     # reuses the very same warm workers
-    pool = parallel_mod._POOL
-    assert pool is not None and pool.alive()
-    pids = [w["proc"].pid for w in pool.workers]
+    pools = shard_mod._SHARDS["pools"]
+    assert all(pool.alive() for pool in pools)
+    pids = _pids()
     results, _ = run_suite(_suite()[:2], ["native"], runs=1, jobs=2,
                            cache=False)
     assert set(results) == set(SUBSET[:2])
-    assert parallel_mod._POOL is pool
-    assert [w["proc"].pid for w in pool.workers] == pids
-
-
-def test_warm_pool_discarded_on_worker_death(force_jobs):
-    """A worker that actually dies mid-sweep poisons the pool: the
-    sweep raises WorkerCrashError and the pool is torn down (state
-    unknowable), unlike the healthy-workers cell-error path above."""
-    import threading
-    from repro.errors import WorkerCrashError
-    run_suite(_suite()[:2], ["native"], runs=1, jobs=2, cache=False)
-    pool = parallel_mod._POOL
-
-    def _kill_workers():
-        for worker in pool.workers:
-            worker["proc"].kill()
-
-    killer = threading.Timer(0.2, _kill_workers)
-    killer.start()
-    try:
-        with pytest.raises(WorkerCrashError):
-            run_suite(_suite(), ["native", "chrome", "firefox"], runs=1,
-                      jobs=2, cache=False)
-    finally:
-        killer.cancel()
-    assert parallel_mod._POOL is None
-    # and the next sweep builds a fresh pool and completes
-    results, _ = run_suite(_suite()[:2], ["native"], runs=1, jobs=2,
-                           cache=False)
-    assert set(results) == set(SUBSET[:2])
+    assert shard_mod._SHARDS["pools"] is pools
+    assert _pids() == pids
 
 
 def test_warm_pool_survives_ctrl_c(force_jobs):
@@ -119,8 +100,8 @@ def test_warm_pool_survives_ctrl_c(force_jobs):
     finish, the warm pool survives, and the next sweep reuses the very
     same workers instead of re-paying the fork cost."""
     run_suite(_suite()[:2], ["native"], runs=1, jobs=2, cache=False)
-    pool = parallel_mod._POOL
-    pids = [w["proc"].pid for w in pool.workers]
+    pools = shard_mod._SHARDS["pools"]
+    pids = _pids()
 
     def interrupt(name):
         raise KeyboardInterrupt
@@ -128,13 +109,14 @@ def test_warm_pool_survives_ctrl_c(force_jobs):
     with pytest.raises(KeyboardInterrupt):
         run_suite(_suite(), ["native"], runs=1, jobs=2, cache=False,
                   progress=interrupt)
-    assert parallel_mod._POOL is pool and pool.alive()
-    assert [w["proc"].pid for w in pool.workers] == pids
+    assert shard_mod._SHARDS["pools"] is pools
+    assert all(pool.alive() for pool in pools)
+    assert _pids() == pids
     # and the recovered pool is immediately usable
     results, _ = run_suite(_suite()[:2], ["native"], runs=1, jobs=2,
                            cache=False)
     assert set(results) == set(SUBSET[:2])
-    assert [w["proc"].pid for w in pool.workers] == pids
+    assert _pids() == pids
 
 
 def test_spec_ref_round_trip():

@@ -3,7 +3,6 @@
 import os
 import re
 
-from repro.harness.shard import straggler_factor
 from repro.obs.hwc import HwcModel
 from repro.serve.server import ServeConfig
 
@@ -18,7 +17,6 @@ def _dcache():
 #: What the code falls back to for each knob with a numeric default,
 #: read with the variable unset.
 CODE_DEFAULTS = {
-    "REPRO_STRAGGLER_FACTOR": straggler_factor,
     "REPRO_HWC_DCACHE": _dcache,
     "REPRO_SERVE_QUEUE_DEPTH": lambda: ServeConfig().queue_depth,
     "REPRO_SERVE_MAX_WAIT": lambda: ServeConfig().max_wait,

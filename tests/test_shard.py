@@ -1,24 +1,30 @@
-"""Sharded sweep engine: determinism under adversarial schedules.
+"""The sweep scheduler: determinism under adversarial schedules.
 
 The contract under test is the one the engine documents: the merged
 suite results are bit-identical to a serial run no matter the shard
-count, steal schedule, straggler re-dispatch races, or injected worker
-crashes.  Chaos manifests (which cells fail, with how many attempts)
-are compared against the single-pool process-per-cell scheduler, the
-established baseline for ``worker``-fault determinism.
+count, steal schedule, or killed workers, and the pools stay warm
+across sweeps, errors and Ctrl-C.  Chaos manifests (which cells fail,
+with how many attempts) are checked against the fault plan's own
+``worker`` draws.
 """
+
+import os
+import signal
+import time
 
 import pytest
 
 from repro.benchsuite import matmul_spec, polybench_benchmark
-from repro.harness.parallel import run_suite, shutdown_warm_pool
+from repro.harness import runner
+from repro.harness.parallel import run_suite
 from repro.harness.shard import (
-    AUTO_SHARD_WIDTH, MAX_SHARDS, get_shard_pools, normalize_shards,
-    shard_widths, shutdown_shard_pools,
+    AUTO_SHARD_WIDTH, MAX_SHARDS, ShardScheduler, get_shard_pools,
+    normalize_shards, shard_widths, shutdown_shard_pools,
 )
 from repro.harness import shard as shard_mod
 from repro.obs import metrics as obs_metrics
-from repro.resilience import FaultPlan, is_failure
+from repro.resilience import FaultInjector, FaultPlan, RetryPolicy, is_failure
+from repro.tier import get_tier
 
 SUBSET = ["trisolv", "bicg", "mvt", "gesummv"]
 TARGETS = ["native", "chrome", "firefox"]
@@ -29,7 +35,6 @@ def force_jobs(monkeypatch):
     """Exercise real shard pools even on a single-CPU box."""
     monkeypatch.setenv("REPRO_FORCE_JOBS", "1")
     yield
-    shutdown_warm_pool()
     shutdown_shard_pools()
 
 
@@ -52,6 +57,24 @@ def _skewed_suite():
 def _counter(registry, name):
     counter = registry.counters.get(name)
     return counter.value if counter is not None else 0
+
+
+def _pids():
+    return [w["proc"].pid for pool in shard_mod._SHARDS["pools"]
+            for w in pool.workers]
+
+
+def _patch_workers(monkeypatch, replacement):
+    """Wrap ``run_compiled`` in the workers: tear the pools down so the
+    next sweep forks fresh workers that inherit the patched module."""
+    shutdown_shard_pools()
+    original = runner.run_compiled
+
+    def patched(compiled, target, *args, **kwargs):
+        replacement(compiled.spec.name, target)
+        return original(compiled, target, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_compiled", patched)
 
 
 def _assert_identical(sharded, serial, suite):
@@ -116,32 +139,25 @@ def test_steals_under_skew(force_jobs, metrics):
                            shards=2, cache=False)
     _assert_identical(sharded, serial, _skewed_suite())
     assert _counter(metrics, "shard.steals") > 0
-    assert _counter(metrics, "shard.cells") == len(_skewed_suite()) \
+    # runner.cells counts every measured cell, serial and pooled
+    assert _counter(metrics, "runner.cells") == 2 * len(_skewed_suite()) \
         * len(TARGETS)
 
 
-def test_straggler_redispatch_race(force_jobs, metrics, monkeypatch):
-    """With an absurdly tight deadline every cell is a straggler;
-    speculative copies race the originals and first-wins stays
-    bit-identical because duplicates are deterministic."""
-    monkeypatch.setenv("REPRO_STRAGGLER_FACTOR", "0.0001")
-    serial, _ = run_suite(_suite(), TARGETS, runs=2, jobs=1, cache=False)
-    sharded, _ = run_suite(_suite(), TARGETS, runs=2, jobs=4, shards=2,
-                           cache=False)
-    _assert_identical(sharded, serial, _suite())
-    assert _counter(metrics, "shard.redispatches") > 0
-
+# -- warm pools: reuse, rebuild, errors, Ctrl-C ------------------------------------
+# The single-shard legs are the warm-pool tests in test_parallel.py.
 
 def test_shard_pools_warm_across_sweeps(force_jobs):
+    """A second sweep of the same shape reuses the live workers."""
     run_suite(_suite()[:2], ["native"], runs=1, jobs=4, shards=2,
               cache=False)
     pools = shard_mod._SHARDS["pools"]
-    pids = [w["proc"].pid for pool in pools for w in pool.workers]
+    assert [pool.width for pool in pools] == [2, 2]
+    pids = _pids()
     run_suite(_suite()[2:], ["native"], runs=1, jobs=4, shards=2,
               cache=False)
     assert shard_mod._SHARDS["pools"] is pools
-    assert [w["proc"].pid for pool in pools
-            for w in pool.workers] == pids
+    assert _pids() == pids
 
 
 def test_shard_pools_rebuilt_on_shape_change(force_jobs):
@@ -153,12 +169,12 @@ def test_shard_pools_rebuilt_on_shape_change(force_jobs):
 
 
 def test_shard_pools_survive_ctrl_c(force_jobs):
-    """Ctrl-C mid-sharded-sweep drains in-flight cells and keeps every
-    shard pool warm, instead of tearing the engine down."""
+    """Ctrl-C mid-sweep drains in-flight cells and keeps every pool
+    warm: the next sweep reuses the very same workers."""
     run_suite(_suite()[:2], ["native"], runs=1, jobs=4, shards=2,
               cache=False)
     pools = shard_mod._SHARDS["pools"]
-    pids = [w["proc"].pid for pool in pools for w in pool.workers]
+    pids = _pids()
 
     def interrupt(name):
         raise KeyboardInterrupt
@@ -167,59 +183,142 @@ def test_shard_pools_survive_ctrl_c(force_jobs):
         run_suite(_suite(), ["native"], runs=1, jobs=4, shards=2,
                   cache=False, progress=interrupt)
     assert shard_mod._SHARDS["pools"] is pools
-    assert all(w["proc"].is_alive() for pool in pools
-               for w in pool.workers)
-    assert [w["proc"].pid for pool in pools
-            for w in pool.workers] == pids
-    # and the warm pools run the next sweep to completion
+    assert all(pool.alive() for pool in pools)
+    assert _pids() == pids
     results, _ = run_suite(_suite()[:2], ["native"], runs=1, jobs=4,
                            shards=2, cache=False)
     assert set(results) == set(SUBSET[:2])
+    assert _pids() == pids
 
 
 def test_shard_cell_error_keeps_pools_warm(force_jobs):
+    """A cell *error* leaves every worker healthy: in-flight cells are
+    drained, and the next sweep reuses the very same workers."""
     bad = polybench_benchmark("trisolv", "test")
     with pytest.raises(Exception):
         run_suite([bad] + _suite()[:1], ["no-such-target", "native"],
                   runs=1, jobs=4, shards=2, cache=False)
+    pools = shard_mod._SHARDS["pools"]
+    pids = _pids()
     results, _ = run_suite(_suite()[:2], ["native"], runs=1, jobs=4,
                            shards=2, cache=False)
     assert set(results) == set(SUBSET[:2])
+    assert shard_mod._SHARDS["pools"] is pools
+    assert _pids() == pids
 
 
 # -- chaos: injected worker crashes ------------------------------------------------
 
+def _doomed_cells(plan, names, retries):
+    """The cells whose every incarnation 0..retries draws a ``worker``
+    crash in its own scope ``"{name}:{target}:w{k}"``."""
+    return {(name, target) for name in names for target in TARGETS
+            if all(FaultInjector(plan, f"{name}:{target}:w{k}")
+                   .should("worker") for k in range(retries + 1))}
+
+
 def test_worker_crashes_requeue_deterministically(force_jobs, metrics):
-    """Injected worker deaths re-queue cells; survivors are bit-identical
-    with serial and the failure manifest matches the single-pool
-    process-per-cell scheduler exactly."""
+    """Injected worker deaths re-queue cells.  The failure manifest is
+    exactly what the plan's own ``worker`` draws predict, at any shard
+    count, and every surviving cell is bit-identical with serial."""
     suite = _skewed_suite() + [polybench_benchmark("durbin", "test")]
     names = [spec.name for spec in suite]
+    plan = FaultPlan.parse("worker:0.5", seed=11)
+    retries = RetryPolicy().retries
+    doomed = _doomed_cells(plan, names, retries)
+    assert 0 < len(doomed) < len(names) * len(TARGETS)
     serial, _ = run_suite(suite, TARGETS, runs=2, jobs=1, cache=False)
-    plan = lambda: FaultPlan.parse("worker:0.5", seed=11)
-    baseline, _ = run_suite(suite, TARGETS, runs=2, jobs=4, shards=1,
-                            cache=False, tolerant=True, plan=plan(),
-                            timeout=None)
-    shutdown_warm_pool()
-    sharded, _ = run_suite(suite, TARGETS, runs=2, jobs=4, shards=2,
-                           cache=False, tolerant=True, plan=plan(),
-                           timeout=None)
-    failures = 0
-    for name in names:
-        for target in TARGETS:
-            got = sharded[name][target]
-            want = baseline[name][target]
-            if is_failure(want):
-                failures += 1
-                assert is_failure(got), (name, target)
-                assert (got.phase, got.attempts) \
-                    == (want.phase, want.attempts), (name, target)
-            else:
-                assert got.times == want.times, (name, target)
-                assert got.times == serial[name][target].times
-    assert failures > 0                      # the plan actually bit
+    for shards in (1, 2):
+        pooled, _ = run_suite(suite, TARGETS, runs=2, jobs=4,
+                              shards=shards, cache=False, tolerant=True,
+                              plan=plan, timeout=None)
+        for name in names:
+            for target in TARGETS:
+                cell = pooled[name][target]
+                if (name, target) in doomed:
+                    assert is_failure(cell), (name, target)
+                    assert (cell.phase, cell.attempts, cell.injected) \
+                        == ("worker", retries + 1, True), (name, target)
+                else:
+                    assert cell.times == serial[name][target].times, \
+                        (name, target)
     assert _counter(metrics, "shard.worker_respawns") > 0
     assert _counter(metrics, "shard.requeues") > 0
+
+
+def test_killed_workers_requeue_fast_sweep(force_jobs, metrics,
+                                           monkeypatch, tmp_path):
+    """Workers killed mid-cell in a fast (non-tolerant) sweep are
+    respawned and their cells re-queued: the sweep completes, equal to
+    serial, on the same (repaired) pool."""
+    suite = _suite()[1:3]
+    serial, _ = run_suite(suite, TARGETS, runs=2, jobs=1, cache=False)
+    doomed = {("bicg", "chrome"), ("mvt", "native")}
+
+    def die_once(name, target):
+        marker = tmp_path / f"{name}@{target}"
+        if (name, target) in doomed and not marker.exists():
+            marker.touch()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _patch_workers(monkeypatch, die_once)
+    pools = get_shard_pools(1, 2)
+    pids = _pids()
+    results, _ = run_suite(suite, TARGETS, runs=2, jobs=2, cache=False)
+    _assert_identical(results, serial, suite)
+    assert _counter(metrics, "shard.requeues") == len(doomed)
+    assert _counter(metrics, "shard.worker_respawns") == len(doomed)
+    assert shard_mod._SHARDS["pools"] is pools
+    assert all(pool.alive() for pool in pools) and _pids() != pids
+
+
+def test_worker_dead_while_idle_is_replaced_at_dispatch(force_jobs):
+    """A worker that died between cells is replaced when the scheduler
+    next sends it work; no cell is charged for it."""
+    pools = get_shard_pools(1, 2)
+    victim = pools[0].workers[0]["proc"]
+    victim.kill()
+    victim.join(timeout=10.0)
+    assert not victim.is_alive()
+    jobs_list = [{
+        "ref": ("polybench", "trisolv", "test"), "name": "trisolv",
+        "target": target, "runs": 1, "noise": 0.004,
+        "max_instructions": 2_000_000_000, "use_cache": False,
+        "tier": get_tier(),
+    } for target in ("native", "chrome")]
+    done = []
+    scheduler = ShardScheduler(pools, jobs_list)
+    scheduler.run(lambda job, kind, value, timing: done.append(kind))
+    assert done == ["ok", "ok"]
+    assert scheduler.incarnation == [0, 0]
+    assert victim.pid not in _pids() and pools[0].alive()
+
+
+def test_hung_cell_terminated_by_watchdog(force_jobs, monkeypatch):
+    """A tolerant cell that hangs outside the instrumented loop, where
+    the in-machine deadline cannot fire, is terminated at 2 x timeout
+    + 1 s and recorded as an execute-phase TIMEOUT; every other cell
+    matches serial."""
+    suite = _suite()[:2]
+    serial, _ = run_suite(suite, TARGETS, runs=1, jobs=1, cache=False)
+
+    def hang_on_firefox(_name, target):
+        if target == "firefox":
+            time.sleep(60)
+
+    _patch_workers(monkeypatch, hang_on_firefox)
+    results, _ = run_suite(suite, TARGETS, runs=1, jobs=2, shards=2,
+                           cache=False, tolerant=True, timeout=1.0)
+    for spec in suite:
+        for target in TARGETS:
+            cell = results[spec.name][target]
+            if target == "firefox":
+                assert is_failure(cell), spec.name
+                assert (cell.phase, cell.status, cell.attempts) \
+                    == ("execute", "TIMEOUT", 1)
+                assert "hung past 1s" in cell.message
+            else:
+                assert cell.times == serial[spec.name][target].times
 
 
 def test_worker_crash_fast_mode_raises_after_retries(force_jobs):
