@@ -32,7 +32,8 @@ from run_bench import (                                   # noqa: E402
 #: not on timer jitter.  Two shards cannot beat one on a 1-CPU CI box,
 #: so the sharded gate bounds the coordination *overhead* instead
 #: (measured ~0.98x of the one-shard time pinned to one CPU of a 2-vCPU
-#: host; the 0.75x floor trips only when the coordinator itself
+#: host, and 0.81-1.09x unpinned with the shapes alternated, best of 5
+#: each; the 0.75x floor trips only when the coordinator itself
 #: regresses); steal activity and bit-identity are asserted inside the
 #: scenario.
 GATES = (

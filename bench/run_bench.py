@@ -363,13 +363,20 @@ def bench_sharded_sweep(force=False):
     try:
         effective = normalize_jobs(jobs, quiet=True)
         _, (serial, _) = _best_of(lambda: sweep(1, 1), repeats=1)
-        sweep(jobs, 1)  # fork + warm the one-shard pool once
-        single_seconds, (single, _) = _best_of(
-            lambda: sweep(jobs, 1), repeats=3)
-        sweep(jobs, 2)  # fork + warm the shard pools once
         registry = obs_metrics.enable()
-        sharded_seconds, (sharded, _) = _best_of(
-            lambda: sweep(jobs, 2), repeats=3)
+        # Alternate the two shapes so host-speed drift on a shared box
+        # hits both alike; best of 5 each.  Only one pool set lives at a
+        # time, so an untimed sweep forks and warms each shape first.
+        single_seconds = sharded_seconds = float("inf")
+        for _ in range(5):
+            sweep(jobs, 1)
+            seconds, (single, _) = _best_of(lambda: sweep(jobs, 1),
+                                            repeats=1)
+            single_seconds = min(single_seconds, seconds)
+            sweep(jobs, 2)
+            seconds, (sharded, _) = _best_of(lambda: sweep(jobs, 2),
+                                             repeats=1)
+            sharded_seconds = min(sharded_seconds, seconds)
         steals = registry.counters["shard.steals"].value \
             if "shard.steals" in registry.counters else 0
         obs_metrics.disable()

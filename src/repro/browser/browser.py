@@ -37,7 +37,9 @@ class RunResult:
         self.compile_seconds = compile_seconds
         self.icache_accesses = icache_accesses
         self.icache_misses = icache_misses
-        #: Optional :class:`repro.obs.hwc.HwcReport`.
+        #: The attached instrument's report, if any: a
+        #: :class:`repro.obs.profile.AttributionReport` or
+        #: :class:`repro.obs.hwc.HwcReport`.
         self.hwc = hwc
 
     @property
@@ -80,8 +82,8 @@ class RunResult:
 def execute_program(program: X86Program, runtime, name: str,
                     entry: str = "main",
                     max_instructions: int = 2_000_000_000,
-                    profile=None, timeout: float = None,
-                    tier=None, hwc=None) -> RunResult:
+                    timeout: float = None, tier=None,
+                    hwc=None) -> RunResult:
     """Run a compiled program against a process runtime.
 
     ``timeout`` (wall-clock seconds) arms the machine's deadline
@@ -90,9 +92,11 @@ def execute_program(program: X86Program, runtime, name: str,
     ``tier`` overrides the process-wide execution tier for this run
     (``None`` follows the ``--tier`` / ``REPRO_TIER`` setting, not any
     tier stamped into a cached program's compile_stats).
-    ``hwc`` attaches a :class:`~repro.obs.hwc.HwcModel` (or, with
-    ``hwc=True`` / ``REPRO_HWC=1``, a default-configured one); the
-    run's :class:`~repro.obs.hwc.HwcReport` lands on ``RunResult.hwc``.
+    ``hwc`` attaches an instrument — a
+    :class:`~repro.obs.profile.Attribution` or a
+    :class:`~repro.obs.hwc.HwcModel` (with ``hwc=True`` /
+    ``REPRO_HWC=1``, a default-configured one); its report lands on
+    ``RunResult.hwc``.
     """
     from time import monotonic
     if hwc is None and os.environ.get("REPRO_HWC", "") not in ("", "0"):
@@ -103,8 +107,7 @@ def execute_program(program: X86Program, runtime, name: str,
     deadline = None if timeout is None else monotonic() + timeout
     machine = X86Machine(program, host=runtime,
                          max_instructions=max_instructions,
-                         profile=profile, deadline=deadline, tier=tier,
-                         hwc=hwc)
+                         deadline=deadline, tier=tier, hwc=hwc)
     with span("execute", program=name, entry=entry):
         rax, _ = machine.call(entry)
     return RunResult(

@@ -645,12 +645,11 @@ def cmd_profile(args) -> int:
         print()
         print(comparison.annotate())
     if args.json:
-        rows = {}
-        for name, native, target in comparison.function_rows():
-            rows[name] = {
-                "native": _jsonify(native) if native else None,
-                args.target: _jsonify(target) if target else None,
-            }
+        def row(counters):
+            return None if counters is None else dict(
+                counters.as_dict(), icache_misses=counters.icache_misses)
+        rows = {name: {"native": row(native), args.target: row(target)}
+                for name, native, target in comparison.function_rows()}
         payload = {
             "benchmark": spec.name,
             "target": args.target,
@@ -1003,7 +1002,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the counters as JSON on stdout")
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the on-disk compile cache")
-    _add_tier_arg(p)
     p.set_defaults(func=cmd_stat)
 
     p = sub.add_parser(
@@ -1021,7 +1019,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the decomposition as JSON")
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the on-disk compile cache")
-    _add_tier_arg(p)
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser(
@@ -1038,7 +1035,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the attribution as JSON")
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the on-disk compile cache")
-    _add_tier_arg(p)
     p.set_defaults(func=cmd_profile)
 
     return parser

@@ -231,18 +231,17 @@ def _compile_benchmark(spec, targets, engines, store, result):
 
 def run_compiled(compiled: CompiledBenchmark, target: str, runs: int = 5,
                  noise: float = NOISE, seed: int = None,
-                 max_instructions: int = 2_000_000_000, profile=None,
+                 max_instructions: int = 2_000_000_000,
                  timeout: float = None, hwc=None):
     """Execute one compiled target; returns a BenchResult.
 
-    ``profile`` optionally attaches a
-    :class:`repro.obs.profile.MachineProfile` to the simulated machine,
-    bucketing retired events per function (and optionally per opcode /
-    basic block) without perturbing any counter or output.
     ``timeout`` (wall-clock seconds) arms the per-cell deadline
-    watchdog.  ``hwc`` attaches the microarchitectural event model
-    (``True`` for a fresh env-configured :class:`repro.obs.hwc.
-    HwcModel`); neither perturbs counters, timings, or output.
+    watchdog.  ``hwc`` attaches an instrument to the simulated machine:
+    a :class:`repro.obs.profile.Attribution` for per-function
+    attribution, or the microarchitectural event model (``True`` for a
+    fresh env-configured :class:`repro.obs.hwc.HwcModel`).  Its report
+    lands on ``run.hwc``; no instrument perturbs counters, timings, or
+    output.
     """
     spec = compiled.spec
     program = compiled.programs[target]
@@ -258,8 +257,7 @@ def run_compiled(compiled: CompiledBenchmark, target: str, runs: int = 5,
         run_result = execute_program(program, runtime,
                                      f"{spec.name}@{target}",
                                      max_instructions=max_instructions,
-                                     profile=profile, timeout=timeout,
-                                     hwc=hwc)
+                                     timeout=timeout, hwc=hwc)
     base_time = run_result.total_seconds
     if seed is None:
         # Stable across processes (Python's hash() is randomized).

@@ -5,16 +5,19 @@ path costs (near) nothing and never changes behaviour:
 
 * :mod:`~repro.obs.trace` — nested span tracing across every pipeline
   phase, exported as Chrome trace-event JSON (``repro trace``);
-* :mod:`~repro.obs.profile` — per-function/-block/-opcode retired-event
-  attribution for the x86 machine and wasm interpreter, and the
-  simulated ``perf annotate`` comparing native vs wasm builds
-  (``repro profile``);
+* :mod:`~repro.obs.profile` — the x86 machine's one instrument
+  (:class:`~repro.obs.profile.Attribution`: per-function and per-opcode
+  retired-event attribution over the executor's enter/retire/exit
+  hook), wasm-interpreter opcode counts, the entry point that ``repro
+  profile`` and ``repro explain`` share, and the simulated ``perf
+  annotate`` comparing native vs wasm builds;
 * :mod:`~repro.obs.metrics` — counters/gauges/histograms wired into the
   kernel, compile cache, and parallel runner (``--stats``,
   ``repro report --json``);
 * :mod:`~repro.obs.hwc` — a deterministic microarchitectural event
-  model (branch predictor, L1 i/d-cache, spill accounting, cycle
-  decomposition) behind ``repro stat`` and ``repro explain``.
+  model (branch predictor, L1 d-cache, spill accounting, cycle
+  decomposition) extending that instrument, behind ``repro stat`` and
+  ``repro explain``.
 
 The invariant the test suite enforces: with observability disabled,
 every benchmark result, counter value, and program output is
@@ -32,8 +35,8 @@ from .hwc import (
     HwcReport, class_cycles, explain_benchmark, hwc_cycles,
 )
 from .profile import (
-    PROFILE_FIELDS, MachineProfile, ProfileComparison, WasmProfile,
-    profile_benchmark,
+    PROFILE_FIELDS, Attribution, AttributionReport, FunctionCounters,
+    ProfileComparison, WasmProfile, attribute_benchmark, profile_benchmark,
 )
 from .trace import NULL_SPAN, Tracer, current, span
 from .trace import disable as disable_tracing
@@ -45,7 +48,8 @@ __all__ = [
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "get_registry",
     "enable_metrics", "disable_metrics", "metrics_enabled",
     "NULL_REGISTRY",
-    "MachineProfile", "WasmProfile", "ProfileComparison",
+    "Attribution", "AttributionReport", "FunctionCounters",
+    "WasmProfile", "ProfileComparison", "attribute_benchmark",
     "profile_benchmark", "PROFILE_FIELDS",
     "HwcModel", "HwcCounters", "HwcReport", "BranchHwc",
     "BranchPredictor", "GapExplanation", "explain_benchmark",

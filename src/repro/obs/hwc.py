@@ -19,11 +19,12 @@ exact retired-instruction stream the executors already produce:
 * deterministic event-based **sampling**: every N retired instructions
   a sample is charged to the executing function (``REPRO_HWC_SAMPLE``).
 
-The model observes each instruction *before* it executes through one
-hook per retired instruction (``HwcModel.retire``), so it never touches
-``PerfCounters`` or any executor bookkeeping: retired counters are
-bit-identical with the model on or off, and the model itself is
-deterministic per (program, input, config).
+The model is an :class:`~repro.obs.profile.Attribution`: it rides the
+executor's one instrument hook, which reports calls and returns and
+shows it each instruction *before* it executes (``HwcModel.retire``).
+It never touches ``PerfCounters`` or any executor bookkeeping: retired
+counters are bit-identical with the model on or off, and the model
+itself is deterministic per (program, input, config).
 
 Cost table
 ----------
@@ -58,9 +59,10 @@ from ..x86.icache import SetAssocCache
 from ..x86.isa import Mem
 from ..x86.perf import (
     BASE_CPI, BRANCH_COST, CALL_COST, DIV_COST, FDIV_COST, FPU_COST,
-    ICACHE_MISS_PENALTY, LOAD_COST, MUL_COST, STORE_COST,
+    ICACHE_MISS_PENALTY, LOAD_COST, MUL_COST, STORE_COST, PerfCounters,
 )
 from ..x86.registers import RSP
+from .profile import Attribution, AttributionReport, attribute_benchmark
 
 #: hwc-only penalties (cycles); see the cost table in the module docstring.
 BRANCH_MISS_PENALTY = 14.0
@@ -242,21 +244,25 @@ STAT_EVENTS = [
 ]
 
 
-class HwcReport:
-    """Picklable result snapshot of one :class:`HwcModel` run."""
+class HwcReport(AttributionReport):
+    """Picklable result snapshot of one :class:`HwcModel` run: its
+    attribution plus the per-function microarchitectural events."""
 
-    def __init__(self, totals: HwcCounters, functions: dict,
-                 samples: dict, config: dict):
+    def __init__(self, functions: dict, opcodes: dict, program,
+                 totals: HwcCounters, events: dict, samples: dict,
+                 config: dict):
+        super().__init__(functions, opcodes, program)
         self.totals = totals
-        self.functions = functions          # name -> HwcCounters
+        self.events = events                # name -> HwcCounters
         self.samples = samples              # name -> sample count
         self.config = config
 
     def verify(self) -> None:
-        """Assert per-function counters sum to the totals, field by
-        field — attribution is only trustworthy if it is exact."""
+        """Assert the attribution and the per-function events both sum
+        to their whole-program totals, field by field."""
+        super().verify()
         summed = HwcCounters()
-        for counters in self.functions.values():
+        for counters in self.events.values():
             summed.merge(counters)
         for field in HwcCounters.__slots__:
             got = getattr(summed, field)
@@ -270,31 +276,30 @@ class HwcReport:
         return {
             "totals": self.totals.as_dict(),
             "functions": {name: c.as_dict()
-                          for name, c in sorted(self.functions.items())},
+                          for name, c in sorted(self.events.items())},
             "samples": dict(sorted(self.samples.items())),
             "config": dict(self.config),
         }
 
     def __eq__(self, other):
         return (isinstance(other, HwcReport)
+                and super().__eq__(other)
                 and self.totals == other.totals
-                and self.functions == other.functions
+                and self.events == other.events
                 and self.samples == other.samples
                 and self.config == other.config)
 
     def __repr__(self):
-        return f"<hwc-report {len(self.functions)} functions {self.totals!r}>"
+        return f"<hwc-report {len(self.events)} functions {self.totals!r}>"
 
 
-class HwcModel:
+class HwcModel(Attribution):
     """The per-machine event model; attach via ``X86Machine(..., hwc=)``.
 
-    The executor calls :meth:`enter` when execution starts,
-    :meth:`retire` once per retired instruction (*before* it executes,
-    so operand addresses and flags reflect the pre-execution state the
-    instruction itself observes), and :meth:`finish` when it stops.
-    Everything else — branch outcomes, effective addresses, call-stack
-    tracking for per-function attribution — is derived here from the
+    Beyond the attribution it inherits, :meth:`retire` sees each
+    instruction *before* it executes, so operand addresses and flags
+    reflect the pre-execution state the instruction itself observes.
+    Branch outcomes and effective addresses are derived here from the
     :class:`~repro.x86.isa.Instr` and the machine state, so the
     executors carry no event-specific instrumentation and their
     counters stay bit-identical.
@@ -304,10 +309,11 @@ class HwcModel:
                  dcache_ways: int = DCACHE_WAYS,
                  pht_bits: int = PHT_BITS, btb_bits: int = BTB_BITS,
                  sample_every: int = 0):
+        super().__init__()
         self.dcache = SetAssocCache(dcache_size, DCACHE_LINE, dcache_ways)
         self.bp = BranchPredictor(pht_bits, btb_bits)
         self.totals = HwcCounters()
-        self.functions: dict[str, HwcCounters] = {}
+        self.events: dict[str, HwcCounters] = {}
         self.samples: dict[str, int] = {}
         self.sample_every = sample_every
         self._next_sample = sample_every if sample_every else None
@@ -318,14 +324,7 @@ class HwcModel:
             "pht_bits": pht_bits, "btb_bits": btb_bits,
             "sample_every": sample_every,
         }
-        # Virtual call stack for per-function attribution (mirrors the
-        # executor's, derived from call/callr/ret instructions).
-        self._stack: list[str] = []
-        self.cur: str = None
         self._cur_c: HwcCounters = None
-        self._icache = None
-        self._acc_base = 0
-        self._miss_base = 0
         self._dispatch = {
             "mov": self._h_mov, "movsd": self._h_mov,
             "movsx": self._h_load_b, "movzx": self._h_load_b,
@@ -341,8 +340,8 @@ class HwcModel:
             "maxsd": self._h_load_b, "sqrtsd": self._h_load_b,
             "xorpd": self._h_load_b, "andpd": self._h_load_b,
             "push": self._h_push, "pop": self._h_pop,
-            "jcc": self._h_jcc, "call": self._h_call,
-            "callr": self._h_callr, "ret": self._h_ret,
+            "jcc": self._h_jcc, "call": self._h_push,
+            "callr": self._h_callr, "ret": self._h_pop,
         }
 
     @classmethod
@@ -363,92 +362,54 @@ class HwcModel:
 
     # -- executor interface ------------------------------------------------
 
-    def attach(self, machine) -> None:
-        self._icache = machine.icache
-        self._acc_base = machine.icache.accesses
-        self._miss_base = machine.icache.misses
-
-    def enter(self, name: str) -> None:
-        """Execution (re)starts in ``name``."""
-        if self._cur_c is not None:
-            self._fold_icache()
-        self._stack = [name]
-        self.cur = name
-        self._cur_c = self._bucket(name)
-        if self._icache is not None:
-            self._acc_base = self._icache.accesses
-            self._miss_base = self._icache.misses
-
     def retire(self, ins, m) -> None:
         """Observe one instruction about to retire on machine ``m``."""
-        self._retired += 1
-        self._cur_c.retired += 1
-        self.totals.retired += 1
-        if self._next_sample is not None and \
-                self._retired >= self._next_sample:
-            self.samples[self.cur] = self.samples.get(self.cur, 0) + 1
-            self._next_sample += self.sample_every
-        check = getattr(ins, "check", None)
-        if check is not None:
+        op = ins.op
+        self._ops[op] += 1              # Attribution.retire, inlined
+        if self._next_sample is not None:
+            self._retired += 1
+            if self._retired >= self._next_sample:
+                self.samples[self.cur] = self.samples.get(self.cur, 0) + 1
+                self._next_sample += self.sample_every
+        if getattr(ins, "check", None) is not None:
             t = self.totals
             c = self._cur_c
             t.check_retired += 1
             c.check_retired += 1
-            if ins.op == "jcc":
+            if op == "jcc":
                 t.check_branches += 1
                 c.check_branches += 1
             elif isinstance(ins.a, Mem) or isinstance(ins.b, Mem):
                 t.check_loads += 1
                 c.check_loads += 1
-        handler = self._dispatch.get(ins.op)
+        handler = self._dispatch.get(op)
         if handler is not None:
             handler(ins, m)
 
-    def finish(self) -> None:
-        """Execution stopped (normally or by a trap); fold residue."""
-        if self._cur_c is not None:
-            self._fold_icache()
-
     def report(self) -> HwcReport:
-        return HwcReport(self.totals, self.functions, self.samples,
+        # Retired instructions and i-cache traffic are the attribution's
+        # counts; copy them in.
+        for name, counters in self.functions.items():
+            events = self.events[name]
+            events.retired = sum(self.opcodes[name].values())
+            events.icache_accesses = counters.icache_accesses
+            events.icache_misses = counters.icache_misses
+        program = self._program()
+        self.totals.retired = sum(e.retired for e in self.events.values())
+        self.totals.icache_accesses = program.icache_accesses
+        self.totals.icache_misses = program.icache_misses
+        return HwcReport(self.functions, self.opcodes, program,
+                         self.totals, self.events, self.samples,
                          self.config)
 
-    # -- attribution helpers ----------------------------------------------
-
-    def _bucket(self, name: str) -> HwcCounters:
-        counters = self.functions.get(name)
-        if counters is None:
-            counters = self.functions[name] = HwcCounters()
-        return counters
-
-    def _fold_icache(self) -> None:
-        """Charge i-cache traffic since the last fold to the current
-        function; keeps per-function sums equal to the cache totals."""
-        ic = self._icache
-        if ic is None:
-            return
-        da = ic.accesses - self._acc_base
-        dm = ic.misses - self._miss_base
-        if da:
-            self._cur_c.icache_accesses += da
-            self.totals.icache_accesses += da
-            self._acc_base = ic.accesses
-        if dm:
-            self._cur_c.icache_misses += dm
-            self.totals.icache_misses += dm
-            self._miss_base = ic.misses
-
-    def _switch(self, name: str, push: bool) -> None:
-        self._fold_icache()
-        if push:
-            self._stack.append(name)
-        elif len(self._stack) > 1:
-            self._stack.pop()
-            name = self._stack[-1]
-        else:
-            name = self._stack[0]
-        self.cur = name
-        self._cur_c = self._bucket(name)
+    def _switch(self, name) -> None:
+        super()._switch(name)
+        counters = None
+        if name is not None:
+            counters = self.events.get(name)
+            if counters is None:
+                counters = self.events[name] = HwcCounters()
+        self._cur_c = counters
 
     # -- event classification ---------------------------------------------
     #
@@ -541,10 +502,6 @@ class HwcModel:
             t.branch_misses += 1
             c.branch_misses += 1
 
-    def _h_call(self, ins, m) -> None:
-        self._stack_access(m.regs[RSP] - 8)
-        self._switch(ins.a.name, push=True)
-
     def _h_callr(self, ins, m) -> None:
         if isinstance(ins.a, Mem):
             self._dload(m, ins.a)
@@ -564,13 +521,6 @@ class HwcModel:
         if self.bp.indirect(ins.addr, code_addr):
             t.btb_misses += 1
             c.btb_misses += 1
-        target = m._entry_map.get(code_addr)
-        name = target.name if target is not None else "?"
-        self._switch(name, push=True)
-
-    def _h_ret(self, ins, m) -> None:
-        self._stack_access(m.regs[RSP])
-        self._switch(None, push=False)
 
 
 class BranchHwc:
@@ -618,19 +568,17 @@ class GapExplanation:
     """Per-event-class and per-function decomposition of the
     wasm-vs-native gap — the reproduction's Figure 6-8 / Table 4 analog.
 
-    ``check()`` asserts the two exactness invariants: per-function hwc
-    sums equal the whole-program totals, and the event-class
+    The ``repro explain`` rendering of two verified hwc reports.
+    ``check()`` asserts the two exactness invariants: per-function
+    buckets sum to the whole-program totals, and the event-class
     contributions sum exactly to the hwc cycle estimate.
     """
 
-    def __init__(self, spec, target, native_run, target_run,
-                 native_profile, target_profile):
+    def __init__(self, spec, target, native_run, target_run):
         self.spec = spec
         self.target = target
         self.native_run = native_run
         self.target_run = target_run
-        self.native_profile = native_profile
-        self.target_profile = target_profile
 
     # -- exactness --------------------------------------------------------
 
@@ -660,21 +608,16 @@ class GapExplanation:
         """(name, native cycles, target cycles, delta, per-class delta
         dict) per function, ordered by |delta| descending."""
         rows = []
-        names = dict.fromkeys(list(self.target_profile.functions)
-                              + list(self.native_profile.functions))
-        zero_perf = None
+        native, target = self.native_run.hwc, self.target_run.hwc
+        names = dict.fromkeys(list(target.functions)
+                              + list(native.functions))
         for name in names:
             entries = []
-            for profile, run in ((self.native_profile, self.native_run),
-                                 (self.target_profile, self.target_run)):
-                perf = profile.functions.get(name)
-                hwc = run.hwc.functions.get(name)
-                if perf is None or hwc is None:
-                    if zero_perf is None:
-                        from ..x86.perf import PerfCounters
-                        zero_perf = PerfCounters()
-                    perf = perf if perf is not None else zero_perf
-                    hwc = hwc if hwc is not None else HwcCounters()
+            for report in (native, target):
+                perf = report.functions.get(name)
+                hwc = report.events.get(name)
+                if perf is None:
+                    perf, hwc = PerfCounters(), HwcCounters()
                 entries.append((hwc_cycles(perf, hwc),
                                 class_cycles(perf, hwc)))
             (n_cycles, n_classes), (t_cycles, t_classes) = entries
@@ -747,23 +690,9 @@ class GapExplanation:
 def explain_benchmark(spec, target: str = "chrome", cache=None,
                       max_instructions: int = 2_000_000_000) \
         -> GapExplanation:
-    """Compile + run ``spec`` native and on ``target`` with profiles and
-    the hwc model attached; returns a checked :class:`GapExplanation`."""
-    from ..harness.runner import compile_benchmark, run_compiled
-    from .profile import MachineProfile
-
-    compiled = compile_benchmark(spec, ["native", target], cache=cache)
-    profiles = {}
-    runs = {}
-    for pipeline in ("native", target):
-        profile = MachineProfile()
-        result = run_compiled(compiled, pipeline, runs=1,
-                              max_instructions=max_instructions,
-                              profile=profile, hwc=HwcModel.from_env())
-        profiles[pipeline] = profile
-        runs[pipeline] = result.run
-    explanation = GapExplanation(
-        spec, target, runs["native"], runs[target],
-        profiles["native"], profiles[target])
+    """Compile + run ``spec`` native and on ``target`` with the hwc
+    model attached; returns a checked :class:`GapExplanation`."""
+    explanation = GapExplanation(spec, target, *attribute_benchmark(
+        spec, target, HwcModel.from_env, cache, max_instructions))
     explanation.check()
     return explanation

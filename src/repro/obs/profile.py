@@ -5,22 +5,30 @@ paper's Table 3 *totals*; this module reproduces the attribution — the
 ``perf record`` / ``perf annotate`` step that maps counter inflation
 back onto specific functions and source lines.
 
-:class:`MachineProfile` attaches to an :class:`repro.x86.machine.
-X86Machine` and buckets every retired-event counter per function (and
-optionally per basic block and per opcode mnemonic).  The buckets are
-exact: their sum equals the machine's whole-program
-:class:`~repro.x86.perf.PerfCounters` field for field, which the test
-suite asserts.  :class:`WasmProfile` does the same for the wasm
-interpreter at wasm-opcode granularity.
+:class:`Attribution` is the x86 machine's instrument.  The reference
+loop calls its ``enter(name)`` at every call, ``exit()`` at every
+return, ``retire(ins, machine)`` once per instruction and ``finish()``
+when it stops.  The instrument keeps the virtual call stack and charges
+each function the retired counters and i-cache traffic accrued since
+the last enter or exit, plus its instructions per x86 mnemonic.  The
+buckets are exact: :meth:`AttributionReport.verify` asserts that they
+sum to the whole-program counters field for field.
+:class:`repro.obs.hwc.HwcModel` extends it with microarchitectural
+events.  :class:`WasmProfile` does per-opcode counting for the wasm
+interpreter.
 
-:func:`profile_benchmark` runs the native and a wasm build of one
-benchmark with profiles attached and returns a
-:class:`ProfileComparison` whose ``annotate()`` renders the benchmark's
+:func:`attribute_benchmark` is the one entry point: it runs the native
+and a wasm build of one benchmark with an instrument attached and
+verifies both reports.  :func:`profile_benchmark` renders them as a
+:class:`ProfileComparison`, whose ``annotate()`` prints the benchmark's
 mcc source with per-function counter deltas — the simulated
 ``perf annotate`` view of the paper's §6 analysis.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
+from operator import attrgetter
 
 from ..x86.perf import EVENT_TABLE, PerfCounters
 
@@ -34,66 +42,53 @@ PROFILE_FIELDS = (
 )
 
 
-class FunctionBucket(PerfCounters):
-    """A per-function :class:`PerfCounters` plus the function's share of
-    i-cache misses (a cache-model event, not a retired counter, so it
-    lives outside the ``PerfCounters`` slots)."""
+class FunctionCounters(PerfCounters):
+    """One function's retired counters plus its L1 i-cache accesses and
+    misses (cache-model events, outside the ``PerfCounters`` slots)."""
 
-    __slots__ = ("icache_misses",)
+    __slots__ = ("icache_accesses", "icache_misses")
 
     def __init__(self):
         super().__init__()
-        self.icache_misses = 0
+        self.icache_accesses = self.icache_misses = 0
 
     def merge(self, other) -> None:
-        super().merge(other)
-        self.icache_misses += getattr(other, "icache_misses", 0)
+        for field in _FIELDS:
+            setattr(self, field, getattr(self, field) + getattr(other, field))
+
+    def __eq__(self, other):
+        return isinstance(other, FunctionCounters) and all(
+            getattr(self, field) == getattr(other, field)
+            for field in _FIELDS)
 
 
-class MachineProfile:
-    """Per-function retired-event buckets for the x86 machine.
+_FIELDS = PerfCounters.__slots__ + FunctionCounters.__slots__
+_read_perf = attrgetter(*PerfCounters.__slots__)
 
-    Pass an instance as ``X86Machine(..., profile=...)``; after the run,
-    ``functions`` maps function name -> :class:`FunctionBucket` whose sum
-    over all functions equals the machine's whole-program counters
-    exactly.  ``opcodes`` / ``blocks`` additionally record instructions
-    retired per x86 mnemonic and per basic block (identified by the
-    instruction index of its leader).
-    """
 
-    def __init__(self, opcodes: bool = False, blocks: bool = False):
-        self.opcodes = opcodes
-        self.blocks = blocks
-        self.functions: dict[str, FunctionBucket] = {}
-        #: function -> {mnemonic: instructions retired}
-        self.opcode_instrs: dict[str, dict] = {}
-        #: function -> {leader instruction index: instructions retired}
-        self.block_instrs: dict[str, dict] = {}
+class AttributionReport:
+    """Picklable snapshot of one :class:`Attribution` run."""
 
-    def bucket(self, name: str) -> FunctionBucket:
-        counters = self.functions.get(name)
-        if counters is None:
-            counters = self.functions[name] = FunctionBucket()
-        return counters
+    def __init__(self, functions: dict, opcodes: dict,
+                 program: FunctionCounters):
+        self.functions = functions      # name -> FunctionCounters
+        self.opcodes = opcodes          # name -> {mnemonic: retired}
+        self.program = program          # whole-program, since attach
 
-    def opcode_bucket(self, name: str) -> dict:
-        bucket = self.opcode_instrs.get(name)
-        if bucket is None:
-            bucket = self.opcode_instrs[name] = {}
-        return bucket
-
-    def block_bucket(self, name: str) -> dict:
-        bucket = self.block_instrs.get(name)
-        if bucket is None:
-            bucket = self.block_instrs[name] = {}
-        return bucket
-
-    def totals(self) -> FunctionBucket:
-        """Sum of all per-function buckets."""
-        total = FunctionBucket()
+    def verify(self) -> None:
+        """Assert the per-function buckets sum to the whole-program
+        counts, field for field — attribution is only trustworthy if it
+        is exact."""
+        summed = FunctionCounters()
         for counters in self.functions.values():
-            total.merge(counters)
-        return total
+            summed.merge(counters)
+        for field in _FIELDS:
+            got = getattr(summed, field)
+            want = getattr(self.program, field)
+            if got != want:
+                raise AssertionError(
+                    f"per-function {field} sum {got} != "
+                    f"whole-program {want}")
 
     def hot_functions(self, limit: int = None):
         """(name, counters) sorted by instructions retired, descending."""
@@ -105,14 +100,108 @@ class MachineProfile:
     def hot_opcodes(self, limit: int = None):
         """(mnemonic, instructions) over all functions, descending."""
         merged: dict[str, int] = {}
-        for per_func in self.opcode_instrs.values():
+        for per_func in self.opcodes.values():
             for op, count in per_func.items():
                 merged[op] = merged.get(op, 0) + count
         ranked = sorted(merged.items(), key=lambda item: -item[1])
         return ranked[:limit] if limit else ranked
 
-    def __repr__(self):
-        return f"<machine-profile {len(self.functions)} functions>"
+    def __eq__(self, other):
+        return (isinstance(other, AttributionReport)
+                and self.functions == other.functions
+                and self.opcodes == other.opcodes
+                and self.program == other.program)
+
+
+class Attribution:
+    """Per-function and per-opcode attribution for the x86 machine.
+
+    Attach as ``X86Machine(..., hwc=Attribution())`` (or through
+    ``run_compiled``); after the run, :meth:`report` returns the
+    :class:`AttributionReport`.
+    """
+
+    def __init__(self):
+        self.functions: dict[str, FunctionCounters] = {}
+        #: function -> {mnemonic: instructions retired}
+        self.opcodes: dict[str, dict] = {}
+        #: The virtual call stack; ``cur`` is its top.
+        self._stack: list[str] = []
+        self.cur: str = None
+        self._bucket = self._ops = None
+        self._machine = None
+        self._origin = self._base = None
+
+    # -- the executor's instrument protocol --------------------------------
+
+    def attach(self, machine) -> None:
+        self._machine = machine
+        self._origin = self._base = self._snapshot()
+
+    def enter(self, name: str) -> None:
+        """Execution moved into ``name``: a call, or the entry point."""
+        self._fold()
+        self._stack.append(name)
+        self._switch(name)
+
+    def retire(self, ins, m) -> None:
+        """Observe one instruction about to retire on machine ``m``."""
+        self._ops[ins.op] += 1
+
+    def exit(self) -> None:
+        """The current function returned."""
+        self._fold()
+        self._stack.pop()
+        self._switch(self._stack[-1] if self._stack else None)
+
+    def finish(self) -> None:
+        """Execution stopped, normally or by a trap: charge the residue
+        to the function it accrued in and clear the call stack."""
+        self._fold()
+        self._stack.clear()
+        self._switch(None)
+
+    def report(self) -> AttributionReport:
+        return AttributionReport(self.functions, self.opcodes,
+                                 self._program())
+
+    # -- bucketing ----------------------------------------------------------
+
+    def _snapshot(self) -> tuple:
+        """The machine's counts, in ``_FIELDS`` order."""
+        m = self._machine
+        return _read_perf(m.perf) + (m.icache.accesses, m.icache.misses)
+
+    def _fold(self) -> None:
+        """Charge the current function everything the machine counted
+        since the last enter or exit (the executor folds its counter
+        mirrors into ``perf`` first)."""
+        now = self._snapshot()
+        bucket = self._bucket
+        if bucket is not None:
+            for field, new, old in zip(_FIELDS, now, self._base):
+                if new != old:
+                    setattr(bucket, field, getattr(bucket, field) + new - old)
+        self._base = now
+
+    def _switch(self, name) -> None:
+        self.cur = name
+        if name is None:
+            self._bucket = self._ops = None
+            return
+        bucket = self.functions.get(name)
+        if bucket is None:
+            bucket = self.functions[name] = FunctionCounters()
+            self.opcodes[name] = defaultdict(int)
+        self._bucket = bucket
+        self._ops = self.opcodes[name]
+
+    def _program(self) -> FunctionCounters:
+        """The whole-program counts since attach."""
+        program = FunctionCounters()
+        for field, new, old in zip(_FIELDS, self._snapshot(), self._origin):
+            setattr(program, field, new - old)
+        return program
 
 
 class WasmProfile:
@@ -158,44 +247,43 @@ class WasmProfile:
                 f"{self.total_instrs()} instrs>")
 
 
-# -- the perf-annotate driver -------------------------------------------------------
+# -- the shared entry point and the perf-annotate rendering ------------------------
+
+
+def attribute_benchmark(spec, target: str, instrument, cache=None,
+                        max_instructions: int = 2_000_000_000):
+    """Compile ``spec`` native and for ``target``, run each once with a
+    fresh ``instrument()`` attached, and verify both reports.
+
+    Returns the native and the target
+    :class:`~repro.browser.browser.RunResult`; each carries its report
+    as ``run.hwc``.  ``repro profile`` and ``repro explain`` both run
+    through here, with :class:`Attribution` and the hwc model.
+    """
+    from ..harness.runner import compile_benchmark, run_compiled
+
+    compiled = compile_benchmark(spec, ["native", target], cache=cache)
+    runs = []
+    for pipeline in ("native", target):
+        run = run_compiled(compiled, pipeline, runs=1,
+                           max_instructions=max_instructions,
+                           hwc=instrument()).run
+        run.hwc.verify()
+        runs.append(run)
+    return runs
+
 
 class ProfileComparison:
-    """Native-vs-wasm per-function attribution for one benchmark."""
+    """Native-vs-wasm per-function attribution for one benchmark: the
+    ``repro profile`` rendering of two verified reports."""
 
-    def __init__(self, spec, target: str,
-                 native_profile: MachineProfile,
-                 target_profile: MachineProfile,
-                 native_run, target_run):
+    def __init__(self, spec, target: str, native_run, target_run):
         self.spec = spec
         self.target = target
-        self.native_profile = native_profile
-        self.target_profile = target_profile
         self.native_run = native_run
         self.target_run = target_run
-
-    # -- exactness --------------------------------------------------------
-
-    def verify_totals(self) -> None:
-        """Assert per-function buckets sum to the whole-program counters.
-
-        Raises AssertionError on any mismatch — attribution is only
-        trustworthy if it is exact.
-        """
-        for profile, run, label in (
-                (self.native_profile, self.native_run, "native"),
-                (self.target_profile, self.target_run, self.target)):
-            totals = profile.totals()
-            for field, _ in PROFILE_FIELDS:
-                bucketed = getattr(totals, field)
-                if field == "icache_misses":
-                    counted = run.icache_misses
-                else:
-                    counted = getattr(run.perf, field)
-                if bucketed != counted:
-                    raise AssertionError(
-                        f"{label}: per-function {field} sum {bucketed} "
-                        f"!= whole-program {counted}")
+        self.native_profile = native_run.hwc
+        self.target_profile = target_run.hwc
 
     # -- tables -----------------------------------------------------------
 
@@ -314,30 +402,10 @@ def _ratio(target: float, native: float) -> str:
     return f"{target / native:.2f}x"
 
 
-def profile_benchmark(spec, target: str = "chrome",
-                      opcodes: bool = True, blocks: bool = False,
-                      cache=None,
+def profile_benchmark(spec, target: str = "chrome", cache=None,
                       max_instructions: int = 2_000_000_000) \
         -> ProfileComparison:
-    """Compile and run ``spec`` native + ``target`` with attribution.
-
-    Returns a verified :class:`ProfileComparison` (per-function totals
-    are asserted to match the whole-program counters exactly).
-    """
-    from ..harness.runner import compile_benchmark, run_compiled
-
-    compiled = compile_benchmark(spec, ["native", target], cache=cache)
-    profiles = {}
-    runs = {}
-    for pipeline in ("native", target):
-        profile = MachineProfile(opcodes=opcodes, blocks=blocks)
-        result = run_compiled(compiled, pipeline, runs=1,
-                              max_instructions=max_instructions,
-                              profile=profile)
-        profiles[pipeline] = profile
-        runs[pipeline] = result.run
-    comparison = ProfileComparison(
-        spec, target, profiles["native"], profiles[target],
-        runs["native"], runs[target])
-    comparison.verify_totals()
-    return comparison
+    """Compile and run ``spec`` native + ``target`` with
+    :class:`Attribution` attached; returns the verified comparison."""
+    return ProfileComparison(spec, target, *attribute_benchmark(
+        spec, target, Attribution, cache, max_instructions))

@@ -389,7 +389,7 @@ class X86Machine:
     DEADLINE_STRIDE = 1 << 20
 
     def __init__(self, program: X86Program, host=None, icache: ICache = None,
-                 max_instructions: int = 2_000_000_000, profile=None,
+                 max_instructions: int = 2_000_000_000,
                  deadline: float = None, tier=None, hwc=None):
         self.program = program
         self.memory = bytearray(program.machine_memory_size)
@@ -408,13 +408,6 @@ class X86Machine:
         self._entry_map = program.entry_map()
         self._abi = getattr(program, "abi", None)
         self._decode_cache = {}
-        #: Optional :class:`repro.obs.profile.MachineProfile`.  When
-        #: None (the default) execution takes the exact pre-existing
-        #: fast path; when set, retired events are additionally
-        #: bucketed per function (and optionally per basic block and
-        #: per mnemonic) with totals that match ``perf`` exactly.
-        self.profile = profile
-        self._leaders_cache = {}
         #: Execution tier (0=off, 1=quicken, 2=fuse); ``None`` follows
         #: the process-wide setting from :mod:`repro.tier`.  Tier off
         #: runs the per-instruction reference loop (:meth:`_execute`);
@@ -428,10 +421,14 @@ class X86Machine:
         self._built = []
         self._flags = Flags()
         self._dyn = [0] * len(PerfCounters.__slots__)
-        #: Optional :class:`repro.obs.hwc.HwcModel`.  It observes each
-        #: retired instruction pre-dispatch (one hook call) and never
-        #: mutates machine or counter state, so execution results and
-        #: ``perf`` stay bit-identical with the model on or off.
+        #: The optional instrument: a :class:`repro.obs.profile.
+        #: Attribution` such as the :class:`repro.obs.hwc.HwcModel`.
+        #: The reference loop calls its ``retire`` once per instruction,
+        #: before it executes, and its ``enter(name)``/``exit()`` at
+        #: every call and return, after folding the counter mirrors into
+        #: ``perf``.  It never mutates machine or counter state, so
+        #: execution results and ``perf`` stay bit-identical with an
+        #: instrument on or off.
         self.hwc = hwc
         if hwc is not None:
             hwc.attach(self)
@@ -674,32 +671,8 @@ class X86Machine:
             decoded.append((kind, pay, first, last, first == last, ins))
         return decoded
 
-    def _leaders(self, dcode) -> set:
-        """Basic-block leader indices of one decoded function (profiling
-        only): branch targets plus the instruction after every branch or
-        call."""
-        key = id(dcode)
-        cached = self._leaders_cache.get(key)
-        if cached is None:
-            leaders = {0}
-            for idx, entry in enumerate(dcode):
-                kind = entry[0]
-                if kind == K_JCC:
-                    leaders.add(entry[1][1])
-                    leaders.add(idx + 1)
-                elif kind == K_JMP:
-                    leaders.add(entry[1])
-                    leaders.add(idx + 1)
-                elif kind in (K_CALL, K_CALLR, K_HOSTCALL):
-                    leaders.add(idx + 1)
-            # The tuple pins dcode so its id stays valid as a key.
-            cached = (dcode, leaders)
-            self._leaders_cache[key] = cached
-        return cached[1]
-
     def _execute(self, func) -> None:
-        if (self._tier and self.profile is None and self.hwc is None
-                and not self._oracle):
+        if self._tier and self.hwc is None and not self._oracle:
             from .blocks import run_blocks
             return run_blocks(self, func)
         # The reference loop, one decoded instruction at a time.
@@ -713,11 +686,11 @@ class X86Machine:
         perf = self.perf
         icache = self.icache
         access_line = icache._access_line
-        hwc = self.hwc
-        hwc_retire = None
-        if hwc is not None:
-            hwc.enter(func.name)
-            hwc_retire = hwc.retire
+        inst = self.hwc
+        retire = None
+        if inst is not None:
+            inst.enter(func.name)
+            retire = inst.retire
         budget = self.max_instructions
         deadline = self.deadline
         # With no deadline the checkpoint IS the budget: one compare per
@@ -731,65 +704,11 @@ class X86Machine:
         n = len(dcode)
         i = 0
         n_instr = 0
-        # Local mirrors of hot counters (folded back at the end).
+        # Local mirrors of hot counters, folded into perf at the end and,
+        # with an instrument attached, before every enter and exit.
         c_instr = c_loads = c_stores = c_branches = c_cond = 0
         c_calls = c_muls = c_divs = c_fdivs = c_fpu = 0
         last_line = -1
-
-        # Profiling support.  With profile=None (the default) the hot
-        # loop is untouched except for one ``if profile is not None``
-        # test at call/ret boundaries and one ``if prof_detail`` test
-        # per retired instruction; counters and results are exactly
-        # those of the unprofiled path.
-        profile = self.profile
-        prof_detail = False
-        prof_ops = prof_blocks = False
-        cur_ops = cur_blocks = cur_leaders = None
-        cur_block = 0
-        prof_miss_base = 0
-        if profile is not None:
-            prof_miss_base = icache.misses
-            prof_ops = profile.opcodes
-            prof_blocks = profile.blocks
-            prof_detail = prof_ops or prof_blocks
-            if prof_ops:
-                cur_ops = profile.opcode_bucket(func.name)
-            if prof_blocks:
-                cur_leaders = self._leaders(dcode)
-                cur_blocks = profile.block_bucket(func.name)
-
-            def _prof_flush(fname):
-                """Fold the counter mirrors into fname's bucket *and*
-                the whole-program counters, then reset the mirrors, so
-                every event lands in each exactly once."""
-                nonlocal c_instr, c_loads, c_stores, c_branches, c_cond
-                nonlocal c_calls, c_muls, c_divs, c_fdivs, c_fpu
-                nonlocal prof_miss_base
-                bucket = profile.bucket(fname)
-                bucket.instructions += c_instr
-                bucket.loads += c_loads
-                bucket.stores += c_stores
-                bucket.branches += c_branches
-                bucket.cond_branches += c_cond
-                bucket.calls += c_calls
-                bucket.muls += c_muls
-                bucket.divs += c_divs
-                bucket.fdivs += c_fdivs
-                bucket.fpu_ops += c_fpu
-                bucket.icache_misses += icache.misses - prof_miss_base
-                prof_miss_base = icache.misses
-                perf.instructions += c_instr
-                perf.loads += c_loads
-                perf.stores += c_stores
-                perf.branches += c_branches
-                perf.cond_branches += c_cond
-                perf.calls += c_calls
-                perf.muls += c_muls
-                perf.divs += c_divs
-                perf.fdivs += c_fdivs
-                perf.fpu_ops += c_fpu
-                c_instr = c_loads = c_stores = c_branches = c_cond = 0
-                c_calls = c_muls = c_divs = c_fdivs = c_fpu = 0
 
         ins = None
         # --check-ranges: a def proved to lie in an interval is validated
@@ -849,19 +768,8 @@ class X86Machine:
                         line += 1
                     last_line = last
 
-                if prof_detail:
-                    if prof_ops:
-                        op = ins.op
-                        cur_ops[op] = cur_ops.get(op, 0) + 1
-                    if prof_blocks:
-                        j = i - 1
-                        if j in cur_leaders:
-                            cur_block = j
-                        cur_blocks[cur_block] = \
-                            cur_blocks.get(cur_block, 0) + 1
-
-                if hwc_retire is not None:
-                    hwc_retire(ins, self)
+                if retire is not None:
+                    retire(ins, self)
 
                 if kind == 0:                         # K_MOV_RR
                     regs[pay[0]] = regs[pay[1]]
@@ -970,82 +878,56 @@ class X86Machine:
                 elif kind == 15:                      # K_POP
                     c_loads += 1
                     _op_pop(regs, xmm, memory, self, pay)
-                elif kind == 16:                      # K_CALL
+                elif kind == 16 or kind == 17:        # K_CALL, K_CALLR
                     c_branches += 1
                     c_calls += 1
                     c_stores += 1
-                    target, tname = pay
-                    if target is None:
-                        raise TrapError(f"call to unknown {tname}")
-                    regs[RSP] = (regs[RSP] - 8) & _M64
-                    self._store_int(regs[RSP], 8, 0)
-                    call_stack.append((func, dcode, i))
-                    if profile is not None:
-                        _prof_flush(func.name)
-                    func = target
-                    dcode = self._decode_func(target)
-                    n = len(dcode)
-                    i = 0
-                    last_line = -1
-                    if profile is not None:
-                        if prof_ops:
-                            cur_ops = profile.opcode_bucket(func.name)
-                        if prof_blocks:
-                            cur_leaders = self._leaders(dcode)
-                            cur_blocks = \
-                                profile.block_bucket(func.name)
-                            cur_block = 0
-                elif kind == 17:                      # K_CALLR
-                    c_branches += 1
-                    c_calls += 1
-                    c_stores += 1
-                    aa, a_is_mem = pay
-                    if a_is_mem:
-                        c_loads += 1
-                        code_addr = self._load_int(self._ea(aa), 8)
+                    if kind == 16:
+                        target, tname = pay
+                        if target is None:
+                            raise TrapError(f"call to unknown {tname}")
                     else:
-                        code_addr = regs[aa]
-                    target = self._entry_map.get(code_addr)
-                    if target is None:
-                        raise TrapError(
-                            f"indirect call to bad address {code_addr:#x}")
+                        aa, a_is_mem = pay
+                        if a_is_mem:
+                            c_loads += 1
+                            code_addr = self._load_int(self._ea(aa), 8)
+                        else:
+                            code_addr = regs[aa]
+                        target = self._entry_map.get(code_addr)
+                        if target is None:
+                            raise TrapError(f"indirect call to bad "
+                                            f"address {code_addr:#x}")
                     regs[RSP] = (regs[RSP] - 8) & _M64
                     self._store_int(regs[RSP], 8, 0)
                     call_stack.append((func, dcode, i))
-                    if profile is not None:
-                        _prof_flush(func.name)
                     func = target
                     dcode = self._decode_func(target)
                     n = len(dcode)
                     i = 0
                     last_line = -1
-                    if profile is not None:
-                        if prof_ops:
-                            cur_ops = profile.opcode_bucket(func.name)
-                        if prof_blocks:
-                            cur_leaders = self._leaders(dcode)
-                            cur_blocks = \
-                                profile.block_bucket(func.name)
-                            cur_block = 0
+                    if inst is not None:
+                        perf.add(c_instr, c_loads, c_stores, c_branches,
+                                 c_cond, c_calls, c_muls, c_divs, c_fdivs,
+                                 c_fpu)
+                        c_instr = c_loads = c_stores = c_branches = c_cond = 0
+                        c_calls = c_muls = c_divs = c_fdivs = c_fpu = 0
+                        inst.enter(func.name)
                 elif kind == 18:                      # K_RET
                     c_branches += 1
                     c_loads += 1
                     regs[RSP] = (regs[RSP] + 8) & _M64
-                    if profile is not None:
-                        _prof_flush(func.name)
+                    if inst is not None:
+                        perf.add(c_instr, c_loads, c_stores, c_branches,
+                                 c_cond, c_calls, c_muls, c_divs, c_fdivs,
+                                 c_fpu)
+                        c_instr = c_loads = c_stores = c_branches = c_cond = 0
+                        c_calls = c_muls = c_divs = c_fdivs = c_fpu = 0
+                        inst.exit()
                     if not call_stack:
                         return
                     func, dcode, i = call_stack.pop()
                     n = len(dcode)
                     last_line = -1
-                    if profile is not None:
-                        if prof_ops:
-                            cur_ops = profile.opcode_bucket(func.name)
-                        if prof_blocks:
-                            cur_leaders = self._leaders(dcode)
-                            cur_blocks = \
-                                profile.block_bucket(func.name)
-                            cur_block = 0
                 elif kind == 19:                      # K_HOSTCALL
                     c_branches += 1
                     c_calls += 1
@@ -1109,33 +991,10 @@ class X86Machine:
             exc.args = (f"{exc} [in {name} at #{i - 1}: {ins!r}]",)
             raise
         finally:
-            if profile is not None:
-                # Fold whatever accrued since the last call boundary
-                # (trap unwinds included) into the current function.
-                bucket = profile.bucket(getattr(func, "name", "?"))
-                bucket.instructions += c_instr
-                bucket.loads += c_loads
-                bucket.stores += c_stores
-                bucket.branches += c_branches
-                bucket.cond_branches += c_cond
-                bucket.calls += c_calls
-                bucket.muls += c_muls
-                bucket.divs += c_divs
-                bucket.fdivs += c_fdivs
-                bucket.fpu_ops += c_fpu
-                bucket.icache_misses += icache.misses - prof_miss_base
-            perf.instructions += c_instr
-            perf.loads += c_loads
-            perf.stores += c_stores
-            perf.branches += c_branches
-            perf.cond_branches += c_cond
-            perf.calls += c_calls
-            perf.muls += c_muls
-            perf.divs += c_divs
-            perf.fdivs += c_fdivs
-            perf.fpu_ops += c_fpu
-            if hwc is not None:
-                hwc.finish()
+            perf.add(c_instr, c_loads, c_stores, c_branches, c_cond,
+                     c_calls, c_muls, c_divs, c_fdivs, c_fpu)
+            if inst is not None:
+                inst.finish()
 
     def _do_hostcall(self, name: str) -> None:
         if self.host is None:

@@ -2,8 +2,10 @@
 
 :class:`X86MachineBaseline` keeps the original ``_execute`` loop — an
 if/elif chain over opcode strings with ``isinstance`` operand tests and
-per-fetch i-cache line arithmetic — exactly as it was before the
-table-dispatch rewrite in :mod:`repro.x86.machine`.  ``bench/`` measures
+per-fetch i-cache line arithmetic — as it was before the
+table-dispatch rewrite in :mod:`repro.x86.machine`, plus the
+instrument hook both loops share (``retire``, and ``enter``/``exit``
+at every call and return).  ``bench/`` measures
 the decoded machine's speedup against it, and it doubles as an
 independent semantic reference for the executor.
 """
@@ -28,17 +30,18 @@ class X86MachineBaseline(X86Machine):
         perf = self.perf
         icache = self.icache
         budget = self.max_instructions
-        hwc = self.hwc
-        hwc_retire = None
-        if hwc is not None:
-            hwc.enter(func.name)
-            hwc_retire = hwc.retire
+        inst = self.hwc
+        retire = None
+        if inst is not None:
+            inst.enter(func.name)
+            retire = inst.retire
 
         call_stack = []  # (function, return index)
         code = func.instrs
         i = 0
         n_instr = 0
-        # Local mirrors of hot counters (folded back at the end).
+        # Local mirrors of hot counters, folded into perf at the end and,
+        # with an instrument attached, before every enter and exit.
         c_instr = c_loads = c_stores = c_branches = c_cond = 0
         c_calls = c_muls = c_divs = c_fdivs = c_fpu = 0
         last_line = -1
@@ -71,8 +74,8 @@ class X86MachineBaseline(X86Machine):
                         line += 1
                     last_line = last
 
-                if hwc_retire is not None:
-                    hwc_retire(ins, self)
+                if retire is not None:
+                    retire(ins, self)
 
                 op = ins.op
                 size = ins.size
@@ -221,40 +224,47 @@ class X86MachineBaseline(X86Machine):
                     value = self._load_int(regs[RSP], 8)
                     regs[RSP] = (regs[RSP] + 8) & _M64
                     self._write_reg(ins.a.reg, 8, value)
-                elif op == "call":
+                elif op == "call" or op == "callr":
                     c_branches += 1
                     c_calls += 1
                     c_stores += 1
-                    target = self.program.functions.get(ins.a.name)
-                    if target is None:
-                        raise TrapError(f"call to unknown {ins.a.name}")
-                    regs[RSP] = (regs[RSP] - 8) & _M64
-                    self._store_int(regs[RSP], 8, 0)
-                    call_stack.append((func, code, i))
-                    func, code, i = target, target.instrs, 0
-                    last_line = -1
-                elif op == "callr":
-                    c_branches += 1
-                    c_calls += 1
-                    c_stores += 1
-                    if isinstance(ins.a, Mem):
-                        c_loads += 1
-                        code_addr = self._load_int(self._ea(ins.a), 8)
+                    if op == "call":
+                        target = self.program.functions.get(ins.a.name)
+                        if target is None:
+                            raise TrapError(f"call to unknown {ins.a.name}")
                     else:
-                        code_addr = regs[ins.a.reg]
-                    target = self._entry_map.get(code_addr)
-                    if target is None:
-                        raise TrapError(
-                            f"indirect call to bad address {code_addr:#x}")
+                        if isinstance(ins.a, Mem):
+                            c_loads += 1
+                            code_addr = self._load_int(self._ea(ins.a), 8)
+                        else:
+                            code_addr = regs[ins.a.reg]
+                        target = self._entry_map.get(code_addr)
+                        if target is None:
+                            raise TrapError(f"indirect call to bad "
+                                            f"address {code_addr:#x}")
                     regs[RSP] = (regs[RSP] - 8) & _M64
                     self._store_int(regs[RSP], 8, 0)
                     call_stack.append((func, code, i))
                     func, code, i = target, target.instrs, 0
                     last_line = -1
+                    if inst is not None:
+                        perf.add(c_instr, c_loads, c_stores, c_branches,
+                                 c_cond, c_calls, c_muls, c_divs, c_fdivs,
+                                 c_fpu)
+                        c_instr = c_loads = c_stores = c_branches = c_cond = 0
+                        c_calls = c_muls = c_divs = c_fdivs = c_fpu = 0
+                        inst.enter(func.name)
                 elif op == "ret":
                     c_branches += 1
                     c_loads += 1
                     regs[RSP] = (regs[RSP] + 8) & _M64
+                    if inst is not None:
+                        perf.add(c_instr, c_loads, c_stores, c_branches,
+                                 c_cond, c_calls, c_muls, c_divs, c_fdivs,
+                                 c_fpu)
+                        c_instr = c_loads = c_stores = c_branches = c_cond = 0
+                        c_calls = c_muls = c_divs = c_fdivs = c_fpu = 0
+                        inst.exit()
                     if not call_stack:
                         return
                     func, code, i = call_stack.pop()
@@ -420,15 +430,7 @@ class X86MachineBaseline(X86Machine):
             exc.args = (f"{exc} [in {name} at #{i - 1}: {ins!r}]",)
             raise
         finally:
-            perf.instructions += c_instr
-            perf.loads += c_loads
-            perf.stores += c_stores
-            perf.branches += c_branches
-            perf.cond_branches += c_cond
-            perf.calls += c_calls
-            perf.muls += c_muls
-            perf.divs += c_divs
-            perf.fdivs += c_fdivs
-            perf.fpu_ops += c_fpu
-            if hwc is not None:
-                hwc.finish()
+            perf.add(c_instr, c_loads, c_stores, c_branches, c_cond,
+                     c_calls, c_muls, c_divs, c_fdivs, c_fpu)
+            if inst is not None:
+                inst.finish()

@@ -98,6 +98,20 @@ class PerfCounters:
         for field in PerfCounters.__slots__:
             setattr(self, field, getattr(self, field) + getattr(other, field))
 
+    def add(self, instructions, loads, stores, branches, cond_branches,
+            calls, muls, divs, fdivs, fpu_ops) -> None:
+        """Fold an executor's local counter mirrors in."""
+        self.instructions += instructions
+        self.loads += loads
+        self.stores += stores
+        self.branches += branches
+        self.cond_branches += cond_branches
+        self.calls += calls
+        self.muls += muls
+        self.divs += divs
+        self.fdivs += fdivs
+        self.fpu_ops += fpu_ops
+
     def as_dict(self, icache_misses: int = None) -> dict:
         data = {field: getattr(self, field) for field in PerfCounters.__slots__}
         if icache_misses is not None:

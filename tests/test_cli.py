@@ -1,5 +1,7 @@
 """CLI tests (`python -m repro ...`)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -102,3 +104,24 @@ def test_report_unknown(capsys):
 def test_report_spec_figure_at_test_size(capsys):
     assert main(["report", "fig4", "--size", "test", "--runs", "1"]) == 0
     assert "Browsix" in capsys.readouterr().out
+
+
+def test_profile_json_rows_sum_to_the_events(tmp_path, capsys):
+    """Every per-function row carries the columns the text table
+    prints, i-cache misses included, and each column sums to its
+    whole-program event."""
+    out = tmp_path / "profile.json"
+    assert main(["profile", "matmul", "--json", str(out)]) == 0
+    capsys.readouterr()
+    data = json.loads(out.read_text())
+    events = {"instructions": "instructions-retired",
+              "loads": "all-loads-retired",
+              "stores": "all-stores-retired",
+              "branches": "branches-retired",
+              "icache_misses": "L1-icache-load-misses"}
+    for build in ("native", data["target"]):
+        rows = [row[build] for row in data["functions"].values()
+                if row[build] is not None]
+        for field, event in events.items():
+            assert sum(row[field] for row in rows) == \
+                data["events"][event][build], (build, field)

@@ -12,6 +12,7 @@ The load-bearing invariants:
 
 import json
 import math
+from collections import Counter
 
 import pytest
 from conftest import GuestHost, compile_wasm_bytes
@@ -19,17 +20,20 @@ from conftest import GuestHost, compile_wasm_bytes
 from repro import obs
 from repro.benchsuite import matmul_spec
 from repro.codegen import compile_native
+from repro.errors import TrapError
 from repro.harness.compilecache import CompileCache
 from repro.harness.runner import compile_benchmark, run_compiled
 from repro.harness.stats import p50, p95, p99, percentile
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.obs.hwc import HwcModel
 from repro.obs.profile import (
-    PROFILE_FIELDS, MachineProfile, WasmProfile, profile_benchmark,
+    PROFILE_FIELDS, Attribution, WasmProfile, profile_benchmark,
 )
 from repro.wasm import WasmInstance, decode_module
-from repro.x86 import X86Machine
+from repro.x86 import Imm, Instr, Label, Mem, Reg, X86Machine, X86Program
 from repro.x86.perf import EVENT_TABLE, PerfCounters
+from repro.x86.registers import RAX, RBX, RCX, RSI
 
 PROGRAM = """
 int square(int x) {
@@ -62,10 +66,10 @@ def _observability_off():
     obs.disable_metrics()
 
 
-def _run_native(profile=None):
+def _run_native(instrument=None):
     program, module = compile_native(PROGRAM, "test")
     host = GuestHost(module.heap_base)
-    machine = X86Machine(program, host=host, profile=profile)
+    machine = X86Machine(program, host=host, hwc=instrument)
     rax, _ = machine.call("main")
     return rax & 0xFFFFFFFF, bytes(host.output), machine
 
@@ -330,24 +334,30 @@ def test_cycle_model_is_linear():
 # -- profile attribution ------------------------------------------------------------
 
 
+def _assert_partitions(report, machine):
+    """The per-function buckets sum exactly to the machine's counters
+    and i-cache totals."""
+    for field in PerfCounters.__slots__:
+        assert sum(getattr(c, field) for c in report.functions.values()) \
+            == getattr(machine.perf, field), field
+    for field in ("accesses", "misses"):
+        assert sum(getattr(c, f"icache_{field}")
+                   for c in report.functions.values()) == \
+            getattr(machine.icache, field), field
+
+
 def test_machine_profile_totals_are_exact():
-    profile = MachineProfile(opcodes=True, blocks=True)
-    rax, out, machine = _run_native(profile)
+    attribution = Attribution()
+    rax, out, machine = _run_native(attribution)
     assert rax == 0
+    profile = attribution.report()
+    profile.verify()
     assert {"main", "square"} <= set(profile.functions)
-    totals = profile.totals()
-    for field, _label in PROFILE_FIELDS:
-        if field == "icache_misses":
-            counted = machine.icache.misses   # cache model, not retired
-        else:
-            counted = getattr(machine.perf, field)
-        assert getattr(totals, field) == counted, field
-    # Per-opcode and per-block instruction counts partition each
-    # function's retired instructions.
+    _assert_partitions(profile, machine)
+    # Per-opcode instruction counts partition each function's retired
+    # instructions.
     for name, counters in profile.functions.items():
-        assert sum(profile.opcode_instrs[name].values()) == \
-            counters.instructions, name
-        assert sum(profile.block_instrs[name].values()) == \
+        assert sum(profile.opcodes[name].values()) == \
             counters.instructions, name
     hot = profile.hot_functions()
     assert hot[0][1].instructions == \
@@ -356,13 +366,80 @@ def test_machine_profile_totals_are_exact():
 
 def test_profiling_does_not_perturb_execution():
     rax_plain, out_plain, machine_plain = _run_native(None)
-    profile = MachineProfile(opcodes=True, blocks=True)
-    rax_prof, out_prof, machine_prof = _run_native(profile)
+    rax_prof, out_prof, machine_prof = _run_native(Attribution())
     assert rax_plain == rax_prof
     assert out_plain == out_prof
     for field in PerfCounters.__slots__:
         assert getattr(machine_plain.perf, field) == \
             getattr(machine_prof.perf, field), field
+
+
+def _call_chain(mid_call, leaf_body=()):
+    """main saves a register and calls mid; mid loads a zero divisor
+    and a bad code address, then runs ``mid_call``; leaf runs
+    ``leaf_body``."""
+    program = X86Program("t", 1 << 16)
+    for name, body in (
+            ("leaf", list(leaf_body)),
+            ("mid", [Instr("mov", Reg(RCX), Imm(0)),
+                     Instr("mov", Reg(RSI), Imm(0xDEAD)), mid_call]),
+            ("main", [Instr("push", Reg(RBX)),
+                      Instr("call", Label("mid")),
+                      Instr("pop", Reg(RBX))])):
+        func = program.new_function(name)
+        for ins in body + [Instr("ret")]:
+            func.emit(ins)
+    program.layout()
+    return program
+
+
+@pytest.mark.parametrize("instrument", [Attribution, HwcModel])
+@pytest.mark.parametrize("trap", [
+    Instr("idiv", Reg(RCX, 4), size=4),
+    Instr("mov", Mem(base=RAX, disp=1 << 40, size=8), Reg(RAX)),
+], ids=["divide-by-zero", "out-of-bounds-store"])
+def test_attribution_is_exact_after_a_trap_two_calls_deep(instrument,
+                                                          trap):
+    body = [Instr("mov", Reg(RAX), Imm(7)), Instr("cdq"), trap]
+    program = _call_chain(Instr("call", Label("leaf")), body)
+    model = instrument()
+    machine = X86Machine(program, hwc=model)
+    with pytest.raises(TrapError, match=r"\[in leaf at #2"):
+        machine.call("main", setup_regs=False)
+    report = model.report()
+    report.verify()
+    _assert_partitions(report, machine)
+    # The trapping instruction retired in leaf and is charged there.
+    assert report.opcodes["leaf"] == Counter(ins.op for ins in body)
+    assert report.functions["leaf"].instructions == 3
+    assert report.functions["mid"].instructions == 3
+    assert report.functions["main"].instructions == 2
+    assert report.functions["main"].calls == 1
+    assert report.functions["mid"].calls == 1
+    assert list(report.functions) == ["main", "mid", "leaf"]
+
+
+@pytest.mark.parametrize("instrument", [Attribution, HwcModel])
+@pytest.mark.parametrize("call", [
+    Instr("callr", Reg(RSI)), Instr("call", Label("nowhere")),
+], ids=["callr-bad-address", "call-unknown"])
+def test_attribution_stays_with_the_caller_of_a_failed_call(instrument,
+                                                            call):
+    program = _call_chain(call)
+    model = instrument()
+    machine = X86Machine(program, hwc=model)
+    with pytest.raises(TrapError, match=r"\[in mid at #2"):
+        machine.call("main", setup_regs=False)
+    report = model.report()
+    report.verify()
+    _assert_partitions(report, machine)
+    # No bucket for a target that was never entered: the failed call
+    # is charged to the function it retired in.
+    assert list(report.functions) == ["main", "mid"]
+    assert list(getattr(report, "events", report.functions)) == \
+        ["main", "mid"]
+    assert report.opcodes["mid"] == {"mov": 2, call.op: 1}
+    assert report.functions["mid"].calls == 1
 
 
 def test_wasm_interp_profile():
@@ -389,7 +466,8 @@ def test_wasm_interp_profile():
 def test_profile_benchmark_attribution_matches_whole_program():
     comparison = profile_benchmark(matmul_spec(8), target="chrome",
                                    cache=False)
-    comparison.verify_totals()   # exactness, both builds
+    comparison.native_profile.verify()   # exactness, both builds
+    comparison.target_profile.verify()
     rows = comparison.function_rows()
     assert any(name == "matmul" for name, _n, _t in rows)
     table = comparison.render_table()
@@ -402,12 +480,12 @@ def test_profile_benchmark_attribution_matches_whole_program():
     assert "perf annotate" in annotated
 
 
-def test_verify_totals_detects_mismatch():
+def test_verify_detects_mismatch():
     comparison = profile_benchmark(matmul_spec(8), target="chrome",
                                    cache=False)
-    comparison.target_profile.bucket("matmul").instructions += 1
+    comparison.target_profile.functions["matmul"].instructions += 1
     with pytest.raises(AssertionError):
-        comparison.verify_totals()
+        comparison.target_profile.verify()
 
 
 # -- the invisibility invariant -----------------------------------------------------
@@ -425,9 +503,8 @@ def test_enabling_observability_changes_nothing():
     obs.enable_metrics()
     observed = {}
     for target in ("native", "chrome"):
-        profile = MachineProfile(opcodes=True, blocks=True)
         observed[target] = run_compiled(compiled, target, runs=3,
-                                        profile=profile)
+                                        hwc=Attribution())
     obs.disable_tracing()
     obs.disable_metrics()
 

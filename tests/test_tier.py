@@ -197,6 +197,9 @@ class _KindRecorder:
     def retire(self, ins, machine):
         self.retired.add(id(ins))
 
+    def exit(self):
+        pass
+
     def finish(self):
         pass
 
@@ -217,16 +220,18 @@ def test_benchmark_cells_retire_every_kind(compiled_cells):
     assert retired == set(range(K_UNKNOWN + 1)) - NEVER_RETIRED
 
 
-def test_verify_totals_with_fusion_enabled():
+def test_verify_with_fusion_enabled():
     """Profile attribution stays exact while fused handlers run."""
     set_tier("fuse")
     comparison = profile_benchmark(matmul_spec(8), target="chrome",
                                    cache=False)
-    comparison.verify_totals()
+    comparison.native_profile.verify()
+    comparison.target_profile.verify()
     set_tier("off")
     unfused = profile_benchmark(matmul_spec(8), target="chrome",
                                 cache=False)
-    unfused.verify_totals()
+    unfused.native_profile.verify()
+    unfused.target_profile.verify()
     fused_rows = [(name, n.as_dict(), t.as_dict())
                   for name, n, t in comparison.function_rows()]
     plain_rows = [(name, n.as_dict(), t.as_dict())
