@@ -33,10 +33,10 @@ from repro.harness.runner import (                        # noqa: E402
     compile_benchmark, run_compiled,
 )
 from repro.obs.hwc import HwcModel, hwc_cycles            # noqa: E402
+from repro.tier import TIERS                              # noqa: E402
 
 BENCHMARKS = ("durbin", "trisolv", "gemm")
 TARGETS = ("native", "chrome")
-TIERS = ("off", "quicken", "fuse")
 
 
 def _fail(message: str) -> int:

@@ -7,8 +7,10 @@ bench sweep and fails (exit 1) if the disabled-path overhead exceeds the
 budget, so CI catches any instrumentation that leaks cost into
 measurements.
 
-Method: run the same benchmark sweep twice per mode, take the best
-wall-clock of ``--repeats`` attempts for each mode, and compare
+Method: time each mode as the best of ``--repeats`` repeats, each
+repeat running the same benchmark sweep back to back for at least
+``MIN_REPEAT_SECONDS`` (one sweep takes a few hundredths of a second,
+too short to resolve a 3% difference), and compare
 
 * ``disabled``  — observability off (the measurement configuration;
   this includes the hwc model's disabled-path checks in the executor
@@ -18,11 +20,18 @@ wall-clock of ``--repeats`` attempts for each mode, and compare
   not gated; retired counters and output are asserted bit-identical
   to the disabled sweep).
 
-The gate compares ``disabled`` against itself across interleaved halves
-(A/B of the same configuration) to bound timer noise, then against the
-recorded baseline budget: overhead = disabled / min(disabled-rerun)
-must stay under ``--budget`` (default 3%) relative to the fastest
-observed disabled run.
+The gate compares the ``disabled`` sweeps timed before the enabled and
+hwc modes with those timed after them, so any cost that enabling and
+then disabling observability leaves behind shows up: overhead = the
+slower of the two / the faster - 1 must stay under ``--budget``
+(default 3%).
+
+Times are read from the benchmark's speed-calibrated clock
+(``perfbench/clock.py``): host seconds rescaled to a reference host
+speed measured while the gate runs.  A shared host's speed drifts by
+tens of percent within seconds, so raw seconds of the disabled sweeps
+before and after the other modes differ by far more than the budget
+even when nothing leaked.
 
 Results are written as JSON (``--output``).
 
@@ -35,12 +44,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..",
+                                "perfbench"))
 
+from clock import SpeedClock                              # noqa: E402
 from repro import obs                                     # noqa: E402
 from repro.benchsuite import polybench_benchmark          # noqa: E402
 from repro.harness.runner import (                        # noqa: E402
@@ -50,12 +63,14 @@ from repro.harness.runner import (                        # noqa: E402
 BENCHMARKS = ("durbin", "trisolv", "gemm")
 TARGETS = ("native", "chrome")
 
+#: Shortest timed repeat, in seconds of back-to-back sweeps.
+MIN_REPEAT_SECONDS = 0.5
+
 
 def _sweep(compiled, hwc: bool = False):
-    """One full sweep; returns (wall_seconds, results key)."""
+    """One full sweep; returns its results key."""
     from repro.obs.hwc import HwcModel
 
-    start = time.perf_counter()
     fingerprint = []
     for name in BENCHMARKS:
         for target in TARGETS:
@@ -64,20 +79,27 @@ def _sweep(compiled, hwc: bool = False):
             fingerprint.append(
                 (name, target, result.run.perf.instructions,
                  result.run.exit_code, result.run.stdout))
-    return time.perf_counter() - start, fingerprint
+    return fingerprint
 
 
-def _best(compiled, repeats, hwc: bool = False):
+def _best(clock, compiled, repeats, sweeps, hwc: bool = False):
+    """Best ``clock`` seconds per sweep over ``repeats`` repeats of
+    ``sweeps`` back-to-back sweeps; every sweep must give the same
+    results."""
     best = None
     fingerprint = None
     for _ in range(repeats):
-        seconds, fp = _sweep(compiled, hwc=hwc)
+        start = clock.now()
+        for _ in range(sweeps):
+            fp = _sweep(compiled, hwc=hwc)
+            if fingerprint is None:
+                fingerprint = fp
+            elif fingerprint != fp:
+                raise SystemExit(
+                    "FAIL: sweep results are not deterministic")
+        seconds = (clock.now() - start) / sweeps
         if best is None or seconds < best:
             best = seconds
-        if fingerprint is None:
-            fingerprint = fp
-        elif fingerprint != fp:
-            raise SystemExit("FAIL: sweep results are not deterministic")
     return best, fingerprint
 
 
@@ -95,23 +117,32 @@ def main(argv=None) -> int:
         polybench_benchmark(name, "test"), TARGETS, cache=False)
         for name in BENCHMARKS}
 
-    # Warm-up, then interleave the two modes so drift hits both equally.
+    # Warm-up, then size each repeat from one warm sweep: enough
+    # back-to-back sweeps to last MIN_REPEAT_SECONDS.
     _sweep(compiled)
+    start = time.perf_counter()
+    _sweep(compiled)
+    sweeps = max(1, math.ceil(
+        MIN_REPEAT_SECONDS / (time.perf_counter() - start)))
     obs.disable_tracing()
     obs.disable_metrics()
-    disabled_a, fp_disabled = _best(compiled, args.repeats)
+    with SpeedClock() as clock:
+        disabled_a, fp_disabled = _best(clock, compiled, args.repeats,
+                                        sweeps)
 
-    obs.enable_tracing()
-    obs.enable_metrics()
-    try:
-        enabled, fp_enabled = _best(compiled, args.repeats)
-    finally:
-        obs.disable_tracing()
-        obs.disable_metrics()
+        obs.enable_tracing()
+        obs.enable_metrics()
+        try:
+            enabled, fp_enabled = _best(clock, compiled, args.repeats,
+                                        sweeps)
+        finally:
+            obs.disable_tracing()
+            obs.disable_metrics()
 
-    hwc_seconds, fp_hwc = _best(compiled, args.repeats, hwc=True)
+        hwc_seconds, fp_hwc = _best(clock, compiled, args.repeats, sweeps,
+                                    hwc=True)
 
-    disabled_b, _ = _best(compiled, args.repeats)
+        disabled_b, _ = _best(clock, compiled, args.repeats, sweeps)
 
     if fp_enabled != fp_disabled:
         print("FAIL: enabling observability changed results")
@@ -130,6 +161,8 @@ def main(argv=None) -> int:
         "benchmarks": list(BENCHMARKS),
         "targets": list(TARGETS),
         "repeats": args.repeats,
+        "sweeps_per_repeat": sweeps,
+        "host_speed": clock.speed(),
         "budget": args.budget,
         "disabled_seconds": baseline,
         "disabled_rerun_seconds": slower,

@@ -1,12 +1,12 @@
 """Perf-smoke gate: fail CI when the fast paths stop being fast.
 
-Runs the tier and pool scenarios from :mod:`bench.run_bench` and
-enforces floors well below the measured speedups, so noise on a shared
-CI runner does not flake the gate but a real regression (fusion slower
-than table dispatch, block engine slower than the reference loop, a
-reused pool slower than one forked per sweep) fails it.  Bit-identity
-is asserted inside each scenario — a pooled, fused or block-engine run
-that diverges raises before the floors are checked.
+Runs the block-engine and pool scenarios from :mod:`bench.run_bench`
+and enforces floors well below the measured speedups, so noise on a
+shared CI runner does not flake the gate but a real regression (block
+engine slower than the reference loop, a reused pool slower than one
+forked per sweep) fails it.  Bit-identity is asserted inside each
+scenario — a pooled or block-engine run that diverges raises before the
+floors are checked.
 
 Usage::
 
@@ -21,15 +21,13 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from run_bench import (                                   # noqa: E402
-    bench_parallel_warm, bench_sharded_sweep, bench_wasm_fused,
-    bench_x86_blocks,
+    bench_parallel_warm, bench_sharded_sweep, bench_x86_blocks,
 )
 
-#: (scenario, floor): measured speedups are ~1.7x (wasm_fused), ~2.0x
-#: (x86_blocks) and 1.1-1.4x (parallel_warm on a 2-vCPU host, unpinned
-#: and pinned to one CPU).  The floors sit well below
-#: them, so they trip only when an optimization has actually regressed,
-#: not on timer jitter.  Two shards cannot beat one on a 1-CPU CI box,
+#: (scenario, floor): measured speedups are ~2.0x (x86_blocks) and
+#: 1.1-1.4x (parallel_warm on a 2-vCPU host, unpinned and pinned to one
+#: CPU).  The floors sit well below them, so they trip only when an
+#: optimization has actually regressed, not on timer jitter.  Two shards cannot beat one on a 1-CPU CI box,
 #: so the sharded gate bounds the coordination *overhead* instead
 #: (measured ~0.98x of the one-shard time pinned to one CPU of a 2-vCPU
 #: host, and 0.81-1.09x unpinned with the shapes alternated, best of 5
@@ -37,7 +35,6 @@ from run_bench import (                                   # noqa: E402
 #: regresses); steal activity and bit-identity are asserted inside the
 #: scenario.
 GATES = (
-    ("wasm_fused", bench_wasm_fused, 1.05),
     ("x86_blocks", bench_x86_blocks, 1.3),
     ("parallel_warm", bench_parallel_warm, 1.05),
     ("sharded_sweep", lambda: bench_sharded_sweep(force=True), 0.75),

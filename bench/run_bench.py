@@ -1,17 +1,10 @@
 """Micro-benchmarks for the measurement-stack fast paths.
 
-Times each optimized subsystem against its in-tree pre-optimization
-baseline and writes ``BENCH_repro.json`` at the repo root:
+Times each fast path against the slower path it replaces, both still
+in the tree, and writes ``BENCH_repro.json`` at the repo root:
 
 * ``compile_cache``   — a repeated 2-experiment suite run, cold
   (``--no-cache`` semantics) vs. warm (content-addressed cache);
-* ``wasm_interp``     — a single-pass PolyBench run on the table-dispatch
-  interpreter vs. the original chain-dispatch one;
-* ``x86_machine``     — the decoded x86 executor vs. the original
-  if/elif chain, same program, counters asserted identical;
-* ``wasm_fused``      — the wasm interpreter at ``--tier fuse``
-  (superinstructions + quickened dispatch) vs. ``--tier off`` (plain
-  table dispatch), outputs asserted identical;
 * ``x86_blocks``      — the x86 block engine (default tier) vs. the
   per-instruction reference loop (``--tier off``) on a ref-size
   workload, counters and i-cache asserted identical;
@@ -45,7 +38,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.benchsuite import polybench_benchmark          # noqa: E402
 from repro.codegen import compile_native                  # noqa: E402
-from repro.codegen.emscripten import compile_emscripten   # noqa: E402
 from repro.harness.compilecache import CompileCache       # noqa: E402
 from repro.harness.parallel import (                      # noqa: E402
     run_suite, shutdown_warm_pool,
@@ -53,10 +45,7 @@ from repro.harness.parallel import (                      # noqa: E402
 from repro.harness.runner import compile_benchmark        # noqa: E402
 from repro.ir import CollectingHost                       # noqa: E402
 from repro.tier import DEFAULT_TIER                       # noqa: E402
-from repro.wasm.interp import WasmInstance                # noqa: E402
-from repro.wasm.interp_baseline import BaselineWasmInstance  # noqa: E402
 from repro.x86.machine import X86Machine                  # noqa: E402
-from repro.x86.machine_baseline import X86MachineBaseline  # noqa: E402
 
 
 class _Host(CollectingHost):
@@ -111,89 +100,6 @@ def bench_compile_cache():
         "optimized_seconds": warm_seconds,
         "speedup": cold_seconds / warm_seconds,
         "cache_stats": stats,
-    }
-
-
-def bench_wasm_interp():
-    spec = polybench_benchmark("2mm", "test")
-    wasm, ir = compile_emscripten(spec.source, spec.name)
-
-    def run(cls):
-        host = _Host(ir.heap_base)
-        value = cls(wasm, host=host, tier="off").invoke("main")
-        return value, bytes(host.output)
-
-    def run_baseline():
-        host = _Host(ir.heap_base)
-        value = BaselineWasmInstance(wasm, host=host).invoke("main")
-        return value, bytes(host.output)
-
-    base_seconds, base_out = _best_of(run_baseline, repeats=5)
-    fast_seconds, fast_out = _best_of(lambda: run(WasmInstance),
-                                      repeats=5)
-    assert base_out == fast_out, "interpreters disagree"
-    return {
-        "description": "single-pass 2mm on the wasm interpreter, "
-                       "chain dispatch vs pre-decoded table dispatch "
-                       "(fusion off; see wasm_fused)",
-        "baseline_seconds": base_seconds,
-        "optimized_seconds": fast_seconds,
-        "speedup": base_seconds / fast_seconds,
-    }
-
-
-def bench_wasm_fused():
-    # Ref-size: ~40ms per pass at --tier off, enough to keep wall-clock
-    # jitter out of the ratio (the "test" size finishes in single-digit
-    # milliseconds and swings +/-20%).
-    spec = polybench_benchmark("2mm", "ref")
-    wasm, ir = compile_emscripten(spec.source, spec.name)
-
-    def run(tier):
-        host = _Host(ir.heap_base)
-        value = WasmInstance(wasm, host=host, tier=tier).invoke("main")
-        return value, bytes(host.output)
-
-    table_seconds, table_out = _best_of(lambda: run("off"), repeats=5)
-    fused_seconds, fused_out = _best_of(lambda: run("fuse"), repeats=5)
-    assert table_out == fused_out, "fused interpreter diverged"
-    return {
-        "description": "single-pass ref-size 2mm on the wasm "
-                       "interpreter, table dispatch (--tier off) vs "
-                       "superinstruction fusion + quickening "
-                       "(--tier fuse); outputs asserted identical",
-        "baseline_seconds": table_seconds,
-        "optimized_seconds": fused_seconds,
-        "speedup": table_seconds / fused_seconds,
-    }
-
-
-def bench_x86_machine():
-    spec = polybench_benchmark("gemm", "test")
-    program, module = compile_native(spec.source, spec.name)
-
-    def run_baseline():
-        machine = X86MachineBaseline(program, host=_Host(module.heap_base))
-        machine.call("main")
-        return machine.perf.as_dict()
-
-    def run_fast():
-        machine = X86Machine(program, host=_Host(module.heap_base),
-                             tier="off")
-        machine.call("main")
-        return machine.perf.as_dict()
-
-    base_seconds, base_perf = _best_of(run_baseline, repeats=5)
-    fast_seconds, fast_perf = _best_of(run_fast, repeats=5)
-    assert base_perf == fast_perf, "perf counters diverge"
-    return {
-        "description": "native gemm on the simulated x86 machine, "
-                       "chain dispatch vs pre-decoded dispatch "
-                       "(reference loop; see x86_blocks)",
-        "baseline_seconds": base_seconds,
-        "optimized_seconds": fast_seconds,
-        "speedup": base_seconds / fast_seconds,
-        "instructions": fast_perf["instructions"],
     }
 
 
@@ -418,9 +324,6 @@ def bench_sharded_sweep(force=False):
 
 SCENARIOS = {
     "compile_cache": bench_compile_cache,
-    "wasm_interp": bench_wasm_interp,
-    "x86_machine": bench_x86_machine,
-    "wasm_fused": bench_wasm_fused,
     "x86_blocks": bench_x86_blocks,
     "parallel_suite": bench_parallel_suite,
     "parallel_warm": bench_parallel_warm,

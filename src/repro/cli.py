@@ -31,6 +31,7 @@ from .jit import (
     CHROME_ENGINE, CHROME_TIERED, FIREFOX_ENGINE, FIREFOX_TIERED,
 )
 from .kernel import BrowsixRuntime, Kernel, NativeRuntime
+from .tier import DEFAULT_TIER, TIERS
 from .wasm import encode_module, format_module
 from .x86.perf import EVENT_TABLE
 
@@ -414,11 +415,7 @@ def cmd_report(args) -> int:
             "data": _jsonify(list(ret[:-1])),
             "text": ret[-1],
             "metrics": get_registry().as_dict(),
-            "tier": {
-                "tier": get_tier(),
-                "promotions": counters.get("tier.promotions", 0),
-                "fused_ops": counters.get("tier.fused_ops", 0),
-            },
+            "tier": {"tier": get_tier()},
             "analysis": {
                 "verifier_runs": counters.get("analysis.verifier_runs", 0),
                 "lints_emitted": counters.get("analysis.lints_emitted", 0),
@@ -783,15 +780,12 @@ def _add_verify_arg(p) -> None:
 
 
 def _add_tier_arg(p) -> None:
-    p.add_argument("--tier", choices=("off", "quicken", "fuse"),
-                   default=None,
-                   help="simulator execution tier: plain table "
-                        "dispatch (off, the reference); otherwise the x86 "
-                        "machine runs straight-line blocks as closures "
-                        "and the wasm interpreter adds per-op "
-                        "specialization (quicken) plus superinstruction "
-                        "fusion (fuse, the default); results are "
-                        "bit-identical at every tier")
+    p.add_argument("--tier", choices=TIERS, default=None,
+                   help="x86 simulator tier: off runs the "
+                        "per-instruction reference loop, fuse runs "
+                        "straight-line blocks as closures (default "
+                        f"{DEFAULT_TIER}); results are bit-identical "
+                        "at both")
 
 
 def _add_shards_arg(p) -> None:

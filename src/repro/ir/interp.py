@@ -14,7 +14,6 @@ from __future__ import annotations
 import struct
 
 from ..errors import FuelExhausted, ReproError, TrapError
-from ..tier import HOT_CALLS, note_promotion, tier_level
 from . import intops
 from .instructions import (
     BinOp, Call, CallIndirect, CondBr, GetGlobal, Jump, Lea, Load,
@@ -94,7 +93,7 @@ class IRInterpreter:
     DEFAULT_FUEL = 1_000_000_000
 
     def __init__(self, module: Module, host: Host = None,
-                 max_fuel: int = None, tier=None, hwc=None):
+                 max_fuel: int = None, hwc=None):
         self.module = module
         self.host = host or CollectingHost()
         #: Optional :class:`repro.obs.hwc.BranchHwc`: fed every CondBr
@@ -109,13 +108,6 @@ class IRInterpreter:
             self.DEFAULT_FUEL
         #: Basic blocks executed so far, shared across nested calls.
         self.fuel_used = 0
-        #: Execution tier (see :mod:`repro.tier`): at ``quicken`` and
-        #: above, hot basic blocks are re-decoded into pre-bound thunks;
-        #: results and trap behaviour are identical at every tier.
-        self._tier = tier_level(tier)
-        # id(block) -> [entries, thunks or None, block]; the block
-        # reference pins the id.
-        self._qcache = {}
 
     # -- guest memory access ------------------------------------------------
 
@@ -173,8 +165,6 @@ class IRInterpreter:
         block = func.blocks[func.entry]
         regs = frame.regs
         max_fuel = self.max_fuel
-        tier = self._tier
-        qcache = self._qcache
         hwc = self.hwc
         hwc_cond = None
         if hwc is not None:
@@ -186,27 +176,8 @@ class IRInterpreter:
             if self.fuel_used > max_fuel:
                 raise FuelExhausted(
                     "fuel exhausted: IR block budget exceeded")
-            if tier:
-                rec = qcache.get(id(block))
-                if rec is None:
-                    rec = [0, None, block]
-                    qcache[id(block)] = rec
-                thunks = rec[1]
-                if thunks is None:
-                    rec[0] += 1
-                    if rec[0] >= HOT_CALLS:
-                        thunks = rec[1] = [self._quicken_instr(instr)
-                                           for instr in block.instrs]
-                        note_promotion(0)
-                if thunks is not None:
-                    for thunk in thunks:
-                        thunk(regs)
-                else:
-                    for instr in block.instrs:
-                        self._exec_instr(instr, regs)
-            else:
-                for instr in block.instrs:
-                    self._exec_instr(instr, regs)
+            for instr in block.instrs:
+                self._exec_instr(instr, regs)
             term = block.term
             if isinstance(term, Jump):
                 block = func.blocks[term.target]
@@ -296,96 +267,6 @@ class IRInterpreter:
                 regs[instr.dst.id] = result
         else:  # pragma: no cover - verifier prevents this
             raise TrapError(f"bad instruction {instr!r}")
-
-    def _quicken_instr(self, instr):
-        """Specialize one instruction into a ``thunk(regs)`` with
-        operand shapes, constants, and type decisions pre-bound.
-
-        Only the shapes that dominate kernel blocks get dedicated
-        thunks; everything else falls back to a bound
-        :meth:`_exec_instr` call.  Execution order, results, and trap
-        behaviour are identical to the generic path.
-        """
-        if isinstance(instr, Move):
-            d = instr.dst.id
-            src = instr.src
-            if isinstance(src, VReg):
-                s = src.id
-
-                def thunk(regs, d=d, s=s):
-                    regs[d] = regs[s]
-                return thunk
-            val = self._value(src, None)
-
-            def thunk(regs, d=d, val=val):
-                regs[d] = val
-            return thunk
-        if isinstance(instr, BinOp):
-            d = instr.dst.id
-            op = instr.op
-            lhs = instr.lhs
-            rhs = instr.rhs
-            ty = lhs.ty if isinstance(lhs, VReg) else rhs.ty
-            if isinstance(lhs, VReg) and isinstance(rhs, VReg):
-                a_id, b_id = lhs.id, rhs.id
-
-                def thunk(regs, d=d, op=op, a_id=a_id, b_id=b_id, ty=ty):
-                    regs[d] = eval_binop(op, regs[a_id], regs[b_id], ty)
-                return thunk
-            if isinstance(lhs, VReg):
-                a_id = lhs.id
-                b_val = self._value(rhs, None)
-
-                def thunk(regs, d=d, op=op, a_id=a_id, b_val=b_val, ty=ty):
-                    regs[d] = eval_binop(op, regs[a_id], b_val, ty)
-                return thunk
-            if isinstance(rhs, VReg):
-                a_val = self._value(lhs, None)
-                b_id = rhs.id
-
-                def thunk(regs, d=d, op=op, a_val=a_val, b_id=b_id, ty=ty):
-                    regs[d] = eval_binop(op, a_val, regs[b_id], ty)
-                return thunk
-        if isinstance(instr, UnOp) and isinstance(instr.src, VReg):
-            d = instr.dst.id
-            op = instr.op
-            s = instr.src.id
-            src_ty = instr.src.ty
-
-            def thunk(regs, d=d, op=op, s=s, src_ty=src_ty):
-                regs[d] = eval_unop(op, regs[s], src_ty)
-            return thunk
-        if isinstance(instr, Load) and isinstance(instr.base, VReg) \
-                and instr.index is None:
-            d = instr.dst.id
-            b_id = instr.base.id
-            offset = instr.offset
-            size = instr.size
-            signed = instr.signed
-            dst_ty = instr.dst.ty
-            load = self._load
-
-            def thunk(regs, d=d, b_id=b_id, offset=offset, size=size,
-                      signed=signed, dst_ty=dst_ty, load=load):
-                regs[d] = load(regs[b_id] + offset, size, signed, dst_ty)
-            return thunk
-        if isinstance(instr, Store) and isinstance(instr.base, VReg) \
-                and instr.index is None and isinstance(instr.src, VReg):
-            b_id = instr.base.id
-            s_id = instr.src.id
-            offset = instr.offset
-            size = instr.size
-            store = self._store
-
-            def thunk(regs, b_id=b_id, s_id=s_id, offset=offset,
-                      size=size, store=store):
-                store(regs[b_id] + offset, regs[s_id], size)
-            return thunk
-        exec_instr = self._exec_instr
-
-        def thunk(regs, instr=instr, exec_instr=exec_instr):
-            exec_instr(instr, regs)
-        return thunk
 
     def _load(self, addr, size, is_signed, dst_ty):
         raw = self.read_mem(addr, size)

@@ -1,6 +1,6 @@
 """repro.obs: the observability layer for the whole measurement stack.
 
-Three subsystems, all off by default and engineered so the disabled
+Four subsystems, all off by default and engineered so the disabled
 path costs (near) nothing and never changes behaviour:
 
 * :mod:`~repro.obs.trace` — nested span tracing across every pipeline
@@ -8,9 +8,9 @@ path costs (near) nothing and never changes behaviour:
 * :mod:`~repro.obs.profile` — the x86 machine's one instrument
   (:class:`~repro.obs.profile.Attribution`: per-function and per-opcode
   retired-event attribution over the executor's enter/retire/exit
-  hook), wasm-interpreter opcode counts, the entry point that ``repro
-  profile`` and ``repro explain`` share, and the simulated ``perf
-  annotate`` comparing native vs wasm builds;
+  hook), the entry point that ``repro profile`` and ``repro explain``
+  share, and the simulated ``perf annotate`` comparing native vs wasm
+  builds;
 * :mod:`~repro.obs.metrics` — counters/gauges/histograms wired into the
   kernel, compile cache, and parallel runner (``--stats``,
   ``repro report --json``);
@@ -36,7 +36,7 @@ from .hwc import (
 )
 from .profile import (
     PROFILE_FIELDS, Attribution, AttributionReport, FunctionCounters,
-    ProfileComparison, WasmProfile, attribute_benchmark, profile_benchmark,
+    ProfileComparison, attribute_benchmark, profile_benchmark,
 )
 from .trace import NULL_SPAN, Tracer, current, span
 from .trace import disable as disable_tracing
@@ -49,7 +49,7 @@ __all__ = [
     "enable_metrics", "disable_metrics", "metrics_enabled",
     "NULL_REGISTRY",
     "Attribution", "AttributionReport", "FunctionCounters",
-    "WasmProfile", "ProfileComparison", "attribute_benchmark",
+    "ProfileComparison", "attribute_benchmark",
     "profile_benchmark", "PROFILE_FIELDS",
     "HwcModel", "HwcCounters", "HwcReport", "BranchHwc",
     "BranchPredictor", "GapExplanation", "explain_benchmark",

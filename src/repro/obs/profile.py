@@ -14,8 +14,7 @@ the last enter or exit, plus its instructions per x86 mnemonic.  The
 buckets are exact: :meth:`AttributionReport.verify` asserts that they
 sum to the whole-program counters field for field.
 :class:`repro.obs.hwc.HwcModel` extends it with microarchitectural
-events.  :class:`WasmProfile` does per-opcode counting for the wasm
-interpreter.
+events.
 
 :func:`attribute_benchmark` is the one entry point: it runs the native
 and a wasm build of one benchmark with an instrument attached and
@@ -202,49 +201,6 @@ class Attribution:
         for field, new, old in zip(_FIELDS, self._snapshot(), self._origin):
             setattr(program, field, new - old)
         return program
-
-
-class WasmProfile:
-    """Per-function / per-opcode execution counts for the interpreter.
-
-    Pass as ``WasmInstance(..., profile=...)``.  Records wasm
-    instructions executed per function, per wasm opcode, and entries
-    into each structured block (``block``/``loop``/``if``), keyed by the
-    instruction index of the construct.
-    """
-
-    def __init__(self):
-        self.functions: dict[str, int] = {}
-        self.opcode_instrs: dict[str, dict] = {}
-        #: function -> {block start index: entry count}
-        self.block_entries: dict[str, dict] = {}
-
-    def opcode_bucket(self, name: str) -> dict:
-        bucket = self.opcode_instrs.get(name)
-        if bucket is None:
-            bucket = self.opcode_instrs[name] = {}
-        return bucket
-
-    def block_bucket(self, name: str) -> dict:
-        bucket = self.block_entries.get(name)
-        if bucket is None:
-            bucket = self.block_entries[name] = {}
-        return bucket
-
-    def total_instrs(self) -> int:
-        return sum(self.functions.values())
-
-    def hot_opcodes(self, limit: int = None):
-        merged: dict[str, int] = {}
-        for per_func in self.opcode_instrs.values():
-            for op, count in per_func.items():
-                merged[op] = merged.get(op, 0) + count
-        ranked = sorted(merged.items(), key=lambda item: -item[1])
-        return ranked[:limit] if limit else ranked
-
-    def __repr__(self):
-        return (f"<wasm-profile {len(self.functions)} functions, "
-                f"{self.total_instrs()} instrs>")
 
 
 # -- the shared entry point and the perf-annotate rendering ------------------------

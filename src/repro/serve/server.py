@@ -162,8 +162,10 @@ class BenchService:
         size = params.get("size", "test")
         if size not in ("test", "ref"):
             raise RpcError(f"unknown size {size!r}", code=-32602)
-        from ..tier import get_tier
+        from ..tier import TIERS, get_tier
         tier = params.get("tier") or get_tier()
+        if tier not in TIERS:
+            raise RpcError(f"unknown tier {tier!r}", code=-32602)
         runs = max(1, int(params.get("runs", self.config.runs)))
         priority = int(params.get("priority", 0))
         deadline_s = params.get("deadline_s")

@@ -1,39 +1,31 @@
-"""Execution-tier selection for the simulated execution stack.
+"""Execution-tier selection for the simulated x86 machine.
 
-The interpreters have three tiers, mirroring the quickening/superinstruction
-design Titzer describes for baseline wasm compilers:
+Two tiers:
 
-- ``off``     — plain pre-decoded table dispatch; no re-decoding ever happens.
-  This is the reference the other tiers must match exactly.
-- ``quicken`` — hot functions are re-decoded with per-opcode specializations
-  (e.g. trap-free numeric ops skip the guest-trap guard).
-- ``fuse``    — quickening plus superinstruction fusion: hot adjacent
-  pairs/triples are collapsed into single handlers with pre-bound operands.
+- ``off``  — the per-instruction reference loop
+  (:meth:`repro.x86.machine.X86Machine._execute`), the oracle the block
+  engine is checked against.
+- ``fuse`` — the block engine (:mod:`repro.x86.blocks`): straight-line
+  blocks run as closures with their operands pre-bound.
 
-The simulated x86 machine runs its block engine (:mod:`repro.x86.blocks`)
-at every tier but ``off``.
+Runs with an instrument attached (profile attribution, the hwc model)
+or with ``--check-ranges`` take the reference loop at either tier.  The
+tier is a pure speed knob: times, perf counters, i-cache, trap text and
+stdout are bit-identical at both.
 
-All tiers produce bit-identical results (times, perf counters, profiles,
-stdout); the tier only changes how fast the simulator itself runs.  In the
-interpreters hotness is per function: a function is promoted after
-``HOT_CALLS`` entries, or immediately if it contains a loop, so cold startup
-code keeps the cheap plain-dispatch decode.
-
-The active tier comes from, in priority order: an explicit per-instance
+The active tier comes from, in priority order: an explicit per-machine
 argument, ``set_tier()`` (the ``--tier`` CLI knob), the ``REPRO_TIER``
-environment variable, then the default (``fuse``).
+environment variable, then the default (``fuse``).  An unknown
+``REPRO_TIER`` value falls back to the default.
 """
 
 from __future__ import annotations
 
 import os
 
-TIERS = ("off", "quicken", "fuse")
-TIER_LEVELS = {"off": 0, "quicken": 1, "fuse": 2}
+TIERS = ("off", "fuse")
+TIER_LEVELS = {name: level for level, name in enumerate(TIERS)}
 DEFAULT_TIER = "fuse"
-
-# Entries before a loop-free function is promoted off plain dispatch.
-HOT_CALLS = 4
 
 _tier: str | None = None
 
@@ -63,17 +55,3 @@ def tier_level(name: str | None = None) -> int:
     if name not in TIER_LEVELS:
         raise ValueError(f"unknown tier {name!r}; expected one of {TIERS}")
     return TIER_LEVELS[name]
-
-
-def note_promotion(fused_sites: int) -> None:
-    """Record a function promotion in the metrics registry.
-
-    Called once per promoted function (rare), so the registry lookup cost
-    never touches the dispatch hot path.
-    """
-    from .obs.metrics import get_registry
-
-    registry = get_registry()
-    registry.counter("tier.promotions").inc()
-    if fused_sites:
-        registry.counter("tier.fused_ops").inc(fused_sites)

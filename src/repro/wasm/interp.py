@@ -13,10 +13,6 @@ every numeric/memory/const opcode becomes a single precomputed handler
 closure from the module-level opcode tables below — the hot loop does
 one list index, one small-int compare, and one call per step instead of
 walking an if/elif chain over opcode strings.
-
-:mod:`repro.wasm.interp_baseline` keeps the original chain-dispatch
-implementation as an independent semantic cross-check (and as the
-pre-optimization baseline for ``bench/``).
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ import struct
 
 from ..errors import FuelExhausted, LinkError, ReproError, TrapError
 from ..ir import intops
-from ..tier import HOT_CALLS, note_promotion, tier_level
 from .module import PAGE_SIZE, WasmModule
 from .validate import validate_module
 
@@ -72,9 +67,9 @@ def _match_control(body):
 #
 # Each entry is a closure ``f(stack)`` with every immediate-free numeric
 # operation fully bound; the decoder binds immediates (constants, memory
-# offsets) into per-instruction closures.  Semantics mirror the original
-# chain-dispatch interpreter exactly — including which operations raise
-# Python arithmetic errors (converted to traps by the execution loop).
+# offsets) into per-instruction closures.  Integer division, remainder
+# and float-to-int truncation raise Python arithmetic errors, which the
+# execution loop converts to traps.
 # ---------------------------------------------------------------------------
 
 def _int_ops(prefix: str, bits: int) -> dict:
@@ -380,286 +375,6 @@ NUMERIC_TABLE.update(_int_ops("i64", 64))
 NUMERIC_TABLE.update(_float_ops("f32"))
 NUMERIC_TABLE.update(_float_ops("f64"))
 
-#: Numeric opcodes that can raise a Python arithmetic error (the K_NUM
-#: guard exists for these); everything else is quickened to K_RAW in the
-#: ``quicken`` tier.
-_IMPURE_NUM = {f"{p}.{s}" for p in ("i32", "i64")
-               for s in ("div_s", "div_u", "rem_s", "rem_u",
-                         "trunc_f32_s", "trunc_f32_u",
-                         "trunc_f64_s", "trunc_f64_u")}
-
-
-# ---------------------------------------------------------------------------
-# Operand-form pure binary ops for superinstruction fusion: ``fn(a, b)``
-# with ``a`` the deeper stack operand.  Only ops that can never trap (no
-# div/rem/trunc), so fused handlers need no arithmetic-trap guard —
-# semantics match the stack-form NUMERIC_TABLE handlers exactly.
-# ---------------------------------------------------------------------------
-
-def _pure2_int(prefix: str, bits: int) -> dict:
-    mask = (1 << bits) - 1
-    signed = intops.signed
-    t = {
-        "add": lambda a, b: (a + b) & mask,
-        "sub": lambda a, b: (a - b) & mask,
-        "mul": lambda a, b: (a * b) & mask,
-        "and": lambda a, b: a & b,
-        "or": lambda a, b: a | b,
-        "xor": lambda a, b: a ^ b,
-        "shl": lambda a, b: intops.shl(a, b, bits),
-        "shr_s": lambda a, b: intops.shr_s(a, b, bits),
-        "shr_u": lambda a, b: intops.shr_u(a, b, bits),
-        "rotl": lambda a, b: intops.rotl(a, b, bits),
-        "rotr": lambda a, b: intops.rotr(a, b, bits),
-        "eq": lambda a, b: 1 if a == b else 0,
-        "ne": lambda a, b: 1 if a != b else 0,
-        "lt_u": lambda a, b: 1 if a < b else 0,
-        "gt_u": lambda a, b: 1 if a > b else 0,
-        "le_u": lambda a, b: 1 if a <= b else 0,
-        "ge_u": lambda a, b: 1 if a >= b else 0,
-        "lt_s": lambda a, b: 1 if signed(a, bits) < signed(b, bits) else 0,
-        "gt_s": lambda a, b: 1 if signed(a, bits) > signed(b, bits) else 0,
-        "le_s": lambda a, b: 1 if signed(a, bits) <= signed(b, bits) else 0,
-        "ge_s": lambda a, b: 1 if signed(a, bits) >= signed(b, bits) else 0,
-    }
-    return {f"{prefix}.{name}": fn for name, fn in t.items()}
-
-
-def _pure2_float(prefix: str) -> dict:
-    f32 = prefix == "f32"
-
-    def narrow(x: float) -> float:
-        if f32:
-            return struct.unpack("<f", struct.pack("<f", x))[0]
-        return x
-
-    def div(a, b):
-        # wasm float division never traps: +-inf / nan at zero.
-        if b == 0.0:
-            return (float("inf") if a > 0
-                    else float("-inf") if a < 0 else float("nan"))
-        return narrow(a / b)
-
-    t = {
-        "add": lambda a, b: narrow(a + b),
-        "sub": lambda a, b: narrow(a - b),
-        "mul": lambda a, b: narrow(a * b),
-        "div": div,
-        "min": lambda a, b: min(a, b),
-        "max": lambda a, b: max(a, b),
-        "copysign": lambda a, b: math.copysign(a, b),
-        "eq": lambda a, b: 1 if a == b else 0,
-        "ne": lambda a, b: 1 if a != b else 0,
-        "lt": lambda a, b: 1 if a < b else 0,
-        "gt": lambda a, b: 1 if a > b else 0,
-        "le": lambda a, b: 1 if a <= b else 0,
-        "ge": lambda a, b: 1 if a >= b else 0,
-    }
-    return {f"{prefix}.{name}": fn for name, fn in t.items()}
-
-
-_PURE2 = {}
-_PURE2.update(_pure2_int("i32", 32))
-_PURE2.update(_pure2_int("i64", 64))
-_PURE2.update(_pure2_float("f32"))
-_PURE2.update(_pure2_float("f64"))
-
-_CONST_OPS = ("i32.const", "i64.const", "f32.const", "f64.const")
-
-
-def _const_value(instr):
-    """Immediate value with the same normalization as the decoder."""
-    if instr.op == "i32.const":
-        return instr.args[0] & _M32
-    if instr.op == "i64.const":
-        return instr.args[0] & _M64
-    return float(instr.args[0])
-
-
-# Superinstruction handler factories.  Each returns ``h(stack, locals_)``
-# whose net stack/locals effect is exactly that of executing the fused
-# constituent sequence one entry at a time.
-
-def _f_ggbs(ia, ib, fn, dst):       # get a; get b; binop; set d
-    def h(stack, locals_):
-        locals_[dst] = fn(locals_[ia], locals_[ib])
-    return h
-
-
-def _f_ggb(ia, ib, fn):             # get a; get b; binop
-    def h(stack, locals_):
-        stack.append(fn(locals_[ia], locals_[ib]))
-    return h
-
-
-def _f_gcbs(ia, k, fn, dst):        # get a; const k; binop; set d
-    def h(stack, locals_):
-        locals_[dst] = fn(locals_[ia], k)
-    return h
-
-
-def _f_gcb(ia, k, fn):              # get a; const k; binop
-    def h(stack, locals_):
-        stack.append(fn(locals_[ia], k))
-    return h
-
-
-def _f_gb(ia, fn):                  # get a; binop  (TOS op= local)
-    def h(stack, locals_):
-        stack[-1] = fn(stack[-1], locals_[ia])
-    return h
-
-
-def _f_gbs(ia, fn, dst):            # get a; binop; set d
-    def h(stack, locals_):
-        locals_[dst] = fn(stack.pop(), locals_[ia])
-    return h
-
-
-def _f_cgb(k, ib, fn):              # const k; get b; binop
-    def h(stack, locals_):
-        stack.append(fn(k, locals_[ib]))
-    return h
-
-
-def _f_cgbs(k, ib, fn, dst):        # const k; get b; binop; set d
-    def h(stack, locals_):
-        locals_[dst] = fn(k, locals_[ib])
-    return h
-
-
-def _f_gls(loadv, dst):             # get a; load; set d
-    def h(stack, locals_):
-        locals_[dst] = loadv(locals_)
-    return h
-
-
-def _f_glb(loadv, fn):              # get a; load; binop
-    def h(stack, locals_):
-        stack[-1] = fn(stack[-1], loadv(locals_))
-    return h
-
-
-def _f_glbs(loadv, fn, dst):        # get a; load; binop; set d
-    def h(stack, locals_):
-        locals_[dst] = fn(stack.pop(), loadv(locals_))
-    return h
-
-
-def _f_cbs(k, fn, dst):             # const k; binop; set d
-    def h(stack, locals_):
-        locals_[dst] = fn(stack.pop(), k)
-    return h
-
-
-def _f_cb(k, fn):                   # const k; binop
-    def h(stack, locals_):
-        stack[-1] = fn(stack[-1], k)
-    return h
-
-
-def _f_bs(fn, dst):                 # binop; set d
-    def h(stack, locals_):
-        b = stack.pop()
-        locals_[dst] = fn(stack.pop(), b)
-    return h
-
-
-def _f_move(src, dst):              # get a; set d
-    def h(stack, locals_):
-        locals_[dst] = locals_[src]
-    return h
-
-
-def _f_cset(k, dst):                # const k; set d
-    def h(stack, locals_):
-        locals_[dst] = k
-    return h
-
-
-# Fused branch tests: ``t(stack, locals_)`` pops the same operands as the
-# constituent sequence and returns the branch condition.
-
-def _t_binop(fn):                   # cmp/binop; br_if
-    def t(stack, locals_):
-        b = stack.pop()
-        return fn(stack.pop(), b)
-    return t
-
-
-def _t_ggb(ia, ib, fn):             # get a; get b; cmp; br_if
-    def t(stack, locals_):
-        return fn(locals_[ia], locals_[ib])
-    return t
-
-
-def _t_gcb(ia, k, fn):              # get a; const k; cmp; br_if
-    def t(stack, locals_):
-        return fn(locals_[ia], k)
-    return t
-
-
-def _t_gb(ia, fn):                  # get a; cmp; br_if
-    def t(stack, locals_):
-        return fn(stack.pop(), locals_[ia])
-    return t
-
-
-def _t_cgb(k, ib, fn):              # const k; get b; cmp; br_if
-    def t(stack, locals_):
-        return fn(k, locals_[ib])
-    return t
-
-
-# Value producers for fused stores: ``v(stack, locals_)`` computes the
-# stored value with the same net stack effect as the constituent prefix.
-
-def _v_ggb(ia, ib, fn):
-    def v(stack, locals_):
-        return fn(locals_[ia], locals_[ib])
-    return v
-
-
-def _v_gcb(ia, k, fn):
-    def v(stack, locals_):
-        return fn(locals_[ia], k)
-    return v
-
-
-def _v_binop(fn):
-    def v(stack, locals_):
-        b = stack.pop()
-        return fn(stack.pop(), b)
-    return v
-
-
-def _v_gb(ia, fn):
-    def v(stack, locals_):
-        return fn(stack.pop(), locals_[ia])
-    return v
-
-
-def _v_cgb(k, ib, fn):
-    def v(stack, locals_):
-        return fn(k, locals_[ib])
-    return v
-
-
-def _v_const(k):
-    def v(stack, locals_):
-        return k
-    return v
-
-
-def _t_eqz(stack, locals_):         # eqz; br_if
-    return stack.pop() == 0
-
-
-def _t_get(src):                    # get a; br_if
-    def t(stack, locals_):
-        return locals_[src]
-    return t
-
 
 def _op_drop(stack):
     stack.pop()
@@ -749,15 +464,6 @@ K_BR_TABLE = 11      # payload: (targets tuple, default depth)
 K_RETURN = 12
 K_CALL = 13          # payload: (func index, nargs, result type or None)
 K_CALL_INDIRECT = 14  # payload: (expected func type, type index)
-K_FALLBACK = 15      # payload: opcode string -> self._numeric
-
-# Superinstruction kinds are negative so the hot loop filters them with a
-# single ``kind < 0`` test before the ordinary chain.  A fused entry
-# replaces only the FIRST slot of its pattern; the consumed interior
-# slots keep their original entries, so a branch landing mid-pattern
-# executes the originals and no branch-target remapping is ever needed.
-K_FUSED = -1         # payload: (handler(stack, locals), skip, ops tuple)
-K_FUSED_BRIF = -2    # payload: (test(stack, locals), skip, ops, depth)
 
 
 class WasmInstance:
@@ -770,29 +476,19 @@ class WasmInstance:
     DEFAULT_FUEL = 2_000_000_000
 
     def __init__(self, module: WasmModule, host=None, validate: bool = True,
-                 max_call_depth: int = 2000, profile=None,
-                 max_fuel: int = None, tier=None, hwc=None):
+                 max_call_depth: int = 2000, max_fuel: int = None,
+                 hwc=None):
         if validate:
             validate_module(module)
         self.module = module
         self.host = host
-        #: Optional :class:`repro.obs.profile.WasmProfile`.  When None
-        #: (the default) execution is unchanged; when set, instruction
-        #: counts are bucketed per function, per wasm opcode, and per
-        #: structured block.
-        self.profile = profile
         #: Optional :class:`repro.obs.hwc.BranchHwc`: a branch-predictor
-        #: model fed every conditional (``if``/``br_if``, fused or not)
-        #: and indirect (``br_table``/``call_indirect``) branch.  Purely
+        #: model fed every conditional (``if``/``br_if``) and indirect
+        #: (``br_table``/``call_indirect``) branch.  Purely
         #: observational — stack, locals, fuel, and results are
         #: untouched.
         self.hwc = hwc
-        #: Execution tier (0=off, 1=quicken, 2=fuse); ``None`` follows
-        #: the process-wide setting from :mod:`repro.tier`.
-        self._tier = tier_level(tier)
-        self._ops_cache = {}
         self._name_cache = {}
-        self._loop_cache = {}
         initial, maximum = module.memory_pages
         self.memory = bytearray(initial * PAGE_SIZE)
         self.max_pages = maximum
@@ -967,13 +663,8 @@ class WasmInstance:
                 entry = (K_RAW, _store_fn(memory, fmt, width,
                                           (1 << bits) - 1, instr.args[1]))
             else:
-                handler = numeric.get(op)
-                if handler is not None:
-                    entry = (K_NUM, handler)
-                else:
-                    # Unknown opcode: defer to the chain interpreter's
-                    # error path so messages stay identical.
-                    entry = (K_FALLBACK, op)
+                # WasmInstr admits only known opcodes; the rest are numeric.
+                entry = (K_NUM, numeric[op])
             code.append(entry)
         return code
 
@@ -984,319 +675,6 @@ class WasmInstance:
             if else_idx == else_index:
                 return end
         raise TrapError("else without matching if")
-
-    # -- tiering: quickening + superinstruction fusion -------------------------------
-
-    def _promote_code(self, func, code, tier):
-        """Re-decode a hot function at the given tier level.
-
-        ``quicken`` drops the arithmetic-trap guard from trap-free
-        numeric ops; ``fuse`` additionally collapses hot adjacent
-        patterns into single handlers.  Slot count is preserved: a fused
-        entry replaces only the first slot of its pattern and records how
-        many interior slots to skip.
-        """
-        body = func.body
-        n = len(code)
-        out = list(code)
-        for i, (kind, payload) in enumerate(code):
-            if kind == K_NUM and body[i].op not in _IMPURE_NUM:
-                out[i] = (K_RAW, payload)
-        fused = 0
-        if tier >= 2:
-            ops = [instr.op for instr in body]
-            i = 0
-            while i < n:
-                match = self._fuse_at(body, ops, i, n)
-                if match is not None:
-                    out[i], length = match
-                    fused += 1
-                    i += length
-                else:
-                    i += 1
-        note_promotion(fused)
-        return out
-
-    def _fuse_at(self, body, ops, i, n):
-        """Try to fuse the pattern starting at ``i``; longest match wins.
-
-        Trap-capable constituents (loads/stores) only ever appear in the
-        LAST position, so pre-charging every constituent's profile count
-        before execution matches the unfused charge-then-execute order
-        even when the pattern traps.
-        """
-        op = ops[i]
-        pure2 = _PURE2
-        if op == "local.get":
-            ia = body[i].args[0]
-            if i + 1 >= n:
-                return None
-            op1 = ops[i + 1]
-            if op1 == "local.get" and i + 2 < n:
-                fn = pure2.get(ops[i + 2])
-                if fn is not None:
-                    ib = body[i + 1].args[0]
-                    op3 = ops[i + 3] if i + 3 < n else None
-                    if op3 == "local.set":
-                        dst = body[i + 3].args[0]
-                        return self._entry(
-                            _f_ggbs(ia, ib, fn, dst), ops, i, 4)
-                    if op3 == "br_if":
-                        return self._brif_entry(
-                            _t_ggb(ia, ib, fn), ops, i, 4,
-                            body[i + 3].args[0])
-                    if op3 is not None and self._is_store(op3):
-                        return self._entry(
-                            self._fused_store(body[i + 3],
-                                              _v_ggb(ia, ib, fn)),
-                            ops, i, 4)
-                    return self._entry(_f_ggb(ia, ib, fn), ops, i, 3)
-            elif op1 in _CONST_OPS and i + 2 < n:
-                fn = pure2.get(ops[i + 2])
-                if fn is not None:
-                    k = _const_value(body[i + 1])
-                    op3 = ops[i + 3] if i + 3 < n else None
-                    if op3 == "local.set":
-                        dst = body[i + 3].args[0]
-                        return self._entry(
-                            _f_gcbs(ia, k, fn, dst), ops, i, 4)
-                    if op3 == "br_if":
-                        return self._brif_entry(
-                            _t_gcb(ia, k, fn), ops, i, 4,
-                            body[i + 3].args[0])
-                    if op3 is not None and self._is_store(op3):
-                        return self._entry(
-                            self._fused_store(body[i + 3],
-                                              _v_gcb(ia, k, fn)),
-                            ops, i, 4)
-                    return self._entry(_f_gcb(ia, k, fn), ops, i, 3)
-            if op1 in _LOAD_FMT or op1 in ("f32.load", "f64.load"):
-                # Patterns with the load in an interior slot are only
-                # used with profiling off: pre-charging a later
-                # constituent would diverge from charge-then-execute
-                # order if the load trapped.  Outputs and fuel are exact
-                # either way.
-                if self.profile is None and i + 2 < n:
-                    op2 = ops[i + 2]
-                    loadv = None
-                    if op2 == "local.set":
-                        loadv = self._fused_load_value(ia, body[i + 1])
-                        return self._entry(
-                            _f_gls(loadv, body[i + 2].args[0]), ops, i, 3)
-                    fn = pure2.get(op2)
-                    if fn is not None:
-                        loadv = self._fused_load_value(ia, body[i + 1])
-                        if i + 3 < n and ops[i + 3] == "local.set":
-                            return self._entry(
-                                _f_glbs(loadv, fn, body[i + 3].args[0]),
-                                ops, i, 4)
-                        return self._entry(_f_glb(loadv, fn), ops, i, 3)
-                return self._entry(
-                    self._fused_get_load(ia, body[i + 1]), ops, i, 2)
-            if op1 in _STORE_FMT or op1 in ("f32.store", "f64.store"):
-                return self._entry(
-                    self._fused_get_store(ia, body[i + 1]), ops, i, 2)
-            if op1 == "local.set":
-                return self._entry(
-                    _f_move(ia, body[i + 1].args[0]), ops, i, 2)
-            if op1 == "br_if":
-                return self._brif_entry(
-                    _t_get(ia), ops, i, 2, body[i + 1].args[0])
-            fn = pure2.get(op1)
-            if fn is not None:
-                op2 = ops[i + 2] if i + 2 < n else None
-                if op2 == "local.set":
-                    return self._entry(
-                        _f_gbs(ia, fn, body[i + 2].args[0]), ops, i, 3)
-                if op2 == "br_if":
-                    return self._brif_entry(
-                        _t_gb(ia, fn), ops, i, 3, body[i + 2].args[0])
-                if op2 is not None and self._is_store(op2):
-                    return self._entry(
-                        self._fused_store(body[i + 2], _v_gb(ia, fn)),
-                        ops, i, 3)
-                return self._entry(_f_gb(ia, fn), ops, i, 2)
-            return None
-        if op in _CONST_OPS:
-            if i + 1 >= n:
-                return None
-            k = _const_value(body[i])
-            op1 = ops[i + 1]
-            if op1 == "local.get" and i + 2 < n:
-                fn = pure2.get(ops[i + 2])
-                if fn is not None:
-                    ib = body[i + 1].args[0]
-                    op3 = ops[i + 3] if i + 3 < n else None
-                    if op3 == "local.set":
-                        return self._entry(
-                            _f_cgbs(k, ib, fn, body[i + 3].args[0]),
-                            ops, i, 4)
-                    if op3 == "br_if":
-                        return self._brif_entry(
-                            _t_cgb(k, ib, fn), ops, i, 4,
-                            body[i + 3].args[0])
-                    if op3 is not None and self._is_store(op3):
-                        return self._entry(
-                            self._fused_store(body[i + 3],
-                                              _v_cgb(k, ib, fn)),
-                            ops, i, 4)
-                    return self._entry(_f_cgb(k, ib, fn), ops, i, 3)
-            fn = pure2.get(op1)
-            if fn is not None:
-                if i + 2 < n and ops[i + 2] == "local.set":
-                    dst = body[i + 2].args[0]
-                    return self._entry(_f_cbs(k, fn, dst), ops, i, 3)
-                return self._entry(_f_cb(k, fn), ops, i, 2)
-            if op1 == "local.set":
-                return self._entry(
-                    _f_cset(k, body[i + 1].args[0]), ops, i, 2)
-            if self._is_store(op1):
-                return self._entry(
-                    self._fused_store(body[i + 1], _v_const(k)), ops, i, 2)
-            return None
-        if i + 1 < n:
-            op1 = ops[i + 1]
-            fn = pure2.get(op)
-            if fn is not None:
-                if op1 == "local.set":
-                    return self._entry(
-                        _f_bs(fn, body[i + 1].args[0]), ops, i, 2)
-                if op1 == "br_if":
-                    return self._brif_entry(
-                        _t_binop(fn), ops, i, 2, body[i + 1].args[0])
-                if self._is_store(op1):
-                    return self._entry(
-                        self._fused_store(body[i + 1], _v_binop(fn)),
-                        ops, i, 2)
-            elif op in ("i32.eqz", "i64.eqz") and op1 == "br_if":
-                return self._brif_entry(
-                    _t_eqz, ops, i, 2, body[i + 1].args[0])
-        return None
-
-    @staticmethod
-    def _is_store(op):
-        return op in _STORE_FMT or op in ("f32.store", "f64.store")
-
-    @staticmethod
-    def _entry(handler, ops, i, length):
-        return ((K_FUSED, (handler, length - 1,
-                           tuple(ops[i:i + length]))), length)
-
-    @staticmethod
-    def _brif_entry(test, ops, i, length, depth):
-        return ((K_FUSED_BRIF, (test, length - 1,
-                                tuple(ops[i:i + length]), depth)), length)
-
-    def _fused_get_load(self, src, instr):
-        """Handler for ``local.get; load`` with the address pre-bound."""
-        memory = self.memory
-        unpack_from = struct.unpack_from
-        op = instr.op
-        offset = instr.args[1]
-        if op in ("f32.load", "f64.load"):
-            fmt = "<d" if op == "f64.load" else "<f"
-            width = 8 if op == "f64.load" else 4
-
-            def fload(stack, locals_):
-                addr = locals_[src] + offset
-                if addr < 0 or addr + width > len(memory):
-                    raise TrapError("out-of-bounds memory access")
-                stack.append(unpack_from(fmt, memory, addr)[0])
-            return fload
-        fmt, width, _signed, bits = _LOAD_FMT[op]
-        mask = (1 << bits) - 1
-
-        def load(stack, locals_):
-            addr = locals_[src] + offset
-            if addr < 0 or addr + width > len(memory):
-                raise TrapError("out-of-bounds memory access")
-            stack.append(unpack_from(fmt, memory, addr)[0] & mask)
-        return load
-
-    def _fused_load_value(self, src, instr):
-        """Value producer ``loadv(locals_)`` for ``local.get; load``."""
-        memory = self.memory
-        unpack_from = struct.unpack_from
-        op = instr.op
-        offset = instr.args[1]
-        if op in ("f32.load", "f64.load"):
-            fmt = "<d" if op == "f64.load" else "<f"
-            width = 8 if op == "f64.load" else 4
-
-            def floadv(locals_):
-                addr = locals_[src] + offset
-                if addr < 0 or addr + width > len(memory):
-                    raise TrapError("out-of-bounds memory access")
-                return unpack_from(fmt, memory, addr)[0]
-            return floadv
-        fmt, width, _signed, bits = _LOAD_FMT[op]
-        mask = (1 << bits) - 1
-
-        def loadv(locals_):
-            addr = locals_[src] + offset
-            if addr < 0 or addr + width > len(memory):
-                raise TrapError("out-of-bounds memory access")
-            return unpack_from(fmt, memory, addr)[0] & mask
-        return loadv
-
-    def _fused_get_store(self, src, instr):
-        """Handler for ``local.get; store`` with the value pre-bound."""
-        memory = self.memory
-        pack_into = struct.pack_into
-        op = instr.op
-        offset = instr.args[1]
-        if op in ("f32.store", "f64.store"):
-            fmt = "<d" if op == "f64.store" else "<f"
-            width = 8 if op == "f64.store" else 4
-
-            def fstore(stack, locals_):
-                addr = stack.pop() + offset
-                if addr < 0 or addr + width > len(memory):
-                    raise TrapError("out-of-bounds memory access")
-                pack_into(fmt, memory, addr, locals_[src])
-            return fstore
-        fmt, width, bits = _STORE_FMT[op]
-        mask = (1 << bits) - 1
-
-        def store(stack, locals_):
-            addr = stack.pop() + offset
-            if addr < 0 or addr + width > len(memory):
-                raise TrapError("out-of-bounds memory access")
-            pack_into(fmt, memory, addr, locals_[src] & mask)
-        return store
-
-    def _fused_store(self, instr, value_fn):
-        """Handler for ``<value producer>; store``.
-
-        ``value_fn(stack, locals_)`` computes the stored value with the
-        same net stack effect as the fused prefix; the address comes off
-        the stack exactly as in the unfused sequence.
-        """
-        memory = self.memory
-        pack_into = struct.pack_into
-        op = instr.op
-        offset = instr.args[1]
-        if op in ("f32.store", "f64.store"):
-            fmt = "<d" if op == "f64.store" else "<f"
-            width = 8 if op == "f64.store" else 4
-
-            def fstore(stack, locals_):
-                value = value_fn(stack, locals_)
-                addr = stack.pop() + offset
-                if addr < 0 or addr + width > len(memory):
-                    raise TrapError("out-of-bounds memory access")
-                pack_into(fmt, memory, addr, value)
-            return fstore
-        fmt, width, bits = _STORE_FMT[op]
-        mask = (1 << bits) - 1
-
-        def store(stack, locals_):
-            value = value_fn(stack, locals_)
-            addr = stack.pop() + offset
-            if addr < 0 or addr + width > len(memory):
-                raise TrapError("out-of-bounds memory access")
-            pack_into(fmt, memory, addr, value & mask)
-        return store
 
     # -- execution ------------------------------------------------------------------
 
@@ -1324,15 +702,6 @@ class WasmInstance:
         finally:
             self.call_depth -= 1
 
-    def _ops_for(self, func):
-        """Opcode names parallel to the decoded stream (profiling only)."""
-        key = id(func)
-        ops = self._ops_cache.get(key)
-        if ops is None:
-            ops = [instr.op for instr in func.body]
-            self._ops_cache[key] = ops
-        return ops
-
     def _func_name(self, func) -> str:
         name = func.name
         if name:
@@ -1345,14 +714,6 @@ class WasmInstance:
             self._name_cache[key] = cached
         return cached
 
-    def _has_loop(self, func) -> bool:
-        key = id(func)
-        cached = self._loop_cache.get(key)
-        if cached is None:
-            cached = any(instr.op == "loop" for instr in func.body)
-            self._loop_cache[key] = cached
-        return cached
-
     def _range_violation(self, func, local, value, fact):
         """Raise the --check-ranges oracle failure for one local."""
         from ..ir.verify import RangeOracleError
@@ -1363,47 +724,19 @@ class WasmInstance:
 
     def _exec_body(self, func, ftype, locals_):
         key = id(func)
-        # Decode-cache record: [code, promoted level, entry count].
-        rec = self._decode_cache.get(key)
-        if rec is None:
-            rec = [self._decode_body(func.body), 0, 0]
-            self._decode_cache[key] = rec
+        code = self._decode_cache.get(key)
+        if code is None:
+            code = self._decode_cache[key] = self._decode_body(func.body)
         facts = self._range_facts.get(key) if self._range_facts else None
-        tier = self._tier
-        # Fused superinstructions may consume a local.set slot, which
-        # would silently skip its oracle check — fact-bearing functions
-        # stay at plain dispatch.
-        if tier > rec[1] and facts is None:
-            # Hotness: promote after HOT_CALLS entries, or immediately
-            # when the body contains a loop (main called once still gets
-            # its kernel fused); cold code keeps the plain-decode entries.
-            rec[2] += 1
-            if rec[2] >= HOT_CALLS or self._has_loop(func):
-                rec[0] = self._promote_code(func, rec[0], tier)
-                rec[1] = tier
-        code = rec[0]
-
-        # Profiling (prof=None, the default, leaves the loop untouched
-        # but for one local test per step).
-        prof = self.profile
-        ops = pf = po = pb = fname = None
-        if prof is not None:
-            ops = self._ops_for(func)
-            fname = self._func_name(func)
-            pf = prof.functions
-            po = prof.opcode_bucket(fname)
-            pb = prof.block_bucket(fname)
 
         # Branch-predictor model (hwc=None, the default, costs one local
         # test per branch).  Sites are keyed by crc32(function name) and
-        # the *body* instruction index, so fused and unfused dispatch of
-        # the same br_if train the same PHT entry.
+        # the body instruction index.
         hwc = self.hwc
-        hwc_cond = hwc_ind = None
+        hwc_cond = hwc_ind = fname = None
         if hwc is not None:
             from ..obs.hwc import hwc_site
-            if fname is None:
-                fname = self._func_name(func)
+            fname = self._func_name(func)
             hwc_cond = hwc.cond
             hwc_ind = hwc.indirect
 
@@ -1417,50 +750,9 @@ class WasmInstance:
 
         while pc < n:
             kind, a = code[pc]
-            if prof is not None:
-                if kind >= 0:
-                    pf[fname] = pf.get(fname, 0) + 1
-                    op = ops[pc]
-                    po[op] = po.get(op, 0) + 1
-                    if kind == 6:             # block/loop entry
-                        start = a[1]
-                        pb[start] = pb.get(start, 0) + 1
-                    elif kind == 7:           # if entry
-                        start = a[0]
-                        pb[start] = pb.get(start, 0) + 1
-                else:
-                    # Fused handler: charge every constituent opcode so
-                    # attribution is identical to unfused dispatch
-                    # (constituents are never block/loop/if, so block
-                    # buckets need no update here).
-                    cops = a[2]
-                    pf[fname] = pf.get(fname, 0) + len(cops)
-                    for op in cops:
-                        po[op] = po.get(op, 0) + 1
             pc += 1
 
-            if kind < 0:                      # superinstructions
-                if kind == -1:                # K_FUSED
-                    a[0](stack, locals_)
-                    pc += a[1]
-                else:                         # K_FUSED_BRIF
-                    if a[0](stack, locals_):
-                        if hwc_cond is not None:
-                            # The br_if constituent sits at the end of
-                            # the fused window: start (pc-1) + skip.
-                            hwc_cond(hwc_site(fname, pc - 1 + a[1]), True)
-                        self.fuel_used = fuel = self.fuel_used + 1
-                        if fuel > max_fuel:
-                            raise FuelExhausted(
-                                "fuel exhausted: wasm branch budget "
-                                "exceeded")
-                        pc = do_branch(a[3], ctrl, stack)
-                    else:
-                        if hwc_cond is not None:
-                            hwc_cond(hwc_site(fname, pc - 1 + a[1]),
-                                     False)
-                        pc += a[1]
-            elif kind == 0:                   # K_RAW
+            if kind == 0:                     # K_RAW
                 a(stack)
             elif kind == 1:                   # K_NUM
                 try:
@@ -1549,7 +841,7 @@ class WasmInstance:
                         stack.append(result)
                     else:
                         stack.append(float(result))
-            elif kind == 14:                  # K_CALL_INDIRECT
+            else:                             # K_CALL_INDIRECT
                 expect, _type_index = a
                 index = stack.pop()
                 if not 0 <= index < len(self.table):
@@ -1566,8 +858,6 @@ class WasmInstance:
                 result = self._call_function(target, args)
                 if result is not None and expect.results:
                     stack.append(result)
-            else:                             # K_FALLBACK
-                self._numeric(a, stack)
 
         if ftype.results:
             return stack[-1] if stack else 0
@@ -1594,218 +884,3 @@ class WasmInstance:
         # skipped), and execution resumes after it.
         del ctrl[len(ctrl) - depth - 1:]
         return end + 1 if op != "func" else 10 ** 9
-
-    def _pop_call_args(self, stack, func_index):
-        ftype = self.module.func_type_of(func_index)
-        nargs = len(ftype.params)
-        args = stack[len(stack) - nargs:] if nargs else []
-        if nargs:
-            del stack[len(stack) - nargs:]
-        return args
-
-    def _norm_result(self, func_index, result):
-        ftype = self.module.func_type_of(func_index)
-        if not ftype.results:
-            return result
-        rt = ftype.results[0]
-        if rt == "i32":
-            return int(result) & _M32
-        if rt == "i64":
-            return int(result) & _M64
-        return float(result)
-
-    # -- chain-dispatch numeric operations ----------------------------------------
-    #
-    # Fallback for opcodes outside the precomputed tables (K_FALLBACK),
-    # and the implementation behind
-    # :class:`repro.wasm.interp_baseline.BaselineWasmInstance`.
-
-    def _numeric(self, op, stack) -> None:
-        prefix, _, suffix = op.partition(".")
-        try:
-            if prefix in ("i32", "i64"):
-                bits = 32 if prefix == "i32" else 64
-                self._int_op(suffix, bits, stack)
-            elif prefix in ("f32", "f64"):
-                self._float_op(op, prefix, suffix, stack)
-            else:
-                raise TrapError(f"unhandled opcode {op}")
-        except ZeroDivisionError:
-            raise TrapError("integer divide by zero") from None
-        except ArithmeticError as exc:
-            raise TrapError(str(exc)) from None
-
-    def _int_op(self, suffix, bits, stack) -> None:
-        mask = (1 << bits) - 1
-        if suffix == "eqz":
-            stack.append(1 if stack.pop() == 0 else 0)
-            return
-        if suffix == "clz":
-            stack.append(intops.clz(stack.pop(), bits))
-            return
-        if suffix == "ctz":
-            stack.append(intops.ctz(stack.pop(), bits))
-            return
-        if suffix == "popcnt":
-            stack.append(intops.popcnt(stack.pop(), bits))
-            return
-        if suffix == "wrap_i64":
-            stack.append(stack.pop() & _M32)
-            return
-        if suffix in ("extend_i32_s", "extend_i32_u"):
-            value = stack.pop()
-            if suffix.endswith("_s"):
-                stack.append(intops.signed32(value) & _M64)
-            else:
-                stack.append(value & _M32)
-            return
-        if suffix.startswith("trunc_"):
-            value = stack.pop()
-            stack.append(intops.trunc_f64(value, bits,
-                                          suffix.endswith("_s")))
-            return
-        if suffix.startswith("reinterpret"):
-            value = stack.pop()
-            if bits == 64:
-                stack.append(intops.f64_bits(value))
-            else:
-                stack.append(struct.unpack("<I", struct.pack("<f", value))[0])
-            return
-
-        b = stack.pop()
-        a = stack.pop()
-        sa, sb = intops.signed(a, bits), intops.signed(b, bits)
-        if suffix == "add":
-            stack.append((a + b) & mask)
-        elif suffix == "sub":
-            stack.append((a - b) & mask)
-        elif suffix == "mul":
-            stack.append((a * b) & mask)
-        elif suffix == "div_s":
-            if sa == -(1 << (bits - 1)) and sb == -1:
-                raise TrapError("integer overflow")
-            stack.append(intops.div_s(a, b, bits))
-        elif suffix == "div_u":
-            stack.append(intops.div_u(a, b, bits))
-        elif suffix == "rem_s":
-            stack.append(intops.rem_s(a, b, bits))
-        elif suffix == "rem_u":
-            stack.append(intops.rem_u(a, b, bits))
-        elif suffix == "and":
-            stack.append(a & b)
-        elif suffix == "or":
-            stack.append(a | b)
-        elif suffix == "xor":
-            stack.append(a ^ b)
-        elif suffix == "shl":
-            stack.append(intops.shl(a, b, bits))
-        elif suffix == "shr_s":
-            stack.append(intops.shr_s(a, b, bits))
-        elif suffix == "shr_u":
-            stack.append(intops.shr_u(a, b, bits))
-        elif suffix == "rotl":
-            stack.append(intops.rotl(a, b, bits))
-        elif suffix == "rotr":
-            stack.append(intops.rotr(a, b, bits))
-        elif suffix == "eq":
-            stack.append(1 if a == b else 0)
-        elif suffix == "ne":
-            stack.append(1 if a != b else 0)
-        elif suffix == "lt_s":
-            stack.append(1 if sa < sb else 0)
-        elif suffix == "lt_u":
-            stack.append(1 if a < b else 0)
-        elif suffix == "gt_s":
-            stack.append(1 if sa > sb else 0)
-        elif suffix == "gt_u":
-            stack.append(1 if a > b else 0)
-        elif suffix == "le_s":
-            stack.append(1 if sa <= sb else 0)
-        elif suffix == "le_u":
-            stack.append(1 if a <= b else 0)
-        elif suffix == "ge_s":
-            stack.append(1 if sa >= sb else 0)
-        elif suffix == "ge_u":
-            stack.append(1 if a >= b else 0)
-        else:
-            raise TrapError(f"unhandled integer op {suffix}")
-
-    def _float_op(self, op, prefix, suffix, stack) -> None:
-        def narrow(x: float) -> float:
-            if prefix == "f32":
-                return struct.unpack("<f", struct.pack("<f", x))[0]
-            return x
-
-        if suffix.startswith("convert_"):
-            value = stack.pop()
-            bits = 64 if "i64" in suffix else 32
-            if suffix.endswith("_s"):
-                stack.append(narrow(float(intops.signed(value, bits))))
-            else:
-                stack.append(narrow(float(value & ((1 << bits) - 1))))
-            return
-        if suffix == "demote_f64" or suffix == "promote_f32":
-            stack.append(narrow(stack.pop()))
-            return
-        if suffix.startswith("reinterpret"):
-            value = stack.pop()
-            if prefix == "f64":
-                stack.append(intops.bits_f64(value))
-            else:
-                stack.append(struct.unpack("<f", struct.pack("<I",
-                                                             value))[0])
-            return
-        if suffix in ("abs", "neg", "ceil", "floor", "trunc", "nearest",
-                      "sqrt"):
-            value = stack.pop()
-            if suffix == "abs":
-                result = abs(value)
-            elif suffix == "neg":
-                result = -value
-            elif suffix == "ceil":
-                result = float(math.ceil(value))
-            elif suffix == "floor":
-                result = float(math.floor(value))
-            elif suffix == "trunc":
-                result = float(math.trunc(value))
-            elif suffix == "nearest":
-                result = float(round(value))
-            else:
-                result = math.sqrt(value) if value >= 0 else float("nan")
-            stack.append(narrow(result))
-            return
-
-        b = stack.pop()
-        a = stack.pop()
-        if suffix == "add":
-            stack.append(narrow(a + b))
-        elif suffix == "sub":
-            stack.append(narrow(a - b))
-        elif suffix == "mul":
-            stack.append(narrow(a * b))
-        elif suffix == "div":
-            if b == 0.0:
-                stack.append(float("inf") if a > 0
-                             else float("-inf") if a < 0 else float("nan"))
-            else:
-                stack.append(narrow(a / b))
-        elif suffix == "min":
-            stack.append(min(a, b))
-        elif suffix == "max":
-            stack.append(max(a, b))
-        elif suffix == "copysign":
-            stack.append(math.copysign(a, b))
-        elif suffix == "eq":
-            stack.append(1 if a == b else 0)
-        elif suffix == "ne":
-            stack.append(1 if a != b else 0)
-        elif suffix == "lt":
-            stack.append(1 if a < b else 0)
-        elif suffix == "gt":
-            stack.append(1 if a > b else 0)
-        elif suffix == "le":
-            stack.append(1 if a <= b else 0)
-        elif suffix == "ge":
-            stack.append(1 if a >= b else 0)
-        else:
-            raise TrapError(f"unhandled float op {op}")

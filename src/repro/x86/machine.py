@@ -408,10 +408,10 @@ class X86Machine:
         self._entry_map = program.entry_map()
         self._abi = getattr(program, "abi", None)
         self._decode_cache = {}
-        #: Execution tier (0=off, 1=quicken, 2=fuse); ``None`` follows
-        #: the process-wide setting from :mod:`repro.tier`.  Tier off
-        #: runs the per-instruction reference loop (:meth:`_execute`);
-        #: any other tier runs uninstrumented calls on the block engine
+        #: Execution tier (0=off, 1=fuse); ``None`` follows the
+        #: process-wide setting from :mod:`repro.tier`.  Tier off runs
+        #: the per-instruction reference loop (:meth:`_execute`); fuse
+        #: runs uninstrumented calls on the block engine
         #: (:mod:`repro.x86.blocks`), which retires the same events.
         self._tier = tier_level(tier)
         #: Block-engine state: per-function block tables, every block
@@ -462,35 +462,11 @@ class X86Machine:
     def _store_int(self, addr: int, size: int, value: int) -> None:
         _store_mem(self.memory, addr, size, value)
 
-    def _value(self, op, size: int) -> int:
-        return _value_of(self.regs, self.memory, op, size)
-
     def _write_reg(self, reg: int, size: int, value: int) -> None:
         if size == 4:
             self.regs[reg] = value & _M32  # 32-bit writes zero-extend
         else:
             self.regs[reg] = value & _M64
-
-    def _set_flags_logic(self, result: int, bits: int) -> None:
-        result &= (1 << bits) - 1
-        self.zf = 1 if result == 0 else 0
-        self.sf = (result >> (bits - 1)) & 1
-        self.of = 0
-        self.cf = 0
-
-    def _set_flags_sub(self, a: int, b: int, bits: int) -> None:
-        mask = (1 << bits) - 1
-        _sub_flags(self, a & mask, b & mask, mask, bits - 1)
-
-    def _set_flags_add(self, a: int, b: int, bits: int) -> None:
-        mask = (1 << bits) - 1
-        a &= mask
-        b &= mask
-        result = (a + b) & mask
-        self.zf = 1 if result == 0 else 0
-        self.sf = (result >> (bits - 1)) & 1
-        self.cf = 1 if a + b > mask else 0
-        self.of = (~(a ^ b) & (a ^ result)) >> (bits - 1) & 1
 
     def _cond(self, cond: str) -> bool:
         return _cond_of(self, cond)

@@ -10,8 +10,7 @@ The load-bearing invariants:
   machine's counters (``retired == instructions``, ``dcache_accesses ==
   loads + stores``) and the cycle decomposition sums to the modeled
   cycle count;
-* table dispatch, superinstruction fusion, and the baseline chain
-  dispatcher all report the same hwc counters;
+* both execution tiers report the same hwc counters;
 * everything is deterministic per (program, input, config).
 """
 
@@ -25,9 +24,9 @@ from repro.obs.hwc import (
     BranchHwc, BranchPredictor, HwcCounters, HwcModel, class_cycles,
     explain_benchmark, hwc_cycles, hwc_site,
 )
+from repro.tier import TIERS
 from repro.wasm import WasmInstance
 from repro.x86 import X86Machine
-from repro.x86.machine_baseline import X86MachineBaseline
 
 PROGRAM = """
 int bump(int x) { return x * 3 + 1; }
@@ -50,13 +49,10 @@ int main(void) {
 """
 
 
-def _native(hwc=None, baseline=False, tier="off"):
+def _native(hwc=None, tier="off"):
     program, module = compile_native(PROGRAM, "test")
     host = GuestHost(module.heap_base)
-    if baseline:
-        machine = X86MachineBaseline(program, host=host, hwc=hwc)
-    else:
-        machine = X86Machine(program, host=host, tier=tier, hwc=hwc)
+    machine = X86Machine(program, host=host, tier=tier, hwc=hwc)
     rax, _ = machine.call("main")
     return rax & 0xFFFFFFFF, bytes(host.output), machine
 
@@ -111,7 +107,7 @@ def test_hwc_counters_merge_and_eq():
 # -- the model never perturbs execution ---------------------------------------------
 
 
-@pytest.mark.parametrize("tier", ["off", "quicken", "fuse"])
+@pytest.mark.parametrize("tier", TIERS)
 def test_retired_counters_bit_identical_with_hwc(tier):
     rax_plain, out_plain, m_plain = _native(tier=tier)
     rax_hwc, out_hwc, m_hwc = _native(hwc=HwcModel(), tier=tier)
@@ -153,15 +149,6 @@ def test_hwc_is_deterministic():
     _native(hwc=m1)
     _native(hwc=m2)
     assert m1.report() == m2.report()
-
-
-def test_baseline_and_table_dispatch_report_identical_hwc():
-    m_fast, m_base = HwcModel(), HwcModel()
-    rax_fast, out_fast, mach_fast = _native(hwc=m_fast)
-    rax_base, out_base, mach_base = _native(hwc=m_base, baseline=True)
-    assert (rax_fast, out_fast) == (rax_base, out_base)
-    assert mach_fast.perf.as_dict() == mach_base.perf.as_dict()
-    assert m_fast.report() == m_base.report()
 
 
 def test_fused_tier_reports_identical_hwc():
@@ -244,11 +231,11 @@ int main(void) {
 """
 
 
-def _run_wasm(hwc=None, tier="off"):
+def _run_wasm(hwc=None):
     from repro.codegen.emscripten import compile_emscripten
     wasm, ir = compile_emscripten(BRANCHY, "test")
     host = GuestHost(ir.heap_base)
-    instance = WasmInstance(wasm, host=host, tier=tier, hwc=hwc)
+    instance = WasmInstance(wasm, host=host, hwc=hwc)
     value = instance.invoke("main")
     return value, bytes(host.output)
 
@@ -264,16 +251,6 @@ def test_wasm_interpreter_branch_model():
     # The table index flips every 16 iterations, so the BTB hits in
     # between and misses only on retargets.
     assert 0 < hwc.btb_misses < hwc.indirect_branches
-
-
-def test_wasm_branch_model_matches_across_tiers():
-    off, fused = BranchHwc(), BranchHwc()
-    out_off = _run_wasm(hwc=off, tier="off")
-    out_fused = _run_wasm(hwc=fused, tier="fuse")
-    assert out_off == out_fused
-    # Fused br_if sites alias the unfused instruction index, so the
-    # event stream (and therefore the trained PHT) is identical.
-    assert off.as_dict() == fused.as_dict()
 
 
 def test_ir_interpreter_branch_model():

@@ -15,7 +15,7 @@ import math
 from collections import Counter
 
 import pytest
-from conftest import GuestHost, compile_wasm_bytes
+from conftest import GuestHost
 
 from repro import obs
 from repro.benchsuite import matmul_spec
@@ -28,9 +28,8 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.hwc import HwcModel
 from repro.obs.profile import (
-    PROFILE_FIELDS, Attribution, WasmProfile, profile_benchmark,
+    PROFILE_FIELDS, Attribution, profile_benchmark,
 )
-from repro.wasm import WasmInstance, decode_module
 from repro.x86 import Imm, Instr, Label, Mem, Reg, X86Machine, X86Program
 from repro.x86.perf import EVENT_TABLE, PerfCounters
 from repro.x86.registers import RAX, RBX, RCX, RSI
@@ -440,27 +439,6 @@ def test_attribution_stays_with_the_caller_of_a_failed_call(instrument,
         ["main", "mid"]
     assert report.opcodes["mid"] == {"mov": 2, call.op: 1}
     assert report.functions["mid"].calls == 1
-
-
-def test_wasm_interp_profile():
-    data, _wasm, ir = compile_wasm_bytes(PROGRAM)
-    module = decode_module(data, "test")
-
-    plain_host = GuestHost(ir.heap_base)
-    WasmInstance(module, host=plain_host).invoke("main")
-
-    profile = WasmProfile()
-    host = GuestHost(ir.heap_base)
-    WasmInstance(module, host=host, profile=profile).invoke("main")
-
-    assert bytes(host.output) == bytes(plain_host.output)
-    assert profile.total_instrs() > 0
-    assert any("square" in name for name in profile.functions)
-    for name, count in profile.functions.items():
-        assert sum(profile.opcode_instrs[name].values()) == count, name
-    assert profile.hot_opcodes()
-    assert profile.total_instrs() == \
-        sum(count for _op, count in profile.hot_opcodes())
 
 
 def test_profile_benchmark_attribution_matches_whole_program():

@@ -251,7 +251,7 @@ def test_elision_is_tier_invariant(range_config):
         compiled = compile_benchmark(spec, ("chrome-tiered",), cache=False)
         stats[tier] = \
             compiled.program_for("chrome-tiered").compile_stats["checks"]
-    assert stats["off"] == stats["quicken"] == stats["fuse"]
+    assert all(stats[tier] == stats["off"] for tier in TIERS)
     assert stats["off"]["stack_elided"] + stats["off"]["indirect_elided"] > 0
 
 

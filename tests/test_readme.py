@@ -5,6 +5,7 @@ import re
 
 from repro.obs.hwc import HwcModel
 from repro.serve.server import ServeConfig
+from repro.tier import DEFAULT_TIER, TIERS
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
@@ -28,15 +29,19 @@ CODE_DEFAULTS = {
 }
 
 
-def documented_numeric_defaults() -> dict:
-    """{variable: (numbers...)} for every row of the README env table
-    whose default is a number or a comma-separated list of numbers."""
+def env_table() -> dict:
+    """{variable: effect} for every row of the README env table."""
     with open(README) as fh:
         text = fh.read()
     table = text.split("## Environment variables", 1)[1].split("\n## ", 1)[0]
+    return dict(re.findall(r"^\| `(REPRO_\w+)` \| (.*) \|$", table, re.M))
+
+
+def documented_numeric_defaults() -> dict:
+    """{variable: (numbers...)} for every row of the README env table
+    whose default is a number or a comma-separated list of numbers."""
     defaults = {}
-    for var, effect in re.findall(r"^\| `(REPRO_\w+)` \| (.*) \|$", table,
-                                  re.M):
+    for var, effect in env_table().items():
         match = re.search(r"default `([\d.,]+)`", effect)
         if match:
             defaults[var] = tuple(float(x) for x in match.group(1).split(","))
@@ -52,3 +57,11 @@ def test_env_table_numeric_defaults_match_code(monkeypatch):
         value = resolve()
         numbers = value if isinstance(value, tuple) else (value,)
         assert tuple(float(x) for x in numbers) == documented[var], var
+
+
+def test_env_table_tier_row_matches_code():
+    """The REPRO_TIER row lists exactly the tiers, with the default."""
+    tiers, default = re.match(r"x86 simulator tier: (.*?) \(default `(\w+)`",
+                              env_table()["REPRO_TIER"]).groups()
+    assert tuple(re.findall(r"`(\w+)`", tiers)) == TIERS
+    assert default == DEFAULT_TIER

@@ -423,6 +423,18 @@ class TestBenchService:
                                    "client": "t"})
         assert err.value.data["code"] == "unknown_benchmark"
 
+    def test_unknown_tier_rejected_at_submit(self, service):
+        with pytest.raises(RpcError) as err:
+            service.rpc("submit", {"benchmark": "matmul-8x8x8",
+                                   "target": "native", "tier": "turbo",
+                                   "client": "t"})
+        assert err.value.code == -32602
+        assert "unknown tier" in str(err.value)
+        # Rejected before a job exists: nothing queued, nothing dispatched
+        # to a worker, no breaker charged.
+        assert service.store.jobs == {}
+        assert service.admission.breakers.as_dict() == {}
+
     def test_unknown_method_rejected(self, service):
         with pytest.raises(RpcError) as err:
             service.rpc("frobnicate", {})

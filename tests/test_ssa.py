@@ -22,7 +22,7 @@ from repro.ir.types import FuncType, Type
 from repro.ir.values import Const
 from repro.ir.verify import VerifyError, set_verify_ir, verify_function
 from repro.mcc import compile_source
-from repro.tier import set_tier
+from repro.tier import TIERS, set_tier
 
 from conftest import GuestHost, run_engine, run_ir, run_native
 
@@ -483,7 +483,7 @@ def test_ssa_pipeline_matches_reference_output(name):
         "the SSA mid-end must never grow the program"
 
 
-@pytest.mark.parametrize("tier", ["off", "quicken", "fuse"])
+@pytest.mark.parametrize("tier", TIERS)
 def test_ssa_on_native_and_jit_tiers(tier, monkeypatch):
     """matmul runs bit-identically (return code, stdout, trap-free)
     under the SSA pipeline on native and both JIT engines at every

@@ -1,25 +1,23 @@
-"""Tiered execution: quickening, fusion and the x86 block engine must
-be invisible.
+"""Tiered execution: the x86 block engine must be invisible.
 
-The tier model (``--tier off|quicken|fuse``) is a pure speed knob —
-every observable output (result values, stdout, perf counters, i-cache,
+The tier model (``--tier off|fuse``) is a pure speed knob — every
+observable output (result values, stdout, perf counters, i-cache,
 profile attribution) must be bit-identical at every tier, on every
 benchmark, on every target.  These tests pin that invariant.
 """
 
 import pytest
 
-from conftest import GuestHost, compile_wasm_bytes
+from conftest import GuestHost
 
 from repro import obs
 from repro.benchsuite import matmul_spec, polybench_benchmark, spec_benchmark
 from repro.codegen import compile_native
 from repro.harness.runner import compile_benchmark, run_compiled
-from repro.obs.profile import WasmProfile, profile_benchmark
+from repro.obs.profile import profile_benchmark
 from repro.tier import (
     DEFAULT_TIER, TIERS, get_tier, set_tier, tier_level,
 )
-from repro.wasm import WasmInstance, decode_module
 from repro.x86.machine import (
     K_CQO, K_NEG, K_NOP, K_SQRTSD, K_TRAP, K_UNKNOWN, X86Machine,
 )
@@ -55,15 +53,16 @@ def _reset_tier():
 # -- the tier registry --------------------------------------------------------------
 
 def test_tier_names_and_levels():
-    assert TIERS == ("off", "quicken", "fuse")
-    assert tier_level("off") == 0
-    assert tier_level("quicken") == 1
-    assert tier_level("fuse") == 2
+    assert TIERS == ("off", "fuse")
+    assert DEFAULT_TIER in TIERS
+    for level, name in enumerate(TIERS):
+        assert tier_level(name) == level
 
 
 def test_set_tier_round_trip():
-    set_tier("quicken")
-    assert get_tier() == "quicken"
+    for name in TIERS:
+        set_tier(name)
+        assert get_tier() == name
     set_tier(None)
     assert get_tier() == DEFAULT_TIER
 
@@ -78,6 +77,9 @@ def test_env_override(monkeypatch):
     assert get_tier() == "off"
     set_tier("fuse")             # explicit setting wins over the env
     assert get_tier() == "fuse"
+    set_tier(None)
+    monkeypatch.setenv("REPRO_TIER", "turbo")   # unknown: the default
+    assert get_tier() == DEFAULT_TIER
 
 
 # -- bit-identity on the x86 machine ------------------------------------------------
@@ -92,41 +94,8 @@ def _run_at_tier(program, heap_base, tier):
 def test_x86_tiers_bit_identical():
     program, module = compile_native(LOOPY, "tiertest")
     baseline = _run_at_tier(program, module.heap_base, "off")
-    for tier in ("quicken", "fuse"):
-        assert _run_at_tier(program, module.heap_base, tier) == baseline
-
-
-# -- bit-identity on the wasm interpreter -------------------------------------------
-
-def test_wasm_tiers_bit_identical():
-    data, _wasm, ir = compile_wasm_bytes(LOOPY)
-    module = decode_module(data, "tiertest")
-    outs = {}
     for tier in TIERS:
-        host = GuestHost(ir.heap_base)
-        inst = WasmInstance(module, host=host, tier=tier)
-        rc = inst.invoke("main")
-        outs[tier] = (rc, bytes(host.output))
-    assert outs["quicken"] == outs["off"]
-    assert outs["fuse"] == outs["off"]
-
-
-def test_wasm_fused_profile_attribution_exact():
-    """Fused handlers charge their constituent opcodes: the per-opcode
-    per-function buckets must match the unfused interpreter exactly."""
-    data, _wasm, ir = compile_wasm_bytes(LOOPY)
-    module = decode_module(data, "tiertest")
-    profiles = {}
-    for tier in ("off", "fuse"):
-        profile = WasmProfile()
-        host = GuestHost(ir.heap_base)
-        WasmInstance(module, host=host, profile=profile,
-                     tier=tier).invoke("main")
-        profiles[tier] = profile
-    off, fuse = profiles["off"], profiles["fuse"]
-    assert fuse.functions == off.functions
-    assert fuse.opcode_instrs == off.opcode_instrs
-    assert fuse.total_instrs() == off.total_instrs()
+        assert _run_at_tier(program, module.heap_base, tier) == baseline
 
 
 # -- bit-identity across the full measurement stack ---------------------------------
@@ -175,7 +144,7 @@ def test_benchmark_cells_bit_identical_across_tiers(name, compiled_cells):
         }
     for target in CELL_TARGETS:
         base = cells["off"][target]
-        for tier in ("quicken", "fuse"):
+        for tier in TIERS:
             cell = cells[tier][target]
             assert cell.times == base.times, (name, target, tier)
             assert cell.perf.as_dict() == base.perf.as_dict()
@@ -221,7 +190,7 @@ def test_benchmark_cells_retire_every_kind(compiled_cells):
 
 
 def test_verify_with_fusion_enabled():
-    """Profile attribution stays exact while fused handlers run."""
+    """Profile attribution is exact, and the same, at both tiers."""
     set_tier("fuse")
     comparison = profile_benchmark(matmul_spec(8), target="chrome",
                                    cache=False)
