@@ -14,8 +14,8 @@ Gates (exit non-zero on any violation):
   (``done`` / ``failed`` / ``evicted`` / ``cancelled``); a job still
   ``queued``/``running`` when the dust settles is a bug;
 * **structured load shedding** — every rejected submission carries a
-  machine-readable ``code`` (``overloaded`` / ``rate_limited`` /
-  ``circuit_open`` / ``draining``) and a ``retry_after`` hint;
+  machine-readable ``code`` (``overloaded`` / ``circuit_open`` /
+  ``draining``) and a ``retry_after`` hint;
 * **latency budgets** — p50 / p99 of accepted-job latency under
   ``--p50-budget`` / ``--p99-budget`` seconds;
 * **goodput** — ``done / accepted >= --min-goodput`` (lower the bar in
@@ -53,8 +53,8 @@ import urllib.request
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-MARKER = "REPRO_SERVE_LOAD_MARKER"
-SHED_CODES = ("overloaded", "rate_limited", "circuit_open", "draining")
+MARKER = "SERVE_LOAD_MARKER"
+SHED_CODES = ("overloaded", "circuit_open", "draining")
 HIST_BOUNDS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0)
 
 #: The benchmark matrix: dims small enough that a cell is sub-second
@@ -199,9 +199,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--runs", type=int, default=2)
     parser.add_argument("--queue-depth", type=int, default=64)
-    parser.add_argument("--max-wait", type=float, default=30.0)
-    parser.add_argument("--service-rate", type=float, default=0.0,
-                        help="per-client token rate (0 disables)")
     parser.add_argument("--inject", default=None,
                         help="fault plan forwarded to the service")
     parser.add_argument("--inject-seed", type=int, default=1)
@@ -221,9 +218,7 @@ def main(argv=None) -> int:
     cmd = [sys.executable, "-m", "repro", "serve",
            "--host", "127.0.0.1", "--port", "0",
            "--workers", str(args.workers), "--runs", str(args.runs),
-           "--queue-depth", str(args.queue_depth),
-           "--max-wait", str(args.max_wait),
-           "--rate", str(args.service_rate), "--grace", "30"]
+           "--queue-depth", str(args.queue_depth), "--grace", "30"]
     if args.inject:
         cmd += ["--inject", args.inject,
                 "--inject-seed", str(args.inject_seed)]

@@ -14,7 +14,7 @@ from ..benchsuite import (
     all_polybench_benchmarks, all_spec_benchmarks, matmul_spec,
     polybench_benchmark, spec_benchmark,
 )
-from ..harness.parallel import normalize_jobs, run_suite
+from ..harness.parallel import run_suite
 from ..harness.runner import (
     ASMJS_TARGETS, TARGETS, CompiledBenchmark, compile_benchmark,
     run_compiled,
@@ -32,10 +32,11 @@ from .tables import fmt_ratio, fmt_time, render_table
 class SuiteData:
     """Runs a set of benchmarks over a set of targets, once each.
 
+    Every sweep goes through :func:`repro.harness.parallel.run_suite`:
     ``jobs`` > 1 fans the (benchmark, target) cells out over worker
-    processes via :mod:`repro.harness.parallel`; results are
-    bit-identical to ``jobs=1`` (deterministic machine + per-cell seeded
-    noise) and are stored in suite order either way.
+    processes, ``jobs=1`` runs them in-process; results are
+    bit-identical either way (deterministic machine + per-cell seeded
+    noise) and are stored in suite order.
 
     ``tolerant`` (implied by a fault-injection ``plan``) collects
     through the fault-tolerant sweep: failed cells land in
@@ -64,35 +65,6 @@ class SuiteData:
         self.failures = []
 
     def collect(self, progress=None) -> "SuiteData":
-        jobs = normalize_jobs(self.jobs)
-        if self.tolerant:
-            return self._collect_tolerant(jobs, progress)
-        if jobs > 1:
-            self.results, compile_seconds = run_suite(
-                self.benchmarks, self.targets, runs=self.runs,
-                max_instructions=self.max_instructions, jobs=jobs,
-                progress=progress, shards=self.shards)
-            for spec in self.benchmarks:
-                compiled = CompiledBenchmark(spec)
-                compiled.compile_seconds = compile_seconds[spec.name]
-                self.compiled[spec.name] = compiled
-            self._validate()
-            return self
-        for spec in self.benchmarks:
-            compiled = compile_benchmark(spec, self.targets)
-            self.compiled[spec.name] = compiled
-            self.results[spec.name] = {}
-            for target in self.targets:
-                result = run_compiled(
-                    compiled, target, runs=self.runs,
-                    max_instructions=self.max_instructions)
-                self.results[spec.name][target] = result
-            if progress is not None:
-                progress(spec.name)
-        self._validate()
-        return self
-
-    def _collect_tolerant(self, jobs, progress) -> "SuiteData":
         from ..harness.runner import _validate_tolerant
         from ..resilience import RetryPolicy, is_failure
 
@@ -101,13 +73,16 @@ class SuiteData:
             policy = RetryPolicy(retries=self.retries)
         self.results, compile_seconds = run_suite(
             self.benchmarks, self.targets, runs=self.runs,
-            max_instructions=self.max_instructions, jobs=jobs,
-            progress=progress, tolerant=True, plan=self.plan,
+            max_instructions=self.max_instructions, jobs=self.jobs,
+            progress=progress, tolerant=self.tolerant, plan=self.plan,
             policy=policy, timeout=self.timeout, shards=self.shards)
         for spec in self.benchmarks:
             compiled = CompiledBenchmark(spec)
             compiled.compile_seconds = compile_seconds[spec.name]
             self.compiled[spec.name] = compiled
+        if not self.tolerant:
+            self._validate()
+            return self
         for name, by_target in self.results.items():
             _validate_tolerant(name, by_target, self.plan)
         self.failures = [cell

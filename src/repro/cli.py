@@ -423,7 +423,6 @@ def cmd_report(args) -> int:
                     counters.get("analysis.regalloc_checks", 0),
             },
             "opt": _opt_block(registry_dict),
-            "serve": _serve_block(registry_dict),
             "shard": {
                 "shards": gauges.get("shard.count", 0),
                 "cells": counters.get("runner.cells", 0),
@@ -506,37 +505,6 @@ def _ranges_block(counters: dict) -> dict:
     }
 
 
-def _serve_block(registry_dict: dict) -> dict:
-    """The ``serve`` payload of ``repro report --json``: admission,
-    shedding, breaker, eviction, and queue-wait counters from the
-    metrics registry (all zero outside a serving process)."""
-    counters = registry_dict.get("counters", {})
-    histograms = registry_dict.get("histograms", {})
-    queue_wait = histograms.get("serve.queue_wait_seconds", {})
-    return {
-        "submitted": counters.get("serve.submitted", 0),
-        "accepted": counters.get("serve.accepted", 0),
-        "done": counters.get("serve.done", 0),
-        "failed": counters.get("serve.failed", 0),
-        "sheds": counters.get("serve.shed", 0),
-        "rejections": {
-            "overloaded": counters.get("serve.rejected.overloaded", 0),
-            "rate_limited": counters.get("serve.rejected.rate_limited", 0),
-            "circuit_open": counters.get("serve.rejected.circuit_open", 0),
-            "draining": counters.get("serve.rejected.draining", 0),
-        },
-        "breaker_trips": counters.get("serve.breaker_trips", 0),
-        "evictions": counters.get("serve.evictions", 0),
-        "memo_hits": counters.get("serve.memo_hits", 0),
-        "worker_respawns": counters.get("serve.worker_respawns", 0),
-        "queue_wait": {
-            "p50": queue_wait.get("p50", 0.0),
-            "p95": queue_wait.get("p95", 0.0),
-            "p99": queue_wait.get("p99", 0.0),
-        },
-    }
-
-
 def cmd_serve(args) -> int:
     """``repro serve``: the long-running benchmark service."""
     import threading
@@ -552,10 +520,8 @@ def cmd_serve(args) -> int:
     plan = _parse_inject(args)
     config = ServeConfig(
         workers=args.workers, queue_depth=args.queue_depth,
-        max_wait=args.max_wait, max_age=args.max_age, rate=args.rate,
-        burst=args.burst, breaker_threshold=args.breaker_threshold,
-        breaker_reset=args.breaker_reset, retries=args.retries,
-        timeout=args.timeout, runs=args.runs, grace=args.grace)
+        retries=args.retries, timeout=args.timeout, runs=args.runs,
+        grace=args.grace)
     service = BenchService(config, plan=plan)
     httpd = make_server(service, args.host, args.port,
                         quiet=not args.verbose)
@@ -884,49 +850,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
-        help="run the benchmark service (JSON-RPC over HTTP) with "
-             "admission control, rate limiting, circuit breakers, "
-             "result memoization, and graceful drain on SIGTERM/^C")
+        help="run the benchmark service (JSON-RPC over HTTP) with a "
+             "bounded priority queue, circuit breakers, result "
+             "memoization, and graceful drain on SIGTERM/^C")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8923,
                    help="listen port (0 = ephemeral; the chosen port "
                         "is printed on startup)")
     p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="warm worker processes (default: "
-                        "REPRO_SERVE_WORKERS or cpu count, capped at 4)")
-    p.add_argument("--queue-depth", type=int, default=None, metavar="N",
+                   help="warm worker processes (default: cpu count, "
+                        "capped at 4)")
+    p.add_argument("--queue-depth", type=int, default=64, metavar="N",
                    help="pending-pool bound; beyond it submissions are "
-                        "shed or preempt lower-priority work (default: "
-                        "REPRO_SERVE_QUEUE_DEPTH or 64)")
-    p.add_argument("--max-wait", type=float, default=None, metavar="SEC",
-                   help="shed submissions once the estimated queue wait "
-                        "exceeds this (default: REPRO_SERVE_MAX_WAIT or "
-                        "30; 0 disables)")
-    p.add_argument("--max-age", type=float, default=None, metavar="SEC",
-                   help="evict queued low-priority (< 0) jobs older "
-                        "than this (default: REPRO_SERVE_MAX_AGE or 60)")
-    p.add_argument("--rate", type=float, default=None, metavar="R",
-                   help="per-client token-bucket refill rate, jobs/sec "
-                        "(default: REPRO_SERVE_RATE or 50; 0 disables)")
-    p.add_argument("--burst", type=float, default=None, metavar="B",
-                   help="per-client token-bucket burst capacity "
-                        "(default: REPRO_SERVE_BURST or 20)")
-    p.add_argument("--breaker-threshold", type=int, default=None,
-                   metavar="N",
-                   help="consecutive permanent failures that trip a "
-                        "(benchmark, target, tier) circuit breaker "
-                        "(default: REPRO_SERVE_BREAKER_THRESHOLD or 3)")
-    p.add_argument("--breaker-reset", type=float, default=None,
-                   metavar="SEC",
-                   help="seconds an open breaker waits before letting "
-                        "one half-open probe through (default: "
-                        "REPRO_SERVE_BREAKER_RESET or 15)")
+                        "shed or preempt lower-priority work "
+                        "(default: 64)")
     p.add_argument("--retries", type=int, default=2, metavar="N",
                    help="retries per job for transient failures and "
                         "worker crashes (default: 2)")
     p.add_argument("--timeout", type=float, default=None, metavar="SEC",
                    help="per-job wall-clock deadline fed to the cell "
-                        "watchdogs (job deadline_s tightens it further)")
+                        "watchdogs (job deadline_s tightens it "
+                        "further); a job still running 2 x SEC + 1 "
+                        "seconds after dispatch has its worker replaced")
     p.add_argument("--runs", type=int, default=3,
                    help="default measurement runs per job (default: 3)")
     p.add_argument("--grace", type=float, default=30.0, metavar="SEC",

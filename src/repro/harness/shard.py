@@ -20,11 +20,12 @@ process boundary stay in-process (see :mod:`repro.harness.parallel`).
   ``shard.steals``.
 
 * **Crash re-queue.**  A dying worker kills one *dispatch*, never the
-  sweep: the cell is re-queued at the head of its home shard, the
-  worker is respawned (``shard.worker_respawns``), and only a cell that
-  keeps killing workers past its retry budget surfaces — as a
-  ``worker``-phase :class:`~repro.resilience.CellFailure` in tolerant
-  mode, or a :class:`~repro.errors.WorkerCrashError` otherwise.  The
+  sweep: its pool reaps and respawns it (``shard.worker_respawns``),
+  the cell is re-queued at the head of its home shard, and only a
+  cell that keeps killing workers past its retry budget surfaces — as
+  a ``worker``-phase :class:`~repro.resilience.CellFailure` in
+  tolerant mode, or a :class:`~repro.errors.WorkerCrashError`
+  otherwise.  The
   ``worker`` fault point draws in the per-incarnation scope
   ``"{name}:{target}:w{incarnation}"``, so injected crash/respawn
   sequences are a pure function of the seed, not of shard count or
@@ -35,6 +36,11 @@ process boundary stay in-process (see :mod:`repro.harness.parallel`).
   the instrumented loop, where the in-machine deadline cannot fire) has
   its worker replaced and is recorded as an ``execute``-phase
   :class:`~repro.errors.CellTimeout`.
+
+* **One worker lifecycle.**  Dispatch, crash reaping and the hang
+  watchdog belong to :class:`ShardPool`; the scheduler only picks
+  cells.  ``repro serve`` runs its jobs on the same lifecycle
+  (:mod:`repro.serve.executor`).
 
 * **Deterministic merge.**  Results are keyed by (benchmark, target)
   and reassembled in suite order by the caller; every cell is a
@@ -103,12 +109,11 @@ def _shard_worker_main(conn):
 
     while True:
         try:
-            msg = conn.recv()
+            p = conn.recv()
         except (EOFError, OSError, KeyboardInterrupt):
             break
-        if msg is None:
+        if p is None:
             break
-        job_id, p = msg
         start = time.time()
         try:
             compilecache.set_enabled(p["use_cache"])
@@ -135,11 +140,10 @@ def _shard_worker_main(conn):
                 timing = {"pid": os.getpid(), "start": start,
                           "seconds": time.time() - start}
                 if failure is not None:
-                    conn.send((job_id, "fail",
-                               (failure, seconds, attempts), timing))
+                    conn.send(("fail", (failure, seconds, attempts),
+                               timing))
                 else:
-                    conn.send((job_id, "ok",
-                               (result, seconds, attempts), timing))
+                    conn.send(("ok", (result, seconds, attempts), timing))
             else:
                 from .runner import compile_benchmark, run_compiled
                 compiled = compile_benchmark(spec, (p["target"],))
@@ -148,20 +152,42 @@ def _shard_worker_main(conn):
                     max_instructions=p["max_instructions"])
                 timing = {"pid": os.getpid(), "start": start,
                           "seconds": time.time() - start}
-                conn.send((job_id, "ok",
+                conn.send(("ok",
                            (result, dict(compiled.compile_seconds), 1),
                            timing))
         except KeyboardInterrupt:
             os._exit(130)
         except BaseException as exc:
             try:
-                conn.send((job_id, "err", exc, None))
+                conn.send(("err", exc, None))
             except Exception:
                 os._exit(1)
 
 
 class ShardPool:
-    """One addressable shard: a persistent fork pool of workers."""
+    """One addressable shard: a persistent fork pool of workers, and the
+    one worker lifecycle that the sweep scheduler and the serve
+    executor both run on.
+
+    The caller decides which job runs next; the pool decides what
+    happens to the worker that runs it:
+
+    * :meth:`dispatch` sends a job to an idle worker.  A worker that
+      died while idle ran nothing, so it is replaced and the job resent
+      to its replacement, and the caller charges no incarnation.
+    * :meth:`receive` ends a dispatch with the worker's reply, or with
+      a :class:`~repro.errors.WorkerCrashError` if the worker died
+      first.  Its pipe closed, so the worker is exiting: it is reaped
+      before it is replaced, and an injected death keeps its exit code
+      17 instead of reading as SIGTERM.
+    * :meth:`reap_hung` replaces the worker of every dispatch with a
+      ``timeout`` that is still in flight ``2 * timeout + 1`` seconds
+      after it was sent (it hung where the in-machine deadline cannot
+      fire) and hands back an ``execute``-phase
+      :class:`~repro.errors.CellTimeout` for it.
+
+    Every replacement counts as ``shard.worker_respawns``.
+    """
 
     def __init__(self, shard_id: int, width: int, ctx=None):
         if ctx is None:
@@ -174,8 +200,10 @@ class ShardPool:
         self.width = width
         self.ctx = ctx
         self.workers = []
+        self.idle = []
+        self.inflight = {}   # conn -> {"job", "worker", "sent", "timeout"}
         for _ in range(width):
-            self._spawn()
+            self.idle.append(self._spawn())
 
     def _spawn(self):
         parent_conn, child_conn = self.ctx.Pipe(duplex=True)
@@ -187,29 +215,85 @@ class ShardPool:
         self.workers.append(worker)
         return worker
 
-    def replace(self, worker):
+    def _respawn(self, worker):
         """Retire ``worker`` (dead, hung or unresponsive) and fork a
-        fresh one.
-
-        Returns ``(exit_code, fresh_worker)``; the exit code of the
-        retired process distinguishes injected deaths (17) from real
-        crashes for the failure taxonomy.
-        """
+        fresh one; returns ``(exit_code, fresh_worker)``."""
         proc = worker["proc"]
         if proc.is_alive():
             proc.terminate()
         proc.join(timeout=2.0)
-        code = proc.exitcode
         try:
             worker["conn"].close()
         except OSError:
             pass
         self.workers.remove(worker)
-        return code, self._spawn()
+        get_registry().counter("shard.worker_respawns").inc()
+        return proc.exitcode, self._spawn()
+
+    def _replace_inflight(self, conn):
+        """Drop the dispatch on ``conn`` and replace its worker with an
+        idle fresh one."""
+        _code, fresh = self._respawn(self.inflight.pop(conn)["worker"])
+        self.idle.append(fresh)
+
+    def dispatch(self, job, payload):
+        """Send ``payload`` to an idle worker on behalf of ``job`` (the
+        caller's handle, handed back by :meth:`receive` and
+        :meth:`reap_hung`); returns the worker that runs it."""
+        worker = self.idle.pop()
+        try:
+            worker["conn"].send(payload)
+        except OSError:
+            _code, worker = self._respawn(worker)
+            worker["conn"].send(payload)
+        self.inflight[worker["conn"]] = {
+            "job": job, "worker": worker, "sent": time.time(),
+            "timeout": payload.get("timeout"),
+        }
+        return worker
+
+    def receive(self, conn):
+        """End the dispatch on ``conn``: ``(record, reply)``, where
+        ``reply`` is the worker's ``(kind, value, timing)`` message (the
+        worker is idle again) or a :class:`WorkerCrashError`."""
+        record = self.inflight.pop(conn)
+        worker = record["worker"]
+        try:
+            reply = conn.recv()
+        except (EOFError, OSError):
+            worker["proc"].join(timeout=2.0)
+            code, fresh = self._respawn(worker)
+            self.idle.append(fresh)
+            reply = WorkerCrashError(
+                f"worker died (exit code {code}) before reporting")
+            reply.injected = code == 17
+        else:
+            self.idle.append(worker)
+        return record, reply
+
+    def reap_hung(self):
+        """``[(record, CellTimeout)]`` for every hung dispatch, each
+        worker already replaced."""
+        now = time.time()
+        hung = []
+        for conn, record in list(self.inflight.items()):
+            timeout = record["timeout"]
+            if timeout is None or now - record["sent"] <= 2 * timeout + 1.0:
+                continue
+            self._replace_inflight(conn)
+            hung.append((record, CellTimeout(
+                f"cell hung past {timeout:g}s; worker terminated")))
+        return hung
+
+    def abandon(self):
+        """Replace every worker still in flight (unresponsive past a
+        drain deadline), so the pool stays warm for the next caller."""
+        for conn in list(self.inflight):
+            self._replace_inflight(conn)
 
     def alive(self) -> bool:
-        return len(self.workers) == self.width and \
-            all(w["proc"].is_alive() for w in self.workers)
+        return len(self.workers) == self.width and not self.inflight \
+            and all(w["proc"].is_alive() for w in self.workers)
 
     def shutdown(self):
         for w in self.workers:
@@ -228,6 +312,18 @@ class ShardPool:
                 w["proc"].terminate()
                 w["proc"].join(timeout=1.0)
         self.workers = []
+        self.idle = []
+        self.inflight = {}
+
+
+def ready(pools, timeout: float):
+    """``(pool, conn)`` for every dispatch across ``pools`` whose reply
+    (or closed pipe) is waiting, after at most ``timeout`` seconds."""
+    from multiprocessing.connection import wait
+
+    owner = {conn: pool for pool in pools for conn in pool.inflight}
+    return [(owner[conn], conn)
+            for conn in wait(list(owner), timeout=timeout)]
 
 
 # -- the persistent shard-pool set -------------------------------------------------
@@ -272,7 +368,8 @@ class ShardScheduler:
     value, timing)`` is called exactly once per cell, in completion
     order, with ``kind`` one of ``ok`` / ``fail`` (tolerant mode only).
     Fast-mode cell errors drain in-flight work and re-raise; worker
-    crashes re-queue the cell up to ``retries`` incarnations.
+    crashes re-queue the cell up to ``retries`` incarnations.  Workers
+    live and die by :class:`ShardPool`'s lifecycle.
     """
 
     def __init__(self, pools, jobs_list, tolerant: bool = False,
@@ -290,8 +387,6 @@ class ShardScheduler:
         self.deques = [collections.deque() for _ in pools]
         for job_id, home in enumerate(self.home):
             self.deques[home].append(job_id)
-        self.idle = {pool.shard_id: list(pool.workers) for pool in pools}
-        self.inflight = {}   # conn -> dispatch record
         self.busy = collections.defaultdict(float)  # shard -> busy secs
         self.busy_by_pid = collections.defaultdict(float)  # pid -> busy secs
         self.completed = 0
@@ -328,40 +423,16 @@ class ShardScheduler:
         self.metrics.counter("shard.steals").inc()
         return job_id
 
-    def _dispatch(self, shard: int, worker, job_id: int):
-        payload = dict(self.jobs[job_id],
-                       incarnation=self.incarnation[job_id])
-        try:
-            worker["conn"].send((job_id, payload))
-        except OSError:
-            # The worker died while idle: nothing ran, so no cell is
-            # charged; send to its replacement instead.
-            self._respawn(shard, worker)
-            worker = self.idle[shard].pop()
-            worker["conn"].send((job_id, payload))
-        self.inflight[worker["conn"]] = {
-            "job_id": job_id, "worker": worker, "shard": shard,
-            "sent": time.time(),
-        }
-
     def _fill_idle(self):
         for pool in self.pools:
-            shard = pool.shard_id
-            while self.idle[shard]:
-                job_id = self._next_job(shard)
+            while pool.idle:
+                job_id = self._next_job(pool.shard_id)
                 if job_id is None:
                     break
-                self._dispatch(shard, self.idle[shard].pop(), job_id)
+                pool.dispatch(job_id, dict(
+                    self.jobs[job_id], incarnation=self.incarnation[job_id]))
 
     # -- completion / crash handling -----------------------------------------------
-
-    def _respawn(self, shard: int, worker):
-        """Replace a dead, hung or unresponsive worker with an idle fresh
-        one; returns the retired process's exit code."""
-        code, fresh = self.pools[shard].replace(worker)
-        self.idle[shard].append(fresh)
-        self.metrics.counter("shard.worker_respawns").inc()
-        return code
 
     def _fail(self, job_id: int, phase: str, exc, attempts: int,
               record_cb):
@@ -373,14 +444,17 @@ class ShardScheduler:
         self.completed += 1
         record_cb(job, "fail", (failure, {}, attempts), None)
 
-    def _handle_message(self, record, msg, record_cb):
-        job_id, kind, value, timing = msg
-        self.idle[record["shard"]].append(record["worker"])
+    def _handle_reply(self, pool, record, reply, record_cb):
+        job_id = record["job"]
+        if isinstance(reply, WorkerCrashError):
+            self._handle_crash(job_id, reply, record_cb)
+            return
+        kind, value, timing = reply
         if kind == "err":
             self._drain()
             raise value
         self.completed += 1
-        self.busy[record["shard"]] += timing["seconds"]
+        self.busy[pool.shard_id] += timing["seconds"]
         self.busy_by_pid[timing["pid"]] += timing["seconds"]
         if self.metrics.enabled:
             self.metrics.histogram("runner.cell_seconds").observe(
@@ -389,86 +463,50 @@ class ShardScheduler:
                 max(timing["start"] - record["sent"], 0.0))
         record_cb(self.jobs[job_id], kind, value, timing)
 
-    def _handle_crash(self, record, record_cb):
-        """A worker died mid-cell: respawn it, re-queue or fail the cell."""
-        job_id = record["job_id"]
-        # Its pipe closed, so the worker is exiting: reap it rather than
-        # terminate it, or an injected death (exit 17) reads as SIGTERM.
-        record["worker"]["proc"].join(timeout=2.0)
-        code = self._respawn(record["shard"], record["worker"])
+    def _handle_crash(self, job_id: int, exc, record_cb):
+        """A worker died mid-cell: re-queue or fail the cell."""
         self.incarnation[job_id] += 1
         if self.incarnation[job_id] <= self.retries:
             self.deques[self.home[job_id]].appendleft(job_id)
             self.metrics.counter("shard.requeues").inc()
             return
-        exc = WorkerCrashError(
-            f"worker died (exit code {code}) before reporting")
-        exc.injected = code == 17
         if not self.tolerant:
             self._drain()
             raise exc
         self._fail(job_id, "worker", exc, self.incarnation[job_id],
                    record_cb)
 
-    def _terminate_hung(self, record_cb):
-        """Terminate tolerant cells in flight past ``2 * timeout + 1``
-        seconds: they hung where the in-machine deadline cannot fire."""
-        now = time.time()
-        for conn, record in list(self.inflight.items()):
-            job_id = record["job_id"]
-            timeout = self.jobs[job_id].get("timeout")
-            if timeout is None or now - record["sent"] <= 2 * timeout + 1.0:
-                continue
-            del self.inflight[conn]
-            self._respawn(record["shard"], record["worker"])
-            self._fail(job_id, "execute",
-                       CellTimeout(f"cell hung past {timeout:g}s; "
-                                   f"worker terminated"),
-                       self.incarnation[job_id] + 1, record_cb)
-
     def _drain(self, deadline: float = DRAIN_SECONDS):
         """Collect or retire in-flight cells after an error, keeping
         every healthy worker warm for the next sweep."""
-        from multiprocessing.connection import wait
-
         limit = time.time() + deadline
-        while self.inflight:
+        while any(pool.inflight for pool in self.pools):
             remaining = limit - time.time()
             if remaining <= 0:
                 break
-            for conn in wait(list(self.inflight), timeout=remaining):
-                record = self.inflight.pop(conn)
-                try:
-                    conn.recv()
-                except (EOFError, OSError):
-                    self._respawn(record["shard"], record["worker"])
-                    continue
-                self.idle[record["shard"]].append(record["worker"])
-        for record in self.inflight.values():
-            # Unresponsive past the drain deadline: replace, stay warm.
-            self._respawn(record["shard"], record["worker"])
-        self.inflight.clear()
+            for pool, conn in ready(self.pools, remaining):
+                pool.receive(conn)
+        for pool in self.pools:
+            pool.abandon()
 
     # -- the main loop -------------------------------------------------------------
 
     def run(self, record_cb):
-        from multiprocessing.connection import wait
-
         total = len(self.jobs)
         start = time.time()
         try:
             while self.completed < total:
                 self._fill_idle()
-                for conn in wait(list(self.inflight), timeout=0.05):
-                    record = self.inflight.pop(conn)
-                    try:
-                        msg = conn.recv()
-                    except (EOFError, OSError):
-                        self._handle_crash(record, record_cb)
-                        continue
-                    self._handle_message(record, msg, record_cb)
+                for pool, conn in ready(self.pools, 0.05):
+                    record, reply = pool.receive(conn)
+                    self._handle_reply(pool, record, reply, record_cb)
                 if self.tolerant:
-                    self._terminate_hung(record_cb)
+                    for pool in self.pools:
+                        for record, exc in pool.reap_hung():
+                            job_id = record["job"]
+                            self._fail(job_id, "execute", exc,
+                                       self.incarnation[job_id] + 1,
+                                       record_cb)
         except KeyboardInterrupt:
             # Ctrl-C routes through the drain path: in-flight cells
             # finish (or their workers are replaced), and the warm

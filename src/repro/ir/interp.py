@@ -93,13 +93,9 @@ class IRInterpreter:
     DEFAULT_FUEL = 1_000_000_000
 
     def __init__(self, module: Module, host: Host = None,
-                 max_fuel: int = None, hwc=None):
+                 max_fuel: int = None):
         self.module = module
         self.host = host or CollectingHost()
-        #: Optional :class:`repro.obs.hwc.BranchHwc`: fed every CondBr
-        #: outcome, keyed by (function, source block).  Observational
-        #: only — never perturbs results, fuel, or trap behaviour.
-        self.hwc = hwc
         self.memory = module.initial_memory()
         self.globals = {name: g.init for name, g in module.wasm_globals.items()}
         self.call_depth = 0
@@ -165,12 +161,6 @@ class IRInterpreter:
         block = func.blocks[func.entry]
         regs = frame.regs
         max_fuel = self.max_fuel
-        hwc = self.hwc
-        hwc_cond = None
-        if hwc is not None:
-            from ..obs.hwc import hwc_site
-            hwc_cond = hwc.cond
-            hwc_name = func.name
         while True:
             self.fuel_used += 1
             if self.fuel_used > max_fuel:
@@ -183,9 +173,6 @@ class IRInterpreter:
                 block = func.blocks[term.target]
             elif isinstance(term, CondBr):
                 taken = self._value(term.cond, regs) != 0
-                if hwc_cond is not None:
-                    hwc_cond(hwc_site(hwc_name + ":" + block.label, 0),
-                             taken)
                 block = func.blocks[term.if_true if taken else term.if_false]
             elif isinstance(term, Return):
                 if term.value is None:

@@ -31,7 +31,7 @@ from .metrics import (
 from .metrics import disable as disable_metrics
 from .metrics import enable as enable_metrics
 from .hwc import (
-    BranchHwc, BranchPredictor, GapExplanation, HwcCounters, HwcModel,
+    BranchPredictor, GapExplanation, HwcCounters, HwcModel,
     HwcReport, class_cycles, explain_benchmark, hwc_cycles,
 )
 from .profile import (
@@ -51,7 +51,7 @@ __all__ = [
     "Attribution", "AttributionReport", "FunctionCounters",
     "ProfileComparison", "attribute_benchmark",
     "profile_benchmark", "PROFILE_FIELDS",
-    "HwcModel", "HwcCounters", "HwcReport", "BranchHwc",
+    "HwcModel", "HwcCounters", "HwcReport",
     "BranchPredictor", "GapExplanation", "explain_benchmark",
     "hwc_cycles", "class_cycles",
 ]

@@ -53,7 +53,6 @@ decompose.
 from __future__ import annotations
 
 import os
-import zlib
 
 from ..x86.icache import SetAssocCache
 from ..x86.isa import Mem
@@ -83,16 +82,6 @@ PHT_BITS = 9
 BTB_BITS = 8
 
 _M64 = (1 << 64) - 1
-
-
-def hwc_site(name: str, index: int) -> int:
-    """A deterministic branch-site key for interpreter-level code.
-
-    Python's ``hash()`` is randomized per process; cross-process
-    determinism (``--jobs``) needs a stable hash, so sites are keyed by
-    crc32(function name) mixed with the instruction index.
-    """
-    return zlib.crc32(name.encode()) ^ (index * 0x9E3779B1 & 0xFFFFFFFF)
 
 
 class BranchPredictor:
@@ -521,44 +510,6 @@ class HwcModel(Attribution):
         if self.bp.indirect(ins.addr, code_addr):
             t.btb_misses += 1
             c.btb_misses += 1
-
-
-class BranchHwc:
-    """Branch-predictor-only hwc model for the wasm and IR interpreters.
-
-    The interpreters have no machine-level memory stream (their
-    executed program *is* the x86 machine's when run through a JIT), so
-    the hwc surface there is the guest-visible branch behaviour:
-    conditional branch outcomes and indirect-call targets.  Sites are
-    keyed with :func:`hwc_site` for cross-process determinism.
-    """
-
-    def __init__(self, pht_bits: int = PHT_BITS, btb_bits: int = BTB_BITS):
-        self.bp = BranchPredictor(pht_bits, btb_bits)
-        self.branches = 0
-        self.branch_misses = 0
-        self.indirect_branches = 0
-        self.btb_misses = 0
-
-    def cond(self, site: int, taken: bool) -> None:
-        self.branches += 1
-        if self.bp.cond(site, taken):
-            self.branch_misses += 1
-
-    def indirect(self, site: int, target: int) -> None:
-        self.indirect_branches += 1
-        if self.bp.indirect(site, target):
-            self.btb_misses += 1
-
-    def as_dict(self) -> dict:
-        return {"branches": self.branches,
-                "branch_misses": self.branch_misses,
-                "indirect_branches": self.indirect_branches,
-                "btb_misses": self.btb_misses}
-
-    def __repr__(self):
-        return (f"<branch-hwc {self.branch_misses}/{self.branches} "
-                f"btb {self.btb_misses}/{self.indirect_branches}>")
 
 
 # -- the gap explainer (repro explain) ----------------------------------------------

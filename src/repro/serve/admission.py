@@ -4,20 +4,14 @@ The pending pool is the service's only queue.  Admission is where
 overload becomes a *structured* answer instead of a timeout:
 
 * **Bounded depth.**  More than ``max_depth`` queued jobs sheds the
-  newcomer with an ``overloaded`` error and a ``retry_after`` hint —
-  unless the newcomer outranks a queued job, in which case the lowest-
+  newcomer with an ``overloaded`` error whose ``retry_after`` is the
+  estimated queue wait (depth x EMA cell seconds / workers) — unless
+  the newcomer outranks a queued job, in which case the lowest-
   priority, oldest victim is **evicted** (``preempted``) to make room.
-* **Estimated wait.**  Even below the depth bound, a queue whose
-  estimated drain time (depth x EMA cell seconds / workers) exceeds
-  ``max_wait`` sheds: accepting work we cannot start in time just
-  converts server queueing into client timeouts.
-* **Rate limiting.**  Each client spends a token per submission
-  (:class:`~repro.serve.limiter.TokenBucket`).
 * **Circuit breaking.**  Submissions for a tripped (benchmark, target,
   tier) fail fast (:class:`~repro.serve.breaker.BreakerBoard`).
-* **Staleness / deadlines.**  Before every dispatch the queue is
-  swept: low-priority (< 0) jobs queued past ``max_age`` and jobs
-  whose deadline already passed are evicted rather than run late.
+* **Deadlines.**  Before every dispatch the queue is swept: jobs whose
+  deadline already passed are evicted rather than started late.
 
 Everything here must be called with the store lock held (the service
 serializes admission, dispatch, and completion on one lock).
@@ -29,7 +23,7 @@ import heapq
 
 from . import jobs as J
 
-#: Queue-wait EMA smoothing for the estimated-wait shed decision.
+#: Smoothing of the cell-seconds EMA behind the queue-wait estimate.
 EMA_ALPHA = 0.3
 
 
@@ -51,15 +45,11 @@ class AdmissionDecision:
 class AdmissionController:
     """The bounded, priority-ordered pending pool."""
 
-    def __init__(self, store, limiter, breakers, max_depth: int,
-                 max_wait: float, max_age: float, workers: int,
+    def __init__(self, store, breakers, max_depth: int, workers: int,
                  metrics=None):
         self.store = store
-        self.limiter = limiter
         self.breakers = breakers
         self.max_depth = max(1, int(max_depth))
-        self.max_wait = float(max_wait)
-        self.max_age = float(max_age)
         self.workers = max(1, int(workers))
         self.metrics = metrics
         self.draining = False
@@ -133,9 +123,9 @@ class AdmissionController:
                     f"preempted by priority-{priority} job")
         return True
 
-    def evict_stale(self, now: float) -> None:
-        """Sweep the queue: expired deadlines and stale low-priority
-        work are evicted rather than started late."""
+    def evict_expired(self, now: float) -> None:
+        """Sweep the queue: jobs whose deadline passed are evicted
+        rather than started late."""
         for job_id in list(self._queued):
             job = self.store.get(job_id)
             if job is None or job.state != J.QUEUED:
@@ -144,10 +134,6 @@ class AdmissionController:
             if job.deadline is not None and now > job.deadline:
                 self._evict(job, "deadline",
                             "deadline expired while queued")
-            elif job.priority < 0 and self.max_age > 0 \
-                    and now - job.submitted > self.max_age:
-                self._evict(job, "stale",
-                            f"low-priority job queued > {self.max_age:g}s")
 
     def drain_queue(self) -> int:
         """Evict every queued job (graceful drain); returns the count."""
@@ -174,12 +160,6 @@ class AdmissionController:
             return AdmissionDecision(
                 "draining", "service is draining; not accepting jobs",
                 retry_after=30.0)
-        ok, retry_after = self.limiter.allow(job.client)
-        if not ok:
-            return AdmissionDecision(
-                "rate_limited",
-                f"client {job.client!r} exceeded its request rate",
-                retry_after=retry_after)
         key = (job.benchmark, job.target, job.tier)
         ok, retry_after = self.breakers.allow(key)
         if not ok:
@@ -188,18 +168,10 @@ class AdmissionController:
                 f"circuit open for {job.benchmark}@{job.target} "
                 f"(tier {job.tier}): repeated permanent failures",
                 retry_after=retry_after)
-        if self.depth() >= self.max_depth:
-            if not self._evict_lower_priority(job.priority):
-                return AdmissionDecision(
-                    "overloaded",
-                    f"pending pool full ({self.depth()} jobs)",
-                    retry_after=max(self.estimated_wait(), 0.1))
-        elif self.max_wait > 0 and self.estimated_wait() > self.max_wait:
+        if self.depth() >= self.max_depth \
+                and not self._evict_lower_priority(job.priority):
             return AdmissionDecision(
-                "overloaded",
-                f"estimated queue wait {self.estimated_wait():.2f}s "
-                f"exceeds {self.max_wait:g}s",
-                retry_after=max(self.estimated_wait() - self.max_wait,
-                                0.1))
+                "overloaded", f"pending pool full ({self.depth()} jobs)",
+                retry_after=max(self.estimated_wait(), 0.1))
         self._push(job)
         return None

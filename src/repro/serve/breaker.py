@@ -7,12 +7,12 @@ breaker, a popular broken benchmark burns a worker slot per submission.
 The breaker fails such submissions fast instead:
 
 * **closed** — normal; consecutive permanent failures are counted.
-* **open** — ``threshold`` consecutive permanent failures tripped it;
-  submissions are rejected with ``circuit_open`` + ``retry_after``
-  until ``reset_after`` seconds pass.
+* **open** — :data:`THRESHOLD` consecutive permanent failures tripped
+  it; submissions are rejected with ``circuit_open`` + ``retry_after``
+  until :data:`RESET_SECONDS` pass.
 * **half-open** — the reset timer expired; exactly one probe job is
   admitted.  Success closes the breaker, failure re-opens it for
-  another full ``reset_after``.
+  another full reset period.
 
 Transient failures never count: the retry machinery owns those.
 """
@@ -25,14 +25,17 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
 
+#: Consecutive permanent failures that trip a breaker.
+THRESHOLD = 3
+
+#: Seconds an open breaker waits before admitting one half-open probe.
+RESET_SECONDS = 15.0
+
 
 class CircuitBreaker:
     """One breaker guarding one (benchmark, target, tier) cell class."""
 
-    def __init__(self, threshold: int = 3, reset_after: float = 30.0,
-                 clock=time.monotonic):
-        self.threshold = max(1, int(threshold))
-        self.reset_after = float(reset_after)
+    def __init__(self, clock=time.monotonic):
         self.clock = clock
         self.state = CLOSED
         self.failures = 0          # consecutive permanent failures
@@ -50,14 +53,14 @@ class CircuitBreaker:
             return True, 0.0
         now = self.clock()
         if self.state == OPEN:
-            remaining = self.opened_at + self.reset_after - now
+            remaining = self.opened_at + RESET_SECONDS - now
             if remaining > 0:
                 return False, remaining
             self.state = HALF_OPEN
             return True, 0.0
         # Half-open: the probe is already in flight; hold everyone else
         # until it reports.
-        return False, self.reset_after
+        return False, RESET_SECONDS
 
     def record_success(self) -> None:
         self.state = CLOSED
@@ -68,7 +71,7 @@ class CircuitBreaker:
         if not permanent:
             return
         self.failures += 1
-        if self.state == HALF_OPEN or self.failures >= self.threshold:
+        if self.state == HALF_OPEN or self.failures >= THRESHOLD:
             if self.state != OPEN:
                 self.trips += 1
             self.state = OPEN
@@ -80,16 +83,13 @@ class CircuitBreaker:
 
     def __repr__(self):
         return (f"<breaker {self.state} failures={self.failures}"
-                f"/{self.threshold} trips={self.trips}>")
+                f"/{THRESHOLD} trips={self.trips}>")
 
 
 class BreakerBoard:
     """The breaker registry, keyed by (benchmark, target, tier)."""
 
-    def __init__(self, threshold: int = 3, reset_after: float = 30.0,
-                 clock=time.monotonic, metrics=None):
-        self.threshold = threshold
-        self.reset_after = reset_after
+    def __init__(self, clock=time.monotonic, metrics=None):
         self.clock = clock
         self.metrics = metrics
         self._breakers: dict[tuple, CircuitBreaker] = {}
@@ -97,8 +97,7 @@ class BreakerBoard:
     def breaker(self, key: tuple) -> CircuitBreaker:
         b = self._breakers.get(key)
         if b is None:
-            b = self._breakers[key] = CircuitBreaker(
-                self.threshold, self.reset_after, self.clock)
+            b = self._breakers[key] = CircuitBreaker(clock=self.clock)
         return b
 
     def allow(self, key: tuple):

@@ -1,20 +1,25 @@
 """The service executor: jobs -> warm shard workers -> results.
 
 One dispatcher thread drives the whole execution plane.  It owns a
-persistent :class:`~repro.harness.shard.ShardPool` (the same warm fork
-pool and pipe protocol the sharded sweep engine uses) and, under the
-service lock, moves jobs from the admission queue onto idle workers and
-completions back onto jobs:
+persistent :class:`~repro.harness.shard.ShardPool` and runs on that
+pool's worker lifecycle, the one the sweep scheduler runs on.  Under
+the service lock it moves jobs from the admission queue onto idle
+workers and completions back onto jobs:
 
 * every job runs **tolerant**: the worker measures through
   :func:`repro.resilience.measure_cell`, so fuel/wall-clock watchdogs,
-  failure classification, and bounded in-worker retry (now with seeded
+  failure classification, and bounded in-worker retry (with seeded
   full-jitter backoff, so a burst of jobs hitting the same transient
   fault de-synchronizes) all apply, and failures come back as
   :class:`~repro.resilience.CellFailure` records, never exceptions;
-* a dying worker kills one *dispatch*: the worker is respawned and the
-  job re-queued at its original rank, up to ``retries`` incarnations
-  (then a ``worker``-phase FAILED — the job is never lost);
+* a dying worker kills one *dispatch*: the pool replaces it and the
+  job is re-queued at its original rank, up to ``retries``
+  incarnations (then a ``worker``-phase FAILED — the job is never
+  lost).  A worker found dead at dispatch ran nothing, so the pool
+  resends the job to its replacement and no incarnation is charged;
+* a job still in flight ``2 * timeout + 1`` seconds after dispatch
+  hung where the in-worker watchdog cannot fire: the pool replaces its
+  worker and the job fails as an ``execute``-phase TIMEOUT;
 * job deadlines propagate into the worker's wall-clock watchdog: the
   dispatch timeout is the remaining deadline budget, and a job whose
   deadline lapses while queued is evicted instead of started late;
@@ -30,8 +35,9 @@ import threading
 import time
 import zlib
 
-from ..errors import classify
+from ..errors import WorkerCrashError, classify
 from ..harness.runner import NOISE
+from ..harness.shard import ShardPool, ready
 from . import jobs as J
 
 #: Default instruction budget per cell (same as the CLI sweeps).
@@ -71,7 +77,6 @@ class ServeExecutor:
     def __init__(self, store, admission, breakers, workers: int,
                  retries: int = 2, timeout: float = None, plan=None,
                  metrics=None, use_cache: bool = True):
-        from ..harness.shard import ShardPool
         from ..tier import get_tier
 
         self.store = store
@@ -85,8 +90,6 @@ class ServeExecutor:
         self.tier = get_tier()
         self.memo: dict[tuple, dict] = {}
         self.pool = ShardPool(0, max(1, int(workers)))
-        self.idle = list(self.pool.workers)
-        self.inflight = {}        # conn -> {"job", "worker", "sent"}
         self.wake = threading.Event()
         self.stopping = False
         self.force = False
@@ -138,7 +141,7 @@ class ServeExecutor:
         }
 
     def _dispatch_ready(self, now: float) -> None:
-        while self.idle:
+        while self.pool.idle:
             job = self.admission.pop_next()
             if job is None:
                 return
@@ -155,20 +158,14 @@ class ServeExecutor:
                     self.metrics.counter("serve.evictions").inc()
                     self.metrics.counter("serve.evictions.deadline").inc()
                 continue
-            worker = self.idle.pop()
-            try:
-                worker["conn"].send((job.id, self._payload(job, now)))
-            except (OSError, ValueError, BrokenPipeError):
-                self._crash(worker, job)
-                continue
-            self.inflight[worker["conn"]] = {
-                "job": job, "worker": worker, "sent": now}
+            worker = self.pool.dispatch(job, self._payload(job, now))
             self.store.transition(
                 job, J.RUNNING,
                 f"dispatched to worker pid {worker['proc'].pid} "
                 f"(incarnation {job.incarnation})")
             if self.metrics is not None:
-                self.metrics.gauge("serve.inflight").set(len(self.inflight))
+                self.metrics.gauge("serve.inflight").set(
+                    len(self.pool.inflight))
                 self.metrics.histogram("serve.queue_wait_seconds").observe(
                     max(now - job.submitted, 0.0))
 
@@ -179,22 +176,14 @@ class ServeExecutor:
             self.metrics.histogram("serve.latency_seconds").observe(
                 job.finished - job.submitted)
 
-    def _crash(self, worker, job) -> None:
-        """A worker died mid-cell: respawn it, re-queue or fail the job."""
-        code, fresh = self.pool.replace(worker)
-        self.idle.append(fresh)
-        if self.metrics is not None:
-            self.metrics.counter("serve.worker_respawns").inc()
+    def _crash(self, job, exc) -> None:
+        """A worker died mid-job: re-queue or fail the job."""
         job.incarnation += 1
         if job.incarnation <= self.retries:
             self.admission.requeue(job)
             if self.metrics is not None:
                 self.metrics.counter("serve.requeues").inc()
             return
-        from ..errors import WorkerCrashError
-        exc = WorkerCrashError(
-            f"worker died (exit code {code}) before reporting")
-        exc.injected = code == 17
         info = classify(exc)
         self._fail(job, {
             "code": "worker_crash", "phase": "worker",
@@ -202,6 +191,14 @@ class ServeExecutor:
             "transient": info.transient, "injected": info.injected,
             "attempts": job.incarnation,
         }, permanent=False)
+
+    def _hung(self, job, exc) -> None:
+        """The pool replaced the worker of a hung job: fail the job."""
+        from ..resilience import failure_from_exception
+        attempts = job.incarnation + 1
+        self._fail_cell(job, failure_from_exception(
+            job.benchmark, job.target, "execute", exc, attempts=attempts,
+            plan=self.plan), attempts)
 
     def _fail(self, job, error: dict, permanent: bool) -> None:
         self.store.transition(job, J.FAILED, error.get("message"),
@@ -213,81 +210,76 @@ class ServeExecutor:
             self.metrics.counter("serve.failed").inc()
             self._observe_latency(job)
 
-    def _complete(self, conn) -> None:
-        with self.store.lock:
-            record = self.inflight.pop(conn, None)
-            if record is None:
-                return
-            job, worker = record["job"], record["worker"]
-            if self.metrics is not None:
-                self.metrics.gauge("serve.inflight").set(len(self.inflight))
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                self._crash(worker, job)
-                return
-            self.idle.append(worker)
-            _job_id, kind, value, timing = msg
-            if kind == "err":
-                # The worker protocol's raw-exception lane; tolerant
-                # jobs classify in-worker, so this is a harness bug
-                # surfacing — degrade it into a FAILED job, never lost.
-                info = classify(value)
-                self._fail(job, {
-                    "code": "error", "phase": "worker",
-                    "error": info.error_type, "message": info.message,
-                    "transient": info.transient,
-                    "injected": info.injected, "attempts": 1,
-                }, permanent=not info.transient)
-                return
-            payload, _seconds, attempts = value
-            job.attempts = attempts
-            seconds = timing["seconds"] if timing else 0.0
-            self.admission.observe_cell_seconds(seconds)
-            if self.metrics is not None:
-                self.metrics.histogram("serve.cell_seconds").observe(
-                    seconds)
-            if kind == "ok":
-                result = result_payload(payload, attempts=attempts)
-                self.memo.setdefault(job.memo_key(), result)
-                self.store.transition(job, J.DONE, "measured",
-                                      result=result)
-                self.breakers.record(
-                    (job.benchmark, job.target, job.tier), success=True)
-                if self.metrics is not None:
-                    self.metrics.counter("serve.done").inc()
-                    self._observe_latency(job)
-            else:
-                failure = payload   # a CellFailure
-                self._fail(job, {
-                    "code": "cell_failure", "phase": failure.phase,
-                    "status": failure.status, "error": failure.error_type,
-                    "message": failure.message,
-                    "transient": failure.transient,
-                    "injected": failure.injected, "attempts": attempts,
-                }, permanent=not failure.transient)
+    def _fail_cell(self, job, failure, attempts: int) -> None:
+        self._fail(job, {
+            "code": "cell_failure", "phase": failure.phase,
+            "status": failure.status, "error": failure.error_type,
+            "message": failure.message, "transient": failure.transient,
+            "injected": failure.injected, "attempts": attempts,
+        }, permanent=not failure.transient)
+
+    def _complete(self, record, reply) -> None:
+        """End one dispatch with the pool's ``reply`` (store lock held)."""
+        job = record["job"]
+        if self.metrics is not None:
+            self.metrics.gauge("serve.inflight").set(
+                len(self.pool.inflight))
+        if isinstance(reply, WorkerCrashError):
+            self._crash(job, reply)
+            return
+        kind, value, timing = reply
+        if kind == "err":
+            # The worker protocol's raw-exception lane; tolerant jobs
+            # classify in-worker, so this is a harness bug surfacing —
+            # degrade it into a FAILED job, never lost.
+            info = classify(value)
+            self._fail(job, {
+                "code": "error", "phase": "worker",
+                "error": info.error_type, "message": info.message,
+                "transient": info.transient,
+                "injected": info.injected, "attempts": 1,
+            }, permanent=not info.transient)
+            return
+        payload, _seconds, attempts = value
+        job.attempts = attempts
+        seconds = timing["seconds"] if timing else 0.0
+        self.admission.observe_cell_seconds(seconds)
+        if self.metrics is not None:
+            self.metrics.histogram("serve.cell_seconds").observe(seconds)
+        if kind != "ok":
+            self._fail_cell(job, payload, attempts)   # a CellFailure
+            return
+        result = result_payload(payload, attempts=attempts)
+        self.memo.setdefault(job.memo_key(), result)
+        self.store.transition(job, J.DONE, "measured", result=result)
+        self.breakers.record(
+            (job.benchmark, job.target, job.tier), success=True)
+        if self.metrics is not None:
+            self.metrics.counter("serve.done").inc()
+            self._observe_latency(job)
 
     # -- the dispatcher loop ---------------------------------------------------------
 
     def _loop(self) -> None:
-        from multiprocessing.connection import wait as conn_wait
-
         while True:
             with self.store.lock:
                 now = self.store.clock()
-                self.admission.evict_stale(now)
+                self.admission.evict_expired(now)
                 if self.stopping:
                     self.admission.drain_queue()
                 else:
                     self._dispatch_ready(now)
+                for record, exc in self.pool.reap_hung():
+                    self._hung(record["job"], exc)
                 if self.force:
                     self._abandon_inflight()
-                if self.stopping and not self.inflight \
+                if self.stopping and not self.pool.inflight \
                         and not self.admission.depth():
                     return
-            if self.inflight:
-                for conn in conn_wait(list(self.inflight), timeout=0.05):
-                    self._complete(conn)
+            if self.pool.inflight:
+                for _pool, conn in ready([self.pool], 0.05):
+                    with self.store.lock:
+                        self._complete(*self.pool.receive(conn))
             else:
                 self.wake.wait(0.05)
                 self.wake.clear()
@@ -295,7 +287,7 @@ class ServeExecutor:
     def _abandon_inflight(self) -> None:
         """Drain grace expired: record in-flight jobs evicted (terminal,
         partial results preserved) before the pool is torn down."""
-        for record in list(self.inflight.values()):
+        for record in self.pool.inflight.values():
             job = record["job"]
             self.store.transition(
                 job, J.EVICTED, "drain grace expired mid-run",
@@ -304,7 +296,7 @@ class ServeExecutor:
             if self.metrics is not None:
                 self.metrics.counter("serve.evictions").inc()
                 self.metrics.counter("serve.evictions.drain").inc()
-        self.inflight.clear()
+        self.pool.inflight.clear()
 
     # -- drain -----------------------------------------------------------------------
 

@@ -5,7 +5,7 @@ target, size, tier) cell — moving through a small, strictly terminal
 state machine:
 
     QUEUED -> RUNNING -> DONE | FAILED
-    QUEUED -> EVICTED            (preempted, stale, deadline, drain)
+    QUEUED -> EVICTED            (preempted, deadline, drain)
     QUEUED -> CANCELLED          (client asked)
     SHED                         (rejected at admission, terminal at birth)
 

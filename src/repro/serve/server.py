@@ -12,9 +12,9 @@ over one :class:`BenchService`, which composes the robustness layers —
 
 Overload answers are structured: a shed submission gets a JSON-RPC
 error whose ``data`` carries ``code`` (``overloaded`` /
-``rate_limited`` / ``circuit_open`` / ``draining``) and a
-``retry_after`` hint.  Every accepted job reaches a terminal state —
-the acceptance invariant the chaos-under-load gate enforces.
+``circuit_open`` / ``draining``) and a ``retry_after`` hint.  Every
+accepted job reaches a terminal state — the acceptance invariant the
+chaos-under-load gate enforces.
 """
 
 from __future__ import annotations
@@ -31,60 +31,24 @@ from .admission import AdmissionController
 from .breaker import BreakerBoard
 from .executor import ServeExecutor
 from .jobs import JobStore
-from .limiter import TokenBucket
 
 SERVE_TARGETS = ("native", "chrome", "firefox", "asmjs-chrome",
                  "asmjs-firefox")
 
 
-def _env_float(name: str, default: float) -> float:
-    try:
-        return float(os.environ.get(name, default))
-    except ValueError:
-        return default
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
-        return default
-
-
 class ServeConfig:
-    """Service knobs, resolved CLI flag > ``REPRO_SERVE_*`` env > default."""
+    """The service's settings, one per ``repro serve`` flag."""
 
-    def __init__(self, workers: int = None, queue_depth: int = None,
-                 max_wait: float = None, max_age: float = None,
-                 rate: float = None, burst: float = None,
-                 breaker_threshold: int = None,
-                 breaker_reset: float = None, retries: int = 2,
-                 timeout: float = None, runs: int = 3,
+    def __init__(self, workers: int = None, queue_depth: int = 64,
+                 retries: int = 2, timeout: float = None, runs: int = 3,
                  grace: float = 30.0):
-        pick = lambda flag, env, default, cast: \
-            flag if flag is not None else cast(env, default)
-        self.workers = pick(workers, "REPRO_SERVE_WORKERS",
-                            min(os.cpu_count() or 1, 4), _env_int)
-        self.queue_depth = pick(queue_depth, "REPRO_SERVE_QUEUE_DEPTH",
-                                64, _env_int)
-        self.max_wait = pick(max_wait, "REPRO_SERVE_MAX_WAIT", 30.0,
-                             _env_float)
-        self.max_age = pick(max_age, "REPRO_SERVE_MAX_AGE", 60.0,
-                            _env_float)
-        self.rate = pick(rate, "REPRO_SERVE_RATE", 50.0, _env_float)
-        self.burst = pick(burst, "REPRO_SERVE_BURST", 20.0, _env_float)
-        self.breaker_threshold = pick(
-            breaker_threshold, "REPRO_SERVE_BREAKER_THRESHOLD", 3,
-            _env_int)
-        self.breaker_reset = pick(
-            breaker_reset, "REPRO_SERVE_BREAKER_RESET", 15.0, _env_float)
+        self.workers = min(os.cpu_count() or 1, 4) if workers is None \
+            else workers
+        self.queue_depth = queue_depth
         self.retries = retries
         self.timeout = timeout
         self.runs = runs
         self.grace = grace
-
-    def as_dict(self) -> dict:
-        return dict(vars(self))
 
 
 class RpcError(Exception):
@@ -105,15 +69,10 @@ class BenchService:
         self.clock = clock
         self.started_at = clock()
         self.store = JobStore(clock=clock)
-        self.limiter = TokenBucket(config.rate, config.burst, clock=clock)
-        self.breakers = BreakerBoard(config.breaker_threshold,
-                                     config.breaker_reset, clock=clock,
-                                     metrics=self.metrics)
+        self.breakers = BreakerBoard(clock=clock, metrics=self.metrics)
         self.admission = AdmissionController(
-            self.store, self.limiter, self.breakers,
-            max_depth=config.queue_depth, max_wait=config.max_wait,
-            max_age=config.max_age, workers=config.workers,
-            metrics=self.metrics)
+            self.store, self.breakers, max_depth=config.queue_depth,
+            workers=config.workers, metrics=self.metrics)
         from ..harness import compilecache
         self.executor = ServeExecutor(
             self.store, self.admission, self.breakers,
@@ -246,7 +205,7 @@ class BenchService:
             "uptime_seconds": self.clock() - self.started_at,
             "draining": self.admission.draining,
             "queue_depth": self.admission.depth(),
-            "inflight": len(self.executor.inflight),
+            "inflight": len(self.executor.pool.inflight),
             "workers": self.executor.pool.width,
             "estimated_wait_seconds": self.admission.estimated_wait(),
             "jobs": counts,

@@ -476,18 +476,11 @@ class WasmInstance:
     DEFAULT_FUEL = 2_000_000_000
 
     def __init__(self, module: WasmModule, host=None, validate: bool = True,
-                 max_call_depth: int = 2000, max_fuel: int = None,
-                 hwc=None):
+                 max_call_depth: int = 2000, max_fuel: int = None):
         if validate:
             validate_module(module)
         self.module = module
         self.host = host
-        #: Optional :class:`repro.obs.hwc.BranchHwc`: a branch-predictor
-        #: model fed every conditional (``if``/``br_if``) and indirect
-        #: (``br_table``/``call_indirect``) branch.  Purely
-        #: observational — stack, locals, fuel, and results are
-        #: untouched.
-        self.hwc = hwc
         self._name_cache = {}
         initial, maximum = module.memory_pages
         self.memory = bytearray(initial * PAGE_SIZE)
@@ -729,17 +722,6 @@ class WasmInstance:
             code = self._decode_cache[key] = self._decode_body(func.body)
         facts = self._range_facts.get(key) if self._range_facts else None
 
-        # Branch-predictor model (hwc=None, the default, costs one local
-        # test per branch).  Sites are keyed by crc32(function name) and
-        # the body instruction index.
-        hwc = self.hwc
-        hwc_cond = hwc_ind = fname = None
-        if hwc is not None:
-            from ..obs.hwc import hwc_site
-            fname = self._func_name(func)
-            hwc_cond = hwc.cond
-            hwc_ind = hwc.indirect
-
         stack = []
         n = len(code)
         # Control stack entries: (op, start, end, else, height, arity)
@@ -787,8 +769,6 @@ class WasmInstance:
             elif kind == 7:                   # K_IF
                 start, end, else_idx, arity = a
                 cond = stack.pop()
-                if hwc_cond is not None:
-                    hwc_cond(hwc_site(fname, start), bool(cond))
                 ctrl.append(("if", start, end, else_idx,
                              len(stack), arity))
                 if not cond:
@@ -803,8 +783,6 @@ class WasmInstance:
                 pc = do_branch(a, ctrl, stack)
             elif kind == 10:                  # K_BR_IF
                 taken = stack.pop()
-                if hwc_cond is not None:
-                    hwc_cond(hwc_site(fname, pc - 1), bool(taken))
                 if taken:
                     self.fuel_used = fuel = self.fuel_used + 1
                     if fuel > max_fuel:
@@ -815,8 +793,6 @@ class WasmInstance:
                 targets, default = a
                 index = stack.pop()
                 depth = targets[index] if index < len(targets) else default
-                if hwc_ind is not None:
-                    hwc_ind(hwc_site(fname, pc - 1), depth)
                 self.fuel_used = fuel = self.fuel_used + 1
                 if fuel > max_fuel:
                     raise FuelExhausted(
@@ -847,8 +823,6 @@ class WasmInstance:
                 if not 0 <= index < len(self.table):
                     raise TrapError("undefined table element")
                 target = self.table[index]
-                if hwc_ind is not None:
-                    hwc_ind(hwc_site(fname, pc - 1), target)
                 actual = self.module.func_type_of(target)
                 if expect != actual:
                     raise TrapError("indirect call type mismatch")

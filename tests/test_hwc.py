@@ -21,11 +21,10 @@ from repro.benchsuite import matmul_spec, spec_benchmark
 from repro.codegen import compile_native
 from repro.harness.runner import compile_benchmark, run_compiled
 from repro.obs.hwc import (
-    BranchHwc, BranchPredictor, HwcCounters, HwcModel, class_cycles,
-    explain_benchmark, hwc_cycles, hwc_site,
+    BranchPredictor, HwcCounters, HwcModel, class_cycles,
+    explain_benchmark, hwc_cycles,
 )
 from repro.tier import TIERS
-from repro.wasm import WasmInstance
 from repro.x86 import X86Machine
 
 PROGRAM = """
@@ -62,7 +61,7 @@ def _native(hwc=None, tier="off"):
 
 def test_predictor_learns_a_loop_branch():
     bp = BranchPredictor()
-    site = hwc_site("f", 3)
+    site = 3
     misses = [bp.cond(site, True) for _ in range(10)]
     # Weakly-not-taken start: the first taken outcome mispredicts, the
     # counter saturates, and the branch predicts correctly forever.
@@ -72,7 +71,7 @@ def test_predictor_learns_a_loop_branch():
 
 def test_predictor_mispredicts_alternation():
     bp = BranchPredictor()
-    site = hwc_site("f", 4)
+    site = 4
     outcomes = [bool(i % 2) for i in range(64)]
     misses = sum(bp.cond(site, taken) for taken in outcomes)
     assert misses >= 16   # a bimodal counter cannot learn alternation
@@ -80,17 +79,11 @@ def test_predictor_mispredicts_alternation():
 
 def test_btb_tracks_last_target():
     bp = BranchPredictor()
-    site = hwc_site("f", 9)
+    site = 9
     assert bp.indirect(site, 100) is True     # cold
     assert bp.indirect(site, 100) is False    # hit
     assert bp.indirect(site, 200) is True     # retarget
     assert bp.indirect(site, 200) is False
-
-
-def test_hwc_site_is_stable_and_spreads():
-    assert hwc_site("main", 7) == hwc_site("main", 7)
-    sites = {hwc_site("main", i) for i in range(256)}
-    assert len(sites) == 256
 
 
 def test_hwc_counters_merge_and_eq():
@@ -211,62 +204,6 @@ def test_run_result_carries_hwc_via_env(monkeypatch):
     gated.run.hwc.verify()
     assert plain.run.perf.as_dict() == gated.run.perf.as_dict()
     assert plain.run.cycles == gated.run.cycles
-
-
-# -- interpreter branch models ------------------------------------------------------
-
-BRANCHY = """
-int f0(int x) { return x + 1; }
-int f1(int x) { return x * 2; }
-int (*tab[2])(int) = { f0, f1 };
-int main(void) {
-    int i; int s = 0;
-    for (i = 0; i < 200; i++) {
-        if (i % 4 == 0) { s += 3; } else { s -= 1; }
-        s += tab[(i >> 4) & 1](s) & 255;
-    }
-    print_i32(s);
-    return 0;
-}
-"""
-
-
-def _run_wasm(hwc=None):
-    from repro.codegen.emscripten import compile_emscripten
-    wasm, ir = compile_emscripten(BRANCHY, "test")
-    host = GuestHost(ir.heap_base)
-    instance = WasmInstance(wasm, host=host, hwc=hwc)
-    value = instance.invoke("main")
-    return value, bytes(host.output)
-
-
-def test_wasm_interpreter_branch_model():
-    plain = _run_wasm()
-    hwc = BranchHwc()
-    traced = _run_wasm(hwc=hwc)
-    assert plain == traced            # observational only
-    assert hwc.branches > 200         # loop br_if + if arms
-    assert hwc.indirect_branches >= 200   # call_indirect per iteration
-    assert 0 < hwc.branch_misses < hwc.branches
-    # The table index flips every 16 iterations, so the BTB hits in
-    # between and misses only on retargets.
-    assert 0 < hwc.btb_misses < hwc.indirect_branches
-
-
-def test_ir_interpreter_branch_model():
-    from repro.ir.interp import IRInterpreter
-    from repro.mcc import compile_source
-
-    module = compile_source(BRANCHY, "test")
-    hwc = BranchHwc()
-    host = GuestHost(module.heap_base)
-    value = IRInterpreter(module, host, hwc=hwc).run("main")
-    plain_host = GuestHost(module.heap_base)
-    plain = IRInterpreter(module, plain_host).run("main")
-    assert value == plain
-    assert bytes(host.output) == bytes(plain_host.output)
-    assert hwc.branches > 200
-    assert 0 < hwc.branch_misses < hwc.branches
 
 
 # -- gap explanation ----------------------------------------------------------------

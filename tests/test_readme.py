@@ -4,7 +4,6 @@ import os
 import re
 
 from repro.obs.hwc import HwcModel
-from repro.serve.server import ServeConfig
 from repro.tier import DEFAULT_TIER, TIERS
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -19,13 +18,6 @@ def _dcache():
 #: read with the variable unset.
 CODE_DEFAULTS = {
     "REPRO_HWC_DCACHE": _dcache,
-    "REPRO_SERVE_QUEUE_DEPTH": lambda: ServeConfig().queue_depth,
-    "REPRO_SERVE_MAX_WAIT": lambda: ServeConfig().max_wait,
-    "REPRO_SERVE_MAX_AGE": lambda: ServeConfig().max_age,
-    "REPRO_SERVE_RATE": lambda: ServeConfig().rate,
-    "REPRO_SERVE_BURST": lambda: ServeConfig().burst,
-    "REPRO_SERVE_BREAKER_THRESHOLD": lambda: ServeConfig().breaker_threshold,
-    "REPRO_SERVE_BREAKER_RESET": lambda: ServeConfig().breaker_reset,
 }
 
 

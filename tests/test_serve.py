@@ -1,7 +1,10 @@
 """The benchmark service: admission, backpressure, breakers, drain."""
 
 import json
+import os
 import pickle
+import re
+import time
 import urllib.error
 import urllib.request
 
@@ -17,9 +20,10 @@ from repro.errors import (
 from repro.resilience import RetryPolicy
 from repro.serve import (
     AdmissionController, BenchService, BreakerBoard, CircuitBreaker,
-    JobStore, RpcError, ServeConfig, TokenBucket, serve_in_thread,
+    JobStore, RpcError, ServeConfig, serve_in_thread,
 )
 from repro.serve import jobs as J
+from repro.serve.breaker import RESET_SECONDS
 
 
 @pytest.fixture(autouse=True)
@@ -41,49 +45,11 @@ class FakeClock:
         self.now += seconds
 
 
-# -- token bucket --------------------------------------------------------------------
-
-class TestTokenBucket:
-    def test_burst_then_dry(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=1.0, burst=3.0, clock=clock)
-        assert [bucket.allow("c")[0] for _ in range(3)] == [True] * 3
-        ok, retry_after = bucket.allow("c")
-        assert not ok and retry_after == pytest.approx(1.0)
-
-    def test_refills_at_rate(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=2.0, burst=1.0, clock=clock)
-        assert bucket.allow("c")[0]
-        assert not bucket.allow("c")[0]
-        clock.advance(0.5)   # one token back at 2/s
-        assert bucket.allow("c")[0]
-
-    def test_clients_are_independent(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=1.0, burst=1.0, clock=clock)
-        assert bucket.allow("a")[0]
-        assert not bucket.allow("a")[0]
-        assert bucket.allow("b")[0]
-
-    def test_retry_after_is_exact(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=4.0, burst=1.0, clock=clock)
-        bucket.allow("c")
-        _, retry_after = bucket.allow("c")
-        clock.advance(retry_after)
-        assert bucket.allow("c")[0]
-
-    def test_rate_zero_disables(self):
-        bucket = TokenBucket(rate=0.0, burst=1.0, clock=FakeClock())
-        assert all(bucket.allow("c")[0] for _ in range(100))
-
-
 # -- circuit breaker -----------------------------------------------------------------
 
 class TestCircuitBreaker:
     def _breaker(self, clock):
-        return CircuitBreaker(threshold=3, reset_after=10.0, clock=clock)
+        return CircuitBreaker(clock=clock)
 
     def test_trips_after_threshold_permanent_failures(self):
         breaker = self._breaker(FakeClock())
@@ -92,7 +58,7 @@ class TestCircuitBreaker:
             assert breaker.allow()[0]
         breaker.record_failure(permanent=True)
         ok, retry_after = breaker.allow()
-        assert not ok and 0 < retry_after <= 10.0
+        assert not ok and 0 < retry_after <= RESET_SECONDS
         assert breaker.trips == 1
 
     def test_transient_failures_never_count(self):
@@ -106,7 +72,7 @@ class TestCircuitBreaker:
         breaker = self._breaker(clock)
         for _ in range(3):
             breaker.record_failure(permanent=True)
-        clock.advance(10.5)
+        clock.advance(RESET_SECONDS + 0.5)
         assert breaker.allow()[0]          # the probe
         assert breaker.state == "half-open"
         assert not breaker.allow()[0]      # everyone else held
@@ -116,7 +82,7 @@ class TestCircuitBreaker:
         breaker = self._breaker(clock)
         for _ in range(3):
             breaker.record_failure(permanent=True)
-        clock.advance(10.5)
+        clock.advance(RESET_SECONDS + 0.5)
         breaker.allow()
         breaker.record_success()
         assert breaker.state == "closed" and breaker.failures == 0
@@ -126,11 +92,11 @@ class TestCircuitBreaker:
         breaker = self._breaker(clock)
         for _ in range(3):
             breaker.record_failure(permanent=True)
-        clock.advance(10.5)
+        clock.advance(RESET_SECONDS + 0.5)
         breaker.allow()
         breaker.record_failure(permanent=True)
         assert breaker.state == "open" and breaker.trips == 2
-        clock.advance(9.0)
+        clock.advance(RESET_SECONDS - 1.0)
         assert not breaker.allow()[0]
 
     def test_success_resets_consecutive_count(self):
@@ -144,13 +110,10 @@ class TestCircuitBreaker:
 
 # -- admission control ---------------------------------------------------------------
 
-def _admission(clock, max_depth=3, max_wait=0.0, max_age=60.0,
-               rate=0.0):
+def _admission(clock, max_depth=3):
     store = JobStore(clock=clock)
     controller = AdmissionController(
-        store, TokenBucket(rate, 5.0, clock=clock),
-        BreakerBoard(3, 10.0, clock=clock), max_depth=max_depth,
-        max_wait=max_wait, max_age=max_age, workers=1)
+        store, BreakerBoard(clock=clock), max_depth=max_depth, workers=1)
     return store, controller
 
 
@@ -176,6 +139,17 @@ class TestAdmission:
         assert decision.retry_after > 0
         assert job.state == J.SHED and job.terminal
 
+    def test_overloaded_retry_after_is_estimated_wait(self):
+        store, controller = _admission(FakeClock(), max_depth=2)
+        for _ in range(8):   # the EMA settles near 2 s per cell
+            controller.observe_cell_seconds(2.0)
+        for _ in range(2):
+            _submit(store, controller)
+        _, decision = _submit(store, controller)
+        assert decision.code == "overloaded"
+        assert decision.retry_after == controller.estimated_wait()
+        assert 3.5 < decision.retry_after < 4.0   # 2 queued x ~2 s / 1
+
     def test_high_priority_preempts_lowest(self):
         store, controller = _admission(FakeClock(), max_depth=2)
         low, _ = _submit(store, controller, priority=-1)
@@ -196,32 +170,12 @@ class TestAdmission:
         assert decision.code == "overloaded"
         assert first.state == J.QUEUED
 
-    def test_estimated_wait_sheds(self):
-        store, controller = _admission(FakeClock(), max_depth=100,
-                                       max_wait=1.0)
-        for _ in range(8):   # saturate the EMA at ~2s per cell
-            controller.observe_cell_seconds(2.0)
-        _submit(store, controller)
-        _, decision = _submit(store, controller)
-        assert decision is not None and decision.code == "overloaded"
-        assert "estimated queue wait" in decision.message
-
-    def test_stale_low_priority_evicted(self):
-        clock = FakeClock()
-        store, controller = _admission(clock, max_age=5.0)
-        low, _ = _submit(store, controller, priority=-1)
-        normal, _ = _submit(store, controller, priority=0)
-        clock.advance(6.0)
-        controller.evict_stale(clock())
-        assert low.state == J.EVICTED and low.error["code"] == "stale"
-        assert normal.state == J.QUEUED
-
     def test_expired_deadline_evicted_not_started(self):
         clock = FakeClock()
         store, controller = _admission(clock)
         job, _ = _submit(store, controller, deadline_s=2.0)
         clock.advance(3.0)
-        controller.evict_stale(clock())
+        controller.evict_expired(clock())
         assert job.state == J.EVICTED
         assert job.error["code"] == "deadline"
 
@@ -230,16 +184,6 @@ class TestAdmission:
         controller.draining = True
         _, decision = _submit(store, controller)
         assert decision.code == "draining"
-
-    def test_rate_limit_surfaces_as_shed(self):
-        clock = FakeClock()
-        store, controller = _admission(clock, max_depth=10, rate=1.0)
-        for _ in range(5):   # burst
-            _, decision = _submit(store, controller, client="hot")
-            assert decision is None
-        _, decision = _submit(store, controller, client="hot")
-        assert decision.code == "rate_limited"
-        assert decision.retry_after > 0
 
     def test_open_breaker_fails_fast(self):
         store, controller = _admission(FakeClock())
@@ -378,9 +322,8 @@ class TestTaxonomyPickling:
 # -- the service end-to-end ----------------------------------------------------------
 
 def _config(**kwargs):
-    defaults = dict(workers=1, queue_depth=8, max_wait=0.0, max_age=60.0,
-                    rate=0.0, burst=5.0, breaker_threshold=3,
-                    breaker_reset=15.0, retries=1, runs=2, grace=30.0)
+    defaults = dict(workers=1, queue_depth=8, retries=1, runs=2,
+                    grace=30.0)
     defaults.update(kwargs)
     return ServeConfig(**defaults)
 
@@ -490,15 +433,104 @@ class TestBenchService:
             killed = False
             while svc.clock() < deadline and not killed:
                 with svc.store.lock:
-                    for record in svc.executor.inflight.values():
+                    for record in svc.executor.pool.inflight.values():
                         record["worker"]["proc"].kill()
                         killed = True
             status = svc.rpc("wait", {"job_id": reply["job_id"],
                                       "timeout_s": 60.0})
             assert status["state"] == "done"
-            assert svc.metrics.counter("serve.worker_respawns").value >= 1
+            assert svc.metrics.counter("shard.worker_respawns").value >= 1
         finally:
             svc.drain(grace=20.0)
+
+
+# -- the worker lifecycle shared with the sweep scheduler ---------------------------
+
+def _worker_pid(status: dict) -> int:
+    """The pid of the worker a job was last dispatched to."""
+    dispatched = [event["detail"] for event in status["events"]
+                  if event["state"] == "running"]
+    return int(re.search(r"pid (\d+)", dispatched[-1]).group(1))
+
+
+class TestWorkerLifecycle:
+    def test_worker_dead_while_idle_is_replaced_uncharged(self):
+        # Nothing ran on the dead worker, so even with no retries the
+        # job goes to its replacement instead of failing.
+        svc = BenchService(_config(workers=1, retries=0))
+        try:
+            victim = svc.executor.pool.workers[0]["proc"]
+            victim.kill()
+            victim.join(timeout=10.0)
+            reply = svc.rpc("submit", {"benchmark": "matmul-8x8x8",
+                                       "target": "native", "client": "t"})
+            status = svc.rpc("wait", {"job_id": reply["job_id"],
+                                      "timeout_s": 60.0})
+            assert status["state"] == "done", status["error"]
+            assert _worker_pid(status) != victim.pid
+        finally:
+            svc.drain(grace=20.0)
+
+    def test_hung_job_fails_at_watchdog_on_a_fresh_worker(self,
+                                                          monkeypatch):
+        # A hang before the in-worker deadline is armed: only the
+        # 2 x timeout + 1 s watchdog can end it.
+        import repro.resilience as resilience
+        measure = resilience.measure_cell
+
+        def hang_on_firefox(spec, target, **kwargs):
+            if target == "firefox":
+                time.sleep(60)
+            return measure(spec, target, **kwargs)
+
+        monkeypatch.setattr(resilience, "measure_cell", hang_on_firefox)
+        svc = BenchService(_config(workers=1, retries=0, timeout=1.0))
+        try:
+            start = time.monotonic()
+            hung = svc.rpc("submit", {"benchmark": "matmul-8x8x8",
+                                      "target": "firefox", "client": "t"})
+            status = svc.rpc("wait", {"job_id": hung["job_id"],
+                                      "timeout_s": 10.0})
+            assert status["state"] == "failed", status["state"]
+            assert time.monotonic() - start < 6.0
+            error = status["error"]
+            assert (error["phase"], error["status"]) == ("execute",
+                                                         "TIMEOUT")
+            assert "hung past 1s" in error["message"]
+            reply = svc.rpc("submit", {"benchmark": "matmul-8x8x8",
+                                       "target": "native", "client": "t"})
+            after = svc.rpc("wait", {"job_id": reply["job_id"],
+                                     "timeout_s": 60.0})
+            assert after["state"] == "done", after["error"]
+            assert _worker_pid(after) != _worker_pid(status)
+        finally:
+            svc.drain(grace=5.0)
+
+    def test_lingering_injected_death_reads_injected(self, monkeypatch):
+        # The worker closes its pipe and takes a while to exit 17: it
+        # must be reaped, not terminated, or the death reads as SIGTERM.
+        from repro.harness import shard
+
+        def close_then_linger(conn):
+            if conn.recv() is not None:
+                conn.close()
+                time.sleep(0.5)
+            os._exit(17)
+
+        monkeypatch.setattr(shard, "_shard_worker_main", close_then_linger)
+        svc = BenchService(_config(workers=1, retries=0))
+        try:
+            reply = svc.rpc("submit", {"benchmark": "matmul-8x8x8",
+                                       "target": "native", "client": "t"})
+            status = svc.rpc("wait", {"job_id": reply["job_id"],
+                                      "timeout_s": 30.0})
+            assert status["state"] == "failed", status["state"]
+            error = status["error"]
+            assert (error["code"], error["injected"]) == ("worker_crash",
+                                                          True)
+            assert "exit code 17" in error["message"]
+        finally:
+            svc.drain(grace=5.0)
 
 
 # -- the HTTP front-end --------------------------------------------------------------
@@ -581,21 +613,3 @@ class TestHttpFrontend:
         svc.drain(grace=10.0)
         status, body = _get(port, "/readyz")
         assert status == 503 and body["status"] == "draining"
-
-
-# -- report --json serve block -------------------------------------------------------
-
-def test_report_json_has_serve_block(service, tmp_path, capsys):
-    from repro.cli import main
-
-    reply = service.rpc("submit", {"benchmark": "matmul-8x8x8",
-                                   "target": "native", "client": "r"})
-    service.rpc("wait", {"job_id": reply["job_id"], "timeout_s": 60.0})
-    out = tmp_path / "report.json"
-    assert main(["report", "table3", "--json", str(out)]) == 0
-    capsys.readouterr()
-    serve = json.loads(out.read_text())["serve"]
-    assert serve["submitted"] >= 1 and serve["done"] >= 1
-    assert set(serve["rejections"]) == {"overloaded", "rate_limited",
-                                        "circuit_open", "draining"}
-    assert "p99" in serve["queue_wait"]
