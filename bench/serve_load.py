@@ -3,10 +3,9 @@
 Spawns ``repro serve`` as a subprocess, then drives it with an
 **open-loop** load: ``--arrivals`` submissions on a fixed deterministic
 schedule (arrival *i* fires at ``i / --rate`` seconds, whether or not
-earlier requests finished), issued by hundreds of distinct simulated
-clients.  The workload cycles through a small matrix of matmul cells so
-the first submission of each key does real work and repeats exercise
-the service-side memo table.
+earlier requests finished).  The workload cycles through a small
+matrix of matmul cells so the first submission of each key does real
+work and repeats exercise the service-side memo table.
 
 Gates (exit non-zero on any violation):
 
@@ -114,9 +113,8 @@ class Client:
             return json.loads(resp.read())
 
 
-def drive_one(rpc: Client, i: int, t0: float, rate: float,
-              distinct: int, runs: int, records: list,
-              terminal_deadline: float) -> None:
+def drive_one(rpc: Client, i: int, t0: float, rate: float, runs: int,
+              records: list, terminal_deadline: float) -> None:
     """One open-loop arrival: sleep to slot, submit, wait to terminal."""
     benchmark, target, priority, deadline = workload(i)
     rec = {"i": i, "benchmark": benchmark, "target": target,
@@ -126,7 +124,7 @@ def drive_one(rpc: Client, i: int, t0: float, rate: float,
     time.sleep(max(0.0, t0 + i / rate - time.monotonic()))
     submitted = time.monotonic()
     params = {"benchmark": benchmark, "target": target, "runs": runs,
-              "client": f"c{i % distinct:03d}", "priority": priority}
+              "client": "serve-load", "priority": priority}
     if deadline is not None:
         params["deadline_s"] = deadline
     try:
@@ -195,7 +193,6 @@ def main(argv=None) -> int:
                         help="total submissions (default 120)")
     parser.add_argument("--rate", type=float, default=60.0,
                         help="arrival rate per second (default 60)")
-    parser.add_argument("--distinct-clients", type=int, default=200)
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--runs", type=int, default=2)
     parser.add_argument("--queue-depth", type=int, default=64)
@@ -242,8 +239,8 @@ def main(argv=None) -> int:
     terminal_deadline = t0 + args.arrivals / args.rate + args.settle
     threads = [threading.Thread(
         target=drive_one,
-        args=(rpc, i, t0, args.rate, args.distinct_clients, args.runs,
-              records, terminal_deadline), daemon=True)
+        args=(rpc, i, t0, args.rate, args.runs, records,
+              terminal_deadline), daemon=True)
         for i in range(args.arrivals)]
     for t in threads:
         t.start()

@@ -9,6 +9,8 @@ config flag here, which is what makes the ablation benchmarks possible.
 
 from __future__ import annotations
 
+import copy
+
 from ..errors import CompileError
 from ..ir.function import Function
 from ..ir.instructions import (
@@ -304,7 +306,7 @@ class FunctionLowering:
         func = self.func
         cfg = self.cfg
         if cfg.loop_entry_jumps:
-            _insert_loop_entry_jumps(func)
+            func = self.func = _insert_loop_entry_jumps(func)
 
         self.use_counts = _use_counts(func)
         with span("regalloc", function=func.name,
@@ -1267,23 +1269,35 @@ def _use_counts(func: Function):
     return counts
 
 
-def _insert_loop_entry_jumps(func: Function) -> None:
+def _insert_loop_entry_jumps(func: Function) -> Function:
     """Chrome's extra per-loop-entry jump (paper §5.1.3 / Fig. 7c line 5):
     every edge entering a loop from outside goes through a forwarding
-    block that lowers to an unconditional jmp (never elided)."""
+    block that lowers to an unconditional jmp (never elided).
+
+    Returns a copy-on-write view and never writes ``func``: the view
+    owns a copy of the blocks dict, the new ``jentry_*`` blocks, and a
+    copy of each rewritten predecessor block and its terminator; every
+    other block and instruction is shared with ``func``."""
     from ..ir.function import BasicBlock
 
+    view = copy.copy(func)
+    view.blocks = dict(func.blocks)
     for loop in natural_loops(func):
-        preds = func.predecessors()
+        preds = view.predecessors()
         header = loop.header
         outside = [p for p in preds.get(header, []) if p not in loop.body]
         if not outside:
             continue
-        entry = BasicBlock(f"jentry_{header}_{len(func.blocks)}")
+        entry = BasicBlock(f"jentry_{header}_{len(view.blocks)}")
         entry.term = Jump(header)
-        func.blocks[entry.label] = entry
+        view.blocks[entry.label] = entry
         for pred_label in outside:
-            term = func.blocks[pred_label].term
+            block = view.blocks[pred_label]
+            if block is func.blocks.get(pred_label):
+                block = copy.copy(block)
+                block.term = copy.copy(block.term)
+                view.blocks[pred_label] = block
+            term = block.term
             if isinstance(term, Jump) and term.target == header:
                 term.target = entry.label
             elif isinstance(term, CondBr):
@@ -1291,8 +1305,9 @@ def _insert_loop_entry_jumps(func: Function) -> None:
                     term.if_true = entry.label
                 if term.if_false == header:
                     term.if_false = entry.label
-        if func.entry == header:
-            func.entry = entry.label
+        if view.entry == header:
+            view.entry = entry.label
+    return view
 
 
 def lower_module(module: Module, config: TargetConfig,

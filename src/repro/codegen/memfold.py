@@ -57,17 +57,22 @@ def fold_memory_ops(func: Function) -> int:
     changed = True
     while changed:
         changed = False
+        # Neither fold writes the counts it reads, so they are
+        # recounted only after a block was rewritten (the address fold
+        # reads the use counts from before its sweep).
+        counts = _use_counts(func)
         for block in func.blocks.values():
-            counts = _use_counts(func)
             if _fold_rmw_block(block, counts):
                 changed = True
                 rewrites += 1
-        counts = _use_counts(func)
+                counts = _use_counts(func)
+        global_defs = _global_def_counts(func)
         for block in func.blocks.values():
-            n = _fold_addr_block(func, block, counts)
+            n = _fold_addr_block(block, counts, global_defs)
             if n:
                 changed = True
                 rewrites += n
+                global_defs = _global_def_counts(func)
         if _sweep_dead_scale_defs(func):
             changed = True
     return rewrites
@@ -181,10 +186,9 @@ def _global_def_counts(func):
     return counts
 
 
-def _fold_addr_block(func, block, counts) -> int:
+def _fold_addr_block(block, counts, global_defs) -> int:
     """Fold address computations into memory accesses within ``block``."""
     instrs = block.instrs
-    global_defs = _global_def_counts(func)
     defs_at = {}
     for idx, instr in enumerate(instrs):
         for reg in instr.defs():

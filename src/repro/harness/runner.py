@@ -158,7 +158,9 @@ def _compile_benchmark(spec, targets, engines, store, result):
     wasm backend first (it only reads the IR) and then the native-only
     tail (unrolling, memfold and lowering rewrite the IR in place).
     Each half keeps its own cache key, so a partial hit compiles only
-    the missing half."""
+    the missing half.  On the JIT side, engines with the same front
+    identity share one translated IR per binary and lower it in turn;
+    each engine keeps its own cache key."""
     native = "native" in targets
     wasm_targets = [t for t in targets if t != "native"]
     program = native_key = cached = wasm_key = None
@@ -211,6 +213,9 @@ def _compile_benchmark(spec, targets, engines, store, result):
     if wasm_targets:
         wasm_bytes, emcc_seconds = cached
         result.wasm_bytes = wasm_bytes
+        # Engines whose front halves agree translate and optimize the
+        # binary once and differ only in lowering (never cached).
+        fronts = {}
         for target in wasm_targets:
             engine = engines[target]
             program = engine_key = None
@@ -219,7 +224,7 @@ def _compile_benchmark(spec, targets, engines, store, result):
                                        wasm_key)
                 program = store.get(engine_key)
             if program is None:
-                program = engine.compile_bytes(wasm_bytes)
+                program = engine.compile_bytes(wasm_bytes, fronts)
                 if store is not None:
                     store.put(engine_key, program)
             result.programs[target] = program

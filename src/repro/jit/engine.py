@@ -1,8 +1,14 @@
-"""Browser WebAssembly engines: the JIT back half.
+"""Browser WebAssembly engines: the toolchain's JIT stage.
 
-An :class:`Engine` decodes real wasm bytes, translates them to IR, runs
-the cheap per-block cleanup that optimizing wasm tiers perform, and lowers
-through the shared x86 machinery under the engine's TargetConfig.
+An :class:`Engine` compiles real wasm bytes in two halves.  The *front
+half* decodes, validates and translates them to IR, runs the cheap
+per-block cleanup that optimizing wasm tiers perform and (on 2019
+tiers) the SSA mid-end, and annotates ranges.  The *tail* lowers that
+IR through the shared x86 machinery under the engine's TargetConfig,
+reading it only.  Engines with the same :meth:`Engine.front_identity`
+differ only in the tail, so a caller compiling one binary for several
+of them passes ``compile_bytes`` one ``shared`` dict and the front half
+runs once per identity.
 
 Three vintages of each engine are provided for Figure 1's historical
 comparison (PLDI 2017 / April 2018 / May 2019): earlier engines fuse
@@ -13,6 +19,7 @@ the paper plots for PolyBenchC.
 from __future__ import annotations
 
 import time
+from typing import NamedTuple
 
 from ..codegen.lower import lower_module
 from ..codegen.target import CHROME, FIREFOX, TargetConfig
@@ -20,6 +27,7 @@ from ..ir.passes import (
     annotate_ranges, eliminate_dead_code, propagate_copies, ranges_enabled,
     run_ssa_midend, simplify_cfg, ssa_enabled, verify_after_pass,
 )
+from ..ir.module import Module
 from ..ir.verify import check_ranges_enabled, verify_ir_enabled, verify_module
 from ..obs import span
 from ..wasm.binary import decode_module, encode_module
@@ -27,6 +35,17 @@ from ..wasm.module import WasmModule
 from ..wasm.validate import validate_module
 from ..x86.program import X86Program
 from .translate import wasm_to_ir
+
+
+class FrontHalf(NamedTuple):
+    """One binary after an engine's front half: the IR every engine of
+    the same :meth:`Engine.front_identity` lowers (read-only), the stats
+    of its range annotation (``None`` when it did not run), and the
+    seconds the front half took."""
+
+    ir: Module
+    ranges: dict | None
+    seconds: float
 
 
 class Engine:
@@ -43,18 +62,28 @@ class Engine:
         #: not, preserving Figure 1's historical progression.
         self.optimizing_tier = year >= 2019
 
-    def compile_bytes(self, data: bytes) -> X86Program:
-        """Compile binary wasm bytes to a simulated x86 program."""
-        start = time.perf_counter()
-        with span("jit.decode", engine=self.name, bytes=len(data)):
-            module = decode_module(data, name=f"wasm.{self.name}")
-        with span("jit.validate", engine=self.name):
-            validate_module(module)
-        program = self.compile_module(module)
-        program.compile_stats["compile_seconds"] = \
-            time.perf_counter() - start
-        program.compile_stats["pipeline"] = self.name
-        return program
+    def compile_bytes(self, data: bytes, shared: dict = None) -> X86Program:
+        """Compile binary wasm bytes to a simulated x86 program.
+
+        ``shared`` is an optional dict the caller owns, keyed by (front
+        identity, bytes): an engine whose front half another engine
+        already ran on ``data`` only lowers that IR.  Its
+        ``compile_seconds`` still counts the whole front half plus its
+        own lowering."""
+        if shared is None:
+            return self.lower(self.front_half(data))
+        key = (self.front_identity(), data)
+        if key not in shared:
+            shared[key] = self.front_half(data)
+        return self.lower(shared[key])
+
+    def front_identity(self) -> tuple:
+        """The engine settings that shape its front half, plus the
+        ``--check-ranges`` flag: two engines with equal identities
+        translate a binary to the same IR and differ only in
+        lowering."""
+        return (self.local_cleanup, self.optimizing_tier,
+                self.uses_ranges(), check_ranges_enabled())
 
     def uses_ranges(self) -> bool:
         """Whether this compile runs the range pipeline: the engine must
@@ -67,9 +96,14 @@ class Engine:
                 and self.optimizing_tier and ssa_enabled()
                 and ranges_enabled())
 
-    def compile_module(self, module: WasmModule) -> X86Program:
-        """Compile an in-memory wasm module (already validated)."""
+    def front_half(self, data: bytes) -> FrontHalf:
+        """Decode, validate, translate, clean up, optimize and annotate
+        ``data``: everything before lowering."""
         start = time.perf_counter()
+        with span("jit.decode", engine=self.name, bytes=len(data)):
+            module = decode_module(data, name=f"wasm.{self.name}")
+        with span("jit.validate", engine=self.name):
+            validate_module(module)
         if verify_ir_enabled():
             from ..wasm.lint import lint_module as lint_wasm
             # Non-fatal: post-validation lint of the incoming wasm
@@ -115,20 +149,26 @@ class Engine:
                     verify_after_pass("dce", func, ir)
                     simplify_cfg(func)
                     verify_after_pass("simplifycfg", func, ir)
+        ranges = None
         if use_ranges or check_ranges_enabled():
             # Re-solve on the final IR so the facts key the exact
             # instruction objects the lowering sees; the lowering uses
             # them to elide checks (eliding engines) and to attach the
             # --check-ranges oracle assertions.
             with span("jit.ranges", engine=self.name):
-                program_stats = annotate_ranges(ir)
-        else:
-            program_stats = None
-        program = lower_module(ir, self.config, name=self.name)
-        if program_stats is not None:
-            program.compile_stats["ranges"] = program_stats
-        program.compile_stats.setdefault(
-            "compile_seconds", time.perf_counter() - start)
+                ranges = annotate_ranges(ir)
+        return FrontHalf(ir, ranges, time.perf_counter() - start)
+
+    def lower(self, front: FrontHalf) -> X86Program:
+        """Lower a front half's IR under this engine's config.  The IR
+        is only read, so every engine of the same front identity can
+        lower it in turn."""
+        start = time.perf_counter()
+        program = lower_module(front.ir, self.config, name=self.name)
+        if front.ranges is not None:
+            program.compile_stats["ranges"] = dict(front.ranges)
+        program.compile_stats["compile_seconds"] = \
+            front.seconds + time.perf_counter() - start
         program.compile_stats["pipeline"] = self.name
         return program
 

@@ -218,3 +218,64 @@ def test_wasm_backend_leaves_its_ir_untouched(shared, oracle, oracle_config):
     before = pickle.dumps(ir)
     compile_ir_to_wasm(ir)
     assert pickle.dumps(ir) == before
+
+
+# -- one JIT front half per binary --------------------------------------------
+#
+# Engines whose front halves agree (decode, validate, translate, cleanup,
+# SSA mid-end, range annotation) share one translated IR per binary and
+# differ only in lowering, which must therefore only read that IR.
+
+WASM_TARGETS = ("chrome", "firefox", "asmjs-chrome", "asmjs-firefox",
+                "chrome-tiered", "firefox-tiered")
+ENGINES = dict(runner._ENGINES, **runner._tiered_engines())
+
+
+@pytest.fixture(scope="module")
+def front_halves():
+    """Pickled front halves, one per (benchmark, front identity)."""
+    return {}
+
+
+@pytest.mark.parametrize("oracle", [False, True],
+                         ids=["plain", "check-ranges"])
+@pytest.mark.parametrize("target", WASM_TARGETS)
+def test_lowering_leaves_its_ir_untouched(shared, target, oracle,
+                                          oracle_config, front_halves):
+    spec, compiled = shared
+    set_check_ranges(oracle)
+    engine = ENGINES[target]
+    key = (spec.name, engine.front_identity())
+    if key not in front_halves:
+        front_halves[key] = pickle.dumps(
+            engine.front_half(compiled.wasm_bytes))
+    front = pickle.loads(front_halves[key])
+    before = pickle.dumps(front.ir)
+    engine.lower(front)
+    assert pickle.dumps(front.ir) == before
+
+
+@pytest.mark.parametrize("oracle", [False, True],
+                         ids=["plain", "check-ranges"])
+def test_shared_front_half_equals_each_engines_own(shared, oracle,
+                                                   oracle_config,
+                                                   monkeypatch):
+    spec, _compiled = shared
+    set_check_ranges(oracle)
+    from repro.jit import engine as jit_engine
+    translations = []
+    real = jit_engine.wasm_to_ir
+
+    def counted(module):
+        translations.append(module)
+        return real(module)
+
+    monkeypatch.setattr(jit_engine, "wasm_to_ir", counted)
+    compiled = compile_benchmark(spec, WASM_TARGETS, cache=False)
+    assert len(translations) == 2     # one per front identity
+    for target in WASM_TARGETS:
+        own = ENGINES[target].compile_bytes(compiled.wasm_bytes)
+        program = compiled.programs[target]
+        assert _image(program) == _image(own), target
+        assert program.compile_stats.get("ranges") == \
+            own.compile_stats.get("ranges"), target
