@@ -20,24 +20,15 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from run_bench import (                                   # noqa: E402
-    bench_parallel_warm, bench_sharded_sweep, bench_x86_blocks,
-)
+from run_bench import bench_parallel_warm, bench_x86_blocks  # noqa: E402
 
 #: (scenario, floor): measured speedups are ~2.0x (x86_blocks) and
 #: 1.1-1.4x (parallel_warm on a 2-vCPU host, unpinned and pinned to one
 #: CPU).  The floors sit well below them, so they trip only when an
-#: optimization has actually regressed, not on timer jitter.  Two shards cannot beat one on a 1-CPU CI box,
-#: so the sharded gate bounds the coordination *overhead* instead
-#: (measured ~0.98x of the one-shard time pinned to one CPU of a 2-vCPU
-#: host, and 0.81-1.09x unpinned with the shapes alternated, best of 5
-#: each; the 0.75x floor trips only when the coordinator itself
-#: regresses); steal activity and bit-identity are asserted inside the
-#: scenario.
+#: optimization has actually regressed, not on timer jitter.
 GATES = (
     ("x86_blocks", bench_x86_blocks, 1.3),
     ("parallel_warm", bench_parallel_warm, 1.05),
-    ("sharded_sweep", lambda: bench_sharded_sweep(force=True), 0.75),
 )
 
 

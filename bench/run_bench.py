@@ -13,11 +13,7 @@ in the tree, and writes ``BENCH_repro.json`` at the repo root:
   on a single-CPU box);
 * ``parallel_warm``   — the sweep scheduler's persistent worker pool
   reused across sweeps vs. forked afresh for every sweep, results
-  asserted bit-identical to serial;
-* ``sharded_sweep``   — a skewed suite sweep on two work-stealing
-  shards (``--shards 2``) vs. one shard at the same ``--jobs``, results
-  asserted bit-identical and steals recorded (degrades honestly to
-  serial on a single-CPU box).
+  asserted bit-identical to serial.
 
 Usage::
 
@@ -218,8 +214,8 @@ def bench_parallel_warm():
                 cold[name][target].times, "pooled sweep diverged"
     return {
         "description": "4-benchmark x 3-target suite sweep on the "
-                       "sweep scheduler's persistent pool (--shards 1) "
-                       "vs the same pool forked afresh per sweep; "
+                       "sweep scheduler's persistent pool vs the same "
+                       "pool forked afresh per sweep; "
                        "results asserted bit-identical to serial. "
                        "Measures what repeated sweeps "
                        "(compare/report/bench loops) save.",
@@ -231,103 +227,11 @@ def bench_parallel_warm():
     }
 
 
-def bench_sharded_sweep(force=False):
-    """Two work-stealing shards (``--shards 2``) vs. one shard at the
-    same ``--jobs``, on a *skewed* suite (one heavy benchmark first) so
-    the imbalance stealing exists to absorb is actually present.  Results are asserted bit-identical to serial
-    and the steal count is recorded from the metrics registry.
-
-    ``force=True`` (the perf-smoke gate) sets REPRO_FORCE_JOBS so both
-    shapes run their real pools even on a single-CPU box; the gate
-    then bounds the sharding *overhead* rather than expecting a
-    speedup no 1-CPU box can deliver.  Unforced, the scenario degrades
-    honestly to serial (speedup 1.0, effective_jobs 1) like
-    ``parallel_suite``.
-    """
-    from repro.benchsuite import matmul_spec
-    from repro.harness.parallel import normalize_jobs
-    from repro.harness.shard import shutdown_shard_pools
-    from repro.obs import metrics as obs_metrics
-
-    names = ["2mm", "3mm", "gemm", "covariance"]
-    targets = ["native", "chrome", "firefox"]
-    jobs = 4
-
-    prev_force = os.environ.get("REPRO_FORCE_JOBS")
-    prev_cache = os.environ.get("REPRO_CACHE_DIR")
-    if force:
-        os.environ["REPRO_FORCE_JOBS"] = "1"
-    tmp = tempfile.mkdtemp(prefix="repro-bench-cache-")
-    os.environ["REPRO_CACHE_DIR"] = tmp
-
-    def sweep(n_jobs, shards):
-        suite = [matmul_spec(40, 40, 40)] + \
-            [polybench_benchmark(name, "test") for name in names]
-        return run_suite(suite, targets, runs=3, jobs=n_jobs,
-                         shards=shards)
-
-    try:
-        effective = normalize_jobs(jobs, quiet=True)
-        _, (serial, _) = _best_of(lambda: sweep(1, 1), repeats=1)
-        registry = obs_metrics.enable()
-        # Alternate the two shapes so host-speed drift on a shared box
-        # hits both alike; best of 5 each.  Only one pool set lives at a
-        # time, so an untimed sweep forks and warms each shape first.
-        single_seconds = sharded_seconds = float("inf")
-        for _ in range(5):
-            sweep(jobs, 1)
-            seconds, (single, _) = _best_of(lambda: sweep(jobs, 1),
-                                            repeats=1)
-            single_seconds = min(single_seconds, seconds)
-            sweep(jobs, 2)
-            seconds, (sharded, _) = _best_of(lambda: sweep(jobs, 2),
-                                             repeats=1)
-            sharded_seconds = min(sharded_seconds, seconds)
-        steals = registry.counters["shard.steals"].value \
-            if "shard.steals" in registry.counters else 0
-        obs_metrics.disable()
-    finally:
-        shutdown_warm_pool()
-        shutdown_shard_pools()
-        for var, prev in (("REPRO_FORCE_JOBS", prev_force),
-                          ("REPRO_CACHE_DIR", prev_cache)):
-            if prev is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = prev
-        shutil.rmtree(tmp, ignore_errors=True)
-    suite_names = ["matmul-40x40x40"] + names
-    for name in suite_names:
-        for target in targets:
-            assert serial[name][target].times == \
-                single[name][target].times == \
-                sharded[name][target].times, "sharded sweep diverged"
-    if force or effective > 1:
-        assert steals > 0, "skewed sweep produced no steals"
-    return {
-        "description": "Skewed 5-benchmark x 3-target sweep on two "
-                       "work-stealing shards (--shards 2) vs one shard "
-                       "at the same --jobs; results asserted "
-                       "bit-identical to serial, steal count recorded. "
-                       "Unforced, degrades honestly to serial on a "
-                       "single-CPU box.",
-        "baseline_seconds": single_seconds,
-        "optimized_seconds": sharded_seconds,
-        "speedup": single_seconds / sharded_seconds,
-        "jobs": jobs,
-        "shards": 2,
-        "effective_jobs": effective if not force else jobs,
-        "steals": steals,
-        "cpus": os.cpu_count(),
-    }
-
-
 SCENARIOS = {
     "compile_cache": bench_compile_cache,
     "x86_blocks": bench_x86_blocks,
     "parallel_suite": bench_parallel_suite,
     "parallel_warm": bench_parallel_warm,
-    "sharded_sweep": bench_sharded_sweep,
 }
 
 

@@ -1,18 +1,15 @@
-"""Shard smoke: the sharded sweep engine must be bit-identical to serial.
+"""Shard smoke: the pooled sweep engine must be bit-identical to serial.
 
-Runs a small benchmark matrix three ways — serially, on one shard
-(``--jobs 2 --shards 1``), and on two work-stealing shards
-(``--jobs 2 --shards 2``) — and asserts that
+Runs a small, skewed benchmark matrix twice — serially, and on one
+warm pool (``--jobs 2``) — and asserts that
 
 * every cell's measurements (times, counters, stdout) are
-  bit-identical across all three schedules;
+  bit-identical across both schedules;
 * suite order is preserved in the merged results;
-* the engine actually sharded (``shard.count`` == 2 in the metrics
-  registry) rather than silently falling back to one shard;
-* a second sharded sweep reuses the warm shard pools (same worker
-  pids), so repeated sweeps do not re-pay the fork cost.
+* a second pooled sweep reuses the warm pool (same worker pids), so
+  repeated sweeps do not re-pay the fork cost.
 
-``REPRO_FORCE_JOBS=1`` is set so the real pools run even on a 1-CPU
+``REPRO_FORCE_JOBS=1`` is set so the real pool runs even on a 1-CPU
 CI runner.  Writes a JSON summary and exits non-zero on any
 violation, so CI can gate on it.
 
@@ -44,14 +41,14 @@ TARGETS = ["native", "chrome", "firefox"]
 
 
 def _suite():
-    # The heavy matmul cell lands in shard 0's slice: skew for steals.
+    # The heavy matmul cell heads the queue: a skewed matrix.
     return [matmul_spec(40, 40, 40)] + \
         [polybench_benchmark(name, "test") for name in BENCHMARKS]
 
 
-def sweep(jobs, shards):
+def sweep(jobs):
     results, _ = run_suite(_suite(), TARGETS, runs=3, jobs=jobs,
-                           shards=shards, cache=False)
+                           cache=False)
     return results
 
 
@@ -62,44 +59,35 @@ def main(argv=None) -> int:
 
     names = [spec.name for spec in _suite()]
     print("[shard-smoke] serial sweep ...", flush=True)
-    serial = sweep(1, 1)
-    print("[shard-smoke] one-shard sweep (--jobs 2 --shards 1) ...",
-          flush=True)
-    single = sweep(2, 1)
-    print("[shard-smoke] sharded sweep (--jobs 2 --shards 2) ...",
-          flush=True)
+    serial = sweep(1)
+    print("[shard-smoke] pooled sweep (--jobs 2) ...", flush=True)
     registry = obs_metrics.enable()
-    sharded = sweep(2, 2)
+    pooled = sweep(2)
 
-    assert list(serial) == list(single) == list(sharded) == names, \
+    assert list(serial) == list(pooled) == names, \
         "suite order not preserved"
     for name in names:
         for target in TARGETS:
             s = serial[name][target]
-            for schedule, results in (("single", single),
-                                      ("sharded", sharded)):
-                cell = results[name][target]
-                assert cell.times == s.times, \
-                    f"{schedule} diverged: {name}@{target} times"
-                assert cell.perf.as_dict() == s.perf.as_dict(), \
-                    f"{schedule} diverged: {name}@{target} counters"
-                assert cell.run.stdout == s.run.stdout, \
-                    f"{schedule} diverged: {name}@{target} stdout"
+            cell = pooled[name][target]
+            assert cell.times == s.times, \
+                f"pooled diverged: {name}@{target} times"
+            assert cell.perf.as_dict() == s.perf.as_dict(), \
+                f"pooled diverged: {name}@{target} counters"
+            assert cell.run.stdout == s.run.stdout, \
+                f"pooled diverged: {name}@{target} stdout"
 
     gauges = {name: gauge.value
               for name, gauge in registry.gauges.items()}
     counters = {name: counter.value
                 for name, counter in registry.counters.items()
                 if name.startswith("shard.")}
-    assert gauges.get("shard.count") == 2, \
-        f"engine did not shard: {gauges}"
 
-    pools = shard_mod._SHARDS["pools"]
-    pids = [w["proc"].pid for pool in pools for w in pool.workers]
-    rewarmed = sweep(2, 2)
-    assert shard_mod._SHARDS["pools"] is pools and \
-        [w["proc"].pid for pool in pools
-         for w in pool.workers] == pids, "shard pools not reused"
+    pool = shard_mod._SHARDS
+    pids = [w["proc"].pid for w in pool.workers]
+    rewarmed = sweep(2)
+    assert shard_mod._SHARDS is pool and \
+        [w["proc"].pid for w in pool.workers] == pids, "pool not reused"
     for name in names:
         for target in TARGETS:
             assert rewarmed[name][target].times == \
@@ -122,7 +110,7 @@ def main(argv=None) -> int:
         with open(args.output, "w") as fh:
             json.dump(summary, fh, indent=2)
         print(f"[shard-smoke] wrote {args.output}")
-    print("[shard-smoke] sharded sweep bit-identical to serial")
+    print("[shard-smoke] pooled sweep bit-identical to serial")
     return 0
 
 

@@ -49,13 +49,12 @@ class SuiteData:
     def __init__(self, benchmarks, targets, runs: int = 5,
                  max_instructions: int = 2_000_000_000, jobs: int = 1,
                  tolerant: bool = False, plan=None, retries: int = None,
-                 timeout: float = None, shards: int = None):
+                 timeout: float = None):
         self.benchmarks = list(benchmarks)
         self.targets = list(targets)
         self.runs = runs
         self.max_instructions = max_instructions
         self.jobs = jobs
-        self.shards = shards
         self.tolerant = tolerant or plan is not None
         self.plan = plan
         self.retries = retries
@@ -65,7 +64,7 @@ class SuiteData:
         self.failures = []
 
     def collect(self, progress=None) -> "SuiteData":
-        from ..harness.runner import _validate_tolerant
+        from ..harness.runner import _validate_strict, _validate_tolerant
         from ..resilience import RetryPolicy, is_failure
 
         policy = None
@@ -75,13 +74,14 @@ class SuiteData:
             self.benchmarks, self.targets, runs=self.runs,
             max_instructions=self.max_instructions, jobs=self.jobs,
             progress=progress, tolerant=self.tolerant, plan=self.plan,
-            policy=policy, timeout=self.timeout, shards=self.shards)
+            policy=policy, timeout=self.timeout)
         for spec in self.benchmarks:
             compiled = CompiledBenchmark(spec)
             compiled.compile_seconds = compile_seconds[spec.name]
             self.compiled[spec.name] = compiled
         if not self.tolerant:
-            self._validate()
+            for name, by_target in self.results.items():
+                _validate_strict(name, by_target)
             return self
         for name, by_target in self.results.items():
             _validate_tolerant(name, by_target, self.plan)
@@ -94,37 +94,26 @@ class SuiteData:
         }
         return self
 
-    def _validate(self) -> None:
-        for name, by_target in self.results.items():
-            baseline = by_target.get("native")
-            if baseline is None:
-                continue
-            for target, result in by_target.items():
-                if result.run.stdout != baseline.run.stdout:
-                    raise AssertionError(
-                        f"{name}@{target}: output differs from native")
-
 
 def spec_data(size: str = "ref", include_asmjs: bool = False,
               runs: int = 5, benchmarks=None, progress=None,
               jobs: int = 1, tolerant: bool = False, plan=None,
-              retries: int = None, timeout: float = None,
-              shards: int = None) -> SuiteData:
+              retries: int = None, timeout: float = None) -> SuiteData:
     targets = list(TARGETS) + (list(ASMJS_TARGETS) if include_asmjs else [])
     specs = benchmarks or all_spec_benchmarks(size)
     return SuiteData(specs, targets, runs, jobs=jobs, tolerant=tolerant,
-                     plan=plan, retries=retries, timeout=timeout,
-                     shards=shards).collect(progress)
+                     plan=plan, retries=retries,
+                     timeout=timeout).collect(progress)
 
 
 def polybench_data(size: str = "ref", runs: int = 5,
                    progress=None, jobs: int = 1, tolerant: bool = False,
                    plan=None, retries: int = None,
-                   timeout: float = None, shards: int = None) -> SuiteData:
+                   timeout: float = None) -> SuiteData:
     return SuiteData(all_polybench_benchmarks(size),
                      TARGETS, runs, jobs=jobs, tolerant=tolerant,
-                     plan=plan, retries=retries, timeout=timeout,
-                     shards=shards).collect(progress)
+                     plan=plan, retries=retries,
+                     timeout=timeout).collect(progress)
 
 
 # ---------------------------------------------------------------------------

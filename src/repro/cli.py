@@ -283,7 +283,7 @@ def cmd_bench(args) -> int:
         results = run_benchmark(spec, targets=targets, runs=args.runs,
                                 jobs=args.jobs, tolerant=tolerant,
                                 plan=plan, policy=policy,
-                                timeout=args.timeout, shards=args.shards)
+                                timeout=args.timeout)
     except KeyboardInterrupt:
         print(f"\ninterrupted: {spec.name} sweep cancelled "
               "(use --tolerant to keep partial results)", file=sys.stderr)
@@ -378,15 +378,13 @@ def cmd_report(args) -> int:
     if artifact == "fig3a":
         data = polybench_data(args.size, runs=args.runs, jobs=args.jobs,
                               tolerant=tolerant, plan=plan,
-                              retries=args.retries, timeout=args.timeout,
-                              shards=args.shards)
+                              retries=args.retries, timeout=args.timeout)
     elif artifact in spec_figures:
         include_asmjs = artifact in ("fig5", "fig6")
         data = spec_data(args.size, include_asmjs=include_asmjs,
                          runs=args.runs, jobs=args.jobs,
                          tolerant=tolerant, plan=plan,
-                         retries=args.retries, timeout=args.timeout,
-                         shards=args.shards)
+                         retries=args.retries, timeout=args.timeout)
     elif artifact not in standalone:
         print(f"unknown artifact {artifact}; choose from: table1 table2 "
               "table3 table4 fig1 fig3a fig3b fig4 fig5 fig6 fig7 fig8 "
@@ -424,9 +422,7 @@ def cmd_report(args) -> int:
             },
             "opt": _opt_block(registry_dict),
             "shard": {
-                "shards": gauges.get("shard.count", 0),
                 "cells": counters.get("runner.cells", 0),
-                "steals": counters.get("shard.steals", 0),
                 "requeues": counters.get("shard.requeues", 0),
                 "worker_respawns":
                     counters.get("shard.worker_respawns", 0),
@@ -754,14 +750,6 @@ def _add_tier_arg(p) -> None:
                         "at both")
 
 
-def _add_shards_arg(p) -> None:
-    p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="partition the --jobs workers into N "
-                        "work-stealing warm pools (default: auto from "
-                        "the worker count; 1 = a single pool); results "
-                        "are bit-identical to serial at any shard count")
-
-
 def _add_resilience_args(p) -> None:
     """The fault-injection / fault-tolerance knobs (bench + report)."""
     p.add_argument("--inject", metavar="SPEC",
@@ -838,7 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None, metavar="N",
                    help="worker processes for (benchmark, target) cells "
                         "(default: cpu count, capped at 8; 1 = serial)")
-    _add_shards_arg(p)
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the on-disk compile cache")
     p.add_argument("--stats", action="store_true",
@@ -898,7 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None, metavar="N",
                    help="worker processes for suite sweeps "
                         "(default: cpu count, capped at 8; 1 = serial)")
-    _add_shards_arg(p)
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the on-disk compile cache")
     p.add_argument("--stats", action="store_true",

@@ -2,14 +2,19 @@
 
 Every figure and table of the paper recompiles the same PolyBench/SPEC
 sources through the same pipelines: Table 1, Fig. 3 and the ablation
-suites each rebuild identical artifacts.  This module makes each
-(source, pipeline, flags, toolchain) combination compile exactly once
-per toolchain version with a two-tier cache:
+suites each rebuild identical artifacts.  This module stores the
+artifact of each (source, pipeline, flags, toolchain) combination in a
+two-tier cache:
 
 * an in-process dict (shared artifacts, zero-copy hits), and
 * an on-disk pickle store under ``~/.cache/repro`` so hits survive
   process boundaries — including the workers of the parallel suite
   runner (:mod:`repro.harness.parallel`).
+
+Once a key is stored, every later lookup in any process hits it.
+Nothing coordinates compiles in progress, though: workers that miss
+the same key at the same time each compile it, so on a cold cache the
+pooled cells of one benchmark may each run the frontend and mid-end.
 
 Keys are SHA-256 digests over the source text, the pipeline identity,
 the optimization flags, and a *toolchain fingerprint*: a content hash of

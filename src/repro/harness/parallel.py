@@ -3,10 +3,10 @@
 A full Table 1 / Fig. 3 sweep measures every benchmark on every target —
 dozens of independent (benchmark, target) cells that the serial drivers
 grind through one at a time.  :func:`run_suite` has two execution
-paths: in-process, and the work-stealing scheduler over persistent warm
-pools in :mod:`repro.harness.shard`, which runs every pooled sweep
-(fast or tolerant, any shard count).  Every measurement stays
-*bit-identical* to a serial run:
+paths: in-process, and the FIFO scheduler over one persistent warm
+pool in :mod:`repro.harness.shard`, which runs every pooled sweep
+(fast or tolerant).  Every measurement stays *bit-identical* to a
+serial run:
 
 * the simulated machine is deterministic, and the synthesized
   measurement noise is seeded per (benchmark, target) with the existing
@@ -21,9 +21,12 @@ Jobs are shipped to workers as *spec references* — ``(suite, name,
 size)`` triples resolved through :mod:`repro.benchsuite` — because
 benchmark specs carry setup closures that cannot cross a process
 boundary.  Specs that cannot be referenced (ad-hoc sources) simply run
-serially in the parent.  Workers share the on-disk compile cache, so a
-benchmark whose wasm module is needed by several targets is still
-compiled once per toolchain version across the whole pool.
+serially in the parent.  Each pooled cell compiles its benchmark for
+its one target, through the on-disk compile cache the workers share:
+once a key is stored, every later lookup in any process hits it, but
+workers that miss the same key at the same time each compile it, so
+on a cold cache the cells of one benchmark may each run the frontend
+and mid-end.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from ..resilience import (RetryPolicy, interrupted_cell, is_failure,
 from ..tier import get_tier
 from . import compilecache
 from .runner import NOISE, compile_benchmark, run_compiled
-from .shard import normalize_shards, run_sharded_jobs, shutdown_shard_pools
+from .shard import run_sharded_jobs, shutdown_shard_pools
 
 #: Upper bound for auto-selected worker counts: beyond this, pool
 #: startup and artifact pickling dominate the simulated workloads.
@@ -112,7 +115,7 @@ def resolve_ref(ref):
     raise ValueError(f"unknown spec reference {ref!r}")
 
 
-#: Tear down the persistent worker pools (tests, bench teardown); the
+#: Tear down the persistent worker pool (tests, bench teardown); the
 #: name callers outside this package use.
 shutdown_warm_pool = shutdown_shard_pools
 
@@ -123,29 +126,33 @@ def run_suite(benchmarks, targets, runs: int = 5, noise: float = NOISE,
               max_instructions: int = 2_000_000_000, jobs=1,
               progress=None, cache=None, tolerant: bool = False,
               plan=None, policy=None, timeout: float = None,
-              shards=None):
+              shards: int = 1):
     """Measure every (benchmark, target) cell of a suite.
 
     Returns ``(results, compile_seconds)`` where ``results`` maps
     benchmark name -> target -> BenchResult in suite order, and
     ``compile_seconds`` maps benchmark name -> {pipeline: seconds}.
-    ``jobs`` > 1 distributes cells over that many persistent worker
-    processes; ``jobs=None`` auto-selects :func:`default_jobs`.
-    ``shards`` > 1 partitions the workers into that many work-stealing
-    pools (see :mod:`repro.harness.shard`); ``shards=None`` auto-selects
-    from the worker count.  Results are bit-identical to serial for
-    every (jobs, shards) combination.  A worker that dies mid-cell is
-    respawned and its cell re-queued, up to ``policy.retries`` times.
+    ``jobs`` > 1 distributes cells over one pool of that many persistent
+    worker processes (see :mod:`repro.harness.shard`); ``jobs=None``
+    auto-selects :func:`default_jobs`.  Results are bit-identical to
+    serial at every width.  A worker that dies mid-cell is respawned
+    and its cell re-queued, up to ``policy.retries`` times.
 
     ``tolerant`` (implied by a fault-injection ``plan``) makes failed
     cells come back as :class:`~repro.resilience.CellFailure` values in
     ``results`` instead of raising, and the sweep always completes the
     full matrix: Ctrl-C marks unfinished cells ``interrupted``.
+
+    ``shards`` accepts only 1: it is kept for the perfbench workload
+    that still passes ``shards=1`` until a benchmark-only change drops
+    the argument.  Any other value raises :class:`ValueError`.
     """
+    if shards != 1:
+        raise ValueError(f"shards={shards!r}: sweeps run on one pool; "
+                         "only shards=1 is accepted")
     benchmarks = list(benchmarks)
     targets = list(targets)
     jobs = normalize_jobs(jobs)
-    shards = normalize_shards(shards, jobs)
     tolerant = tolerant or plan is not None
     policy = policy or RetryPolicy()
     metrics = get_registry()
@@ -189,9 +196,8 @@ def run_suite(benchmarks, targets, runs: int = 5, noise: float = NOISE,
 
     try:
         if jobs_list:
-            run_sharded_jobs(jobs_list, shards, jobs, pooled,
-                             tolerant=tolerant, retries=policy.retries,
-                             plan=plan)
+            run_sharded_jobs(jobs_list, jobs, pooled, tolerant=tolerant,
+                             retries=policy.retries, plan=plan)
         for spec in serial_specs:
             if tolerant:
                 for target in targets:
@@ -237,7 +243,7 @@ def run_suite(benchmarks, targets, runs: int = 5, noise: float = NOISE,
 def _merge_results(benchmarks, targets, cell_results):
     """Reassemble per-cell results in suite order: the merge is a pure
     function of (suite order, cell values), so the output is identical
-    no matter which worker or shard produced each cell.  Merge time
+    no matter which worker produced each cell.  Merge time
     lands in the ``shard.merge_seconds`` gauge."""
     metrics = get_registry()
     merge_start = time.time()

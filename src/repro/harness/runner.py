@@ -138,8 +138,8 @@ def compile_benchmark(spec: BenchmarkSpec, targets=None,
     default (two-tier, content-addressed), ``False`` disables caching
     for this call, and an explicit :class:`~repro.harness.compilecache.
     CompileCache` is used as-is.  Keyed on (source, pipeline, opt flags,
-    toolchain fingerprint), so each (benchmark, target) compiles exactly
-    once per toolchain version no matter how many experiments request it.
+    toolchain fingerprint), so once a (benchmark, target) is stored,
+    every later request for it, in any process, is a cache hit.
     """
     engines = dict(_ENGINES, **(engines or {}))
     targets = list(targets or TARGETS)
@@ -279,15 +279,14 @@ def run_benchmark(spec: BenchmarkSpec, targets=None, runs: int = 5,
                   validate: bool = True, noise: float = NOISE,
                   max_instructions: int = 2_000_000_000, cache=None,
                   jobs: int = 1, tolerant: bool = False, plan=None,
-                  policy=None, timeout: float = None, shards: int = None):
+                  policy=None, timeout: float = None):
     """Compile + run ``spec`` on each target; returns {target: BenchResult}.
 
-    With ``validate``, every target's stdout must byte-compare equal to
-    the native baseline's (the harness's ``cmp`` step).  ``jobs`` > 1
-    fans the targets out over worker processes (results are bit-identical
-    to the serial path; see :mod:`repro.harness.parallel`); ``shards``
-    > 1 splits the workers into that many work-stealing pools (see
-    :mod:`repro.harness.shard`).
+    One sweep of :func:`repro.harness.parallel.run_suite`: ``jobs`` > 1
+    fans the targets out over the worker pool, with results
+    bit-identical to the in-process path.  With ``validate``, every
+    target's stdout must byte-compare equal to the native baseline's
+    (the harness's ``cmp`` step).
 
     ``tolerant`` (implied by a fault-injection ``plan``) switches to the
     fault-tolerant path: failed cells come back as
@@ -296,41 +295,31 @@ def run_benchmark(spec: BenchmarkSpec, targets=None, runs: int = 5,
     fuel watchdog plus the optional wall-clock ``timeout``, and Ctrl-C
     yields partial results (remaining cells marked interrupted).
     """
-    targets = list(targets or TARGETS)
-    tolerant = tolerant or plan is not None
-    if not tolerant:
-        if jobs is None or jobs > 1:
-            from .parallel import run_suite
-            by_name, _compiled = run_suite(
-                [spec], targets, runs=runs, noise=noise,
-                max_instructions=max_instructions, jobs=jobs, cache=cache,
-                shards=shards)
-            results = by_name[spec.name]
-        else:
-            compiled = compile_benchmark(spec, targets, cache=cache)
-            results = {}
-            for target in targets:
-                results[target] = run_compiled(
-                    compiled, target, runs, noise,
-                    max_instructions=max_instructions)
-        if validate and "native" in results:
-            expected = results["native"].run.stdout
-            for target, result in results.items():
-                if result.run.stdout != expected:
-                    raise ValidationError(
-                        f"{spec.name}@{target}: output mismatch vs native")
-        return results
-
     from .parallel import run_suite
+    tolerant = tolerant or plan is not None
     by_name, _seconds = run_suite(
-        [spec], targets, runs=runs, noise=noise,
+        [spec], list(targets or TARGETS), runs=runs, noise=noise,
         max_instructions=max_instructions, jobs=jobs, cache=cache,
-        tolerant=True, plan=plan, policy=policy, timeout=timeout,
-        shards=shards)
+        tolerant=tolerant, plan=plan, policy=policy, timeout=timeout)
     results = by_name[spec.name]
     if validate:
-        _validate_tolerant(spec.name, results, plan)
+        if tolerant:
+            _validate_tolerant(spec.name, results, plan)
+        else:
+            _validate_strict(spec.name, results)
     return results
+
+
+def _validate_strict(name: str, results: dict) -> None:
+    """The ``cmp`` step: any target whose stdout differs from the native
+    baseline's raises :class:`ValidationError`."""
+    baseline = results.get("native")
+    if baseline is None:
+        return
+    for target, result in results.items():
+        if result.run.stdout != baseline.run.stdout:
+            raise ValidationError(
+                f"{name}@{target}: output mismatch vs native")
 
 
 def _validate_tolerant(name: str, results: dict, plan=None) -> None:

@@ -1,35 +1,29 @@
-"""The sweep scheduler: a work-stealing coordinator over warm pools.
+"""The sweep scheduler: one FIFO queue over one warm pool.
 
-Every pooled ``run_suite`` call (``--jobs`` > 1, fast or tolerant, any
-``--shards``) runs here; ``--jobs 1`` and specs that cannot cross a
-process boundary stay in-process (see :mod:`repro.harness.parallel`).
+Every pooled ``run_suite`` call (``--jobs`` > 1, fast or tolerant) runs
+here; ``--jobs 1`` and specs that cannot cross a process boundary stay
+in-process (see :mod:`repro.harness.parallel`).
 
-* **Warm pools.**  ``--shards N`` partitions the ``--jobs`` workers into
-  N addressable :class:`ShardPool`\\ s (persistent fork pools; N = 1 is
-  a single pool).  Workers are forked once, inherit the parent's
-  imported toolchain and compile cache, and stay alive across sweeps
-  until the pool shape changes.  Cells are dealt to per-shard deques in
-  contiguous suite-order slices, so a shard works a compact region of
-  the matrix and repeated sweeps hit the same pool with a warm compile
-  cache.
+* **One warm pool.**  The ``--jobs`` workers form one
+  :class:`ShardPool`, a persistent fork pool.  Workers are forked once,
+  inherit the parent's imported toolchain and compile cache, and stay
+  alive across sweeps until the width changes or a worker dies outside
+  the scheduler's control.
 
-* **Work stealing.**  A shard that drains its own deque does not go
-  idle: it steals from the *tail* of the richest victim's deque
-  (classic Cilk-style stealing, parent-arbitrated).  Static slices give
-  locality; stealing gives load balance under skew.  Counted as
-  ``shard.steals``.
+* **FIFO dispatch.**  Cells wait in one queue in suite order, and an
+  idle worker takes the head.  There is nothing to steal: every worker
+  draws from the same queue, so no worker idles while a cell waits.
 
 * **Crash re-queue.**  A dying worker kills one *dispatch*, never the
-  sweep: its pool reaps and respawns it (``shard.worker_respawns``),
-  the cell is re-queued at the head of its home shard, and only a
-  cell that keeps killing workers past its retry budget surfaces — as
-  a ``worker``-phase :class:`~repro.resilience.CellFailure` in
-  tolerant mode, or a :class:`~repro.errors.WorkerCrashError`
-  otherwise.  The
+  sweep: the pool reaps and respawns it (``shard.worker_respawns``),
+  the cell is re-queued at the head of the queue, and only a cell that
+  keeps killing workers past its retry budget surfaces — as a
+  ``worker``-phase :class:`~repro.resilience.CellFailure` in tolerant
+  mode, or a :class:`~repro.errors.WorkerCrashError` otherwise.  The
   ``worker`` fault point draws in the per-incarnation scope
   ``"{name}:{target}:w{incarnation}"``, so injected crash/respawn
-  sequences are a pure function of the seed, not of shard count or
-  steal order.
+  sequences are a pure function of the seed, not of the pool width or
+  the dispatch order.
 
 * **Hang watchdog.**  A tolerant cell with a ``timeout`` that is still
   in flight ``2 * timeout + 1`` seconds after dispatch (it hung outside
@@ -45,8 +39,8 @@ process boundary stay in-process (see :mod:`repro.harness.parallel`).
 * **Deterministic merge.**  Results are keyed by (benchmark, target)
   and reassembled in suite order by the caller; every cell is a
   deterministic simulation with per-cell seeded noise, so the merged
-  ``SuiteData`` is bit-identical to a serial run no matter the shard
-  count, steal schedule, or crash pattern.
+  ``SuiteData`` is bit-identical to a serial run no matter the pool
+  width, completion order, or crash pattern.
 """
 
 from __future__ import annotations
@@ -60,41 +54,14 @@ from ..errors import CellTimeout, WorkerCrashError
 from ..obs import get_registry
 from . import compilecache
 
-#: Hard ceiling on shard count; each shard needs at least one worker.
-MAX_SHARDS = 8
-
-#: Auto-selected shard width: one shard per this many workers.
-AUTO_SHARD_WIDTH = 4
-
 #: Seconds granted to in-flight cells when draining after an error.
 DRAIN_SECONDS = 10.0
 
 
-def normalize_shards(shards, jobs: int) -> int:
-    """Resolve a ``--shards`` request against the effective ``jobs``.
-
-    ``None`` auto-selects one shard per :data:`AUTO_SHARD_WIDTH`
-    workers, so small sweeps keep a single pool and big boxes shard
-    automatically.  Explicit requests are clamped so every
-    shard owns at least one worker.
-    """
-    if jobs <= 1:
-        return 1
-    if shards is None:
-        return max(1, min(jobs // AUTO_SHARD_WIDTH, MAX_SHARDS))
-    return max(1, min(int(shards), jobs, MAX_SHARDS))
-
-
-def shard_widths(shards: int, jobs: int):
-    """Worker count per shard: ``jobs`` split as evenly as possible."""
-    base, extra = divmod(max(jobs, shards), shards)
-    return [base + (1 if i < extra else 0) for i in range(shards)]
-
-
-# -- the shard worker --------------------------------------------------------------
+# -- the pool worker ---------------------------------------------------------------
 
 def _shard_worker_main(conn):
-    """Loop of one persistent shard worker: recv job, measure, reply.
+    """Loop of one persistent pool worker: recv job, measure, reply.
 
     Jobs carry ``use_cache`` and ``tier`` (process-global state a
     persistent worker must not carry over between sweeps) plus the
@@ -165,9 +132,9 @@ def _shard_worker_main(conn):
 
 
 class ShardPool:
-    """One addressable shard: a persistent fork pool of workers, and the
-    one worker lifecycle that the sweep scheduler and the serve
-    executor both run on.
+    """A persistent fork pool of ``width`` workers, and the one worker
+    lifecycle that the sweep scheduler and the serve executor both run
+    on.
 
     The caller decides which job runs next; the pool decides what
     happens to the worker that runs it:
@@ -189,14 +156,13 @@ class ShardPool:
     Every replacement counts as ``shard.worker_respawns``.
     """
 
-    def __init__(self, shard_id: int, width: int, ctx=None):
+    def __init__(self, width: int, ctx=None):
         if ctx is None:
             import multiprocessing as mp
             try:
                 ctx = mp.get_context("fork")
             except ValueError:  # pragma: no cover - non-POSIX fallback
                 ctx = mp.get_context()
-        self.shard_id = shard_id
         self.width = width
         self.ctx = ctx
         self.workers = []
@@ -211,7 +177,7 @@ class ShardPool:
                                 args=(child_conn,), daemon=True)
         proc.start()
         child_conn.close()
-        worker = {"proc": proc, "conn": parent_conn, "shard": self.shard_id}
+        worker = {"proc": proc, "conn": parent_conn}
         self.workers.append(worker)
         return worker
 
@@ -291,6 +257,13 @@ class ShardPool:
         for conn in list(self.inflight):
             self._replace_inflight(conn)
 
+    def ready(self, timeout: float):
+        """Every in-flight ``conn`` whose reply (or closed pipe) is
+        waiting, after at most ``timeout`` seconds."""
+        from multiprocessing.connection import wait
+
+        return wait(list(self.inflight), timeout=timeout)
+
     def alive(self) -> bool:
         return len(self.workers) == self.width and not self.inflight \
             and all(w["proc"].is_alive() for w in self.workers)
@@ -316,42 +289,27 @@ class ShardPool:
         self.inflight = {}
 
 
-def ready(pools, timeout: float):
-    """``(pool, conn)`` for every dispatch across ``pools`` whose reply
-    (or closed pipe) is waiting, after at most ``timeout`` seconds."""
-    from multiprocessing.connection import wait
+# -- the persistent pool -----------------------------------------------------------
 
-    owner = {conn: pool for pool in pools for conn in pool.inflight}
-    return [(owner[conn], conn)
-            for conn in wait(list(owner), timeout=timeout)]
+_SHARDS = None  # the process-wide ShardPool
 
 
-# -- the persistent shard-pool set -------------------------------------------------
-
-_SHARDS = None  # {"shards": int, "jobs": int, "pools": [ShardPool]}
-
-
-def get_shard_pools(shards: int, jobs: int):
-    """The process-wide shard pools, rebuilt only when the shape
-    changes or a worker died outside the scheduler's control."""
+def get_shard_pool(jobs: int) -> ShardPool:
+    """The process-wide pool of ``jobs`` workers, rebuilt only when the
+    width changes or a worker died outside the scheduler's control."""
     global _SHARDS
-    if _SHARDS is not None and _SHARDS["shards"] == shards \
-            and _SHARDS["jobs"] == jobs \
-            and all(pool.alive() for pool in _SHARDS["pools"]):
-        return _SHARDS["pools"]
+    if _SHARDS is not None and _SHARDS.width == jobs and _SHARDS.alive():
+        return _SHARDS
     shutdown_shard_pools()
-    pools = [ShardPool(i, width)
-             for i, width in enumerate(shard_widths(shards, jobs))]
-    _SHARDS = {"shards": shards, "jobs": jobs, "pools": pools}
-    return pools
+    _SHARDS = ShardPool(jobs)
+    return _SHARDS
 
 
 def shutdown_shard_pools():
-    """Tear down every shard pool (atexit, tests, bench teardown)."""
+    """Tear down the pool (atexit, tests, bench teardown)."""
     global _SHARDS
     if _SHARDS is not None:
-        for pool in _SHARDS["pools"]:
-            pool.shutdown()
+        _SHARDS.shutdown()
         _SHARDS = None
 
 
@@ -361,76 +319,38 @@ atexit.register(shutdown_shard_pools)
 # -- the coordinator ---------------------------------------------------------------
 
 class ShardScheduler:
-    """Work-stealing scheduler over shard pools.
+    """FIFO scheduler over one :class:`ShardPool`.
 
     Drives ``jobs_list`` (picklable cell payloads carrying ``name`` and
-    ``target``) to completion across ``pools``.  ``record(job, kind,
-    value, timing)`` is called exactly once per cell, in completion
-    order, with ``kind`` one of ``ok`` / ``fail`` (tolerant mode only).
+    ``target``) to completion on ``pool``.  ``record(job, kind, value,
+    timing)`` is called exactly once per cell, in completion order,
+    with ``kind`` one of ``ok`` / ``fail`` (tolerant mode only).
     Fast-mode cell errors drain in-flight work and re-raise; worker
-    crashes re-queue the cell up to ``retries`` incarnations.  Workers
-    live and die by :class:`ShardPool`'s lifecycle.
+    crashes re-queue the cell at the head of the queue, up to
+    ``retries`` incarnations.  Workers live and die by
+    :class:`ShardPool`'s lifecycle.
     """
 
-    def __init__(self, pools, jobs_list, tolerant: bool = False,
+    def __init__(self, pool, jobs_list, tolerant: bool = False,
                  retries: int = 2, plan=None):
-        self.pools = pools
+        self.pool = pool
         self.tolerant = tolerant
         self.retries = retries
         self.plan = plan
         self.metrics = get_registry()
         self.jobs = list(jobs_list)
         self.incarnation = [0] * len(self.jobs)  # bumped per worker crash
-        # Contiguous suite-order slices: shard i owns slice i.  Locality
-        # by construction; skew is what stealing exists to absorb.
-        self.home = self._partition(len(self.jobs), len(pools))
-        self.deques = [collections.deque() for _ in pools]
-        for job_id, home in enumerate(self.home):
-            self.deques[home].append(job_id)
-        self.busy = collections.defaultdict(float)  # shard -> busy secs
+        self.queue = collections.deque(range(len(self.jobs)))
         self.busy_by_pid = collections.defaultdict(float)  # pid -> busy secs
         self.completed = 0
 
-    @staticmethod
-    def _partition(cells: int, shards: int):
-        """Cell index -> home shard, in contiguous balanced slices."""
-        base, extra = divmod(cells, shards)
-        bounds = []
-        for shard in range(shards):
-            size = base + (1 if shard < extra else 0)
-            bounds.extend([shard] * size)
-        return bounds or [0] * cells
-
     # -- dispatch ------------------------------------------------------------------
 
-    def _steal_victim(self, thief: int):
-        """The richest other shard, or None when nothing is stealable."""
-        victim, richest = None, 0
-        for shard, deque_ in enumerate(self.deques):
-            if shard != thief and len(deque_) > richest:
-                victim, richest = shard, len(deque_)
-        return victim
-
-    def _next_job(self, shard: int):
-        """Pop from the shard's own deque, else steal from the tail of
-        the richest victim."""
-        if self.deques[shard]:
-            return self.deques[shard].popleft()
-        victim = self._steal_victim(shard)
-        if victim is None:
-            return None
-        job_id = self.deques[victim].pop()
-        self.metrics.counter("shard.steals").inc()
-        return job_id
-
     def _fill_idle(self):
-        for pool in self.pools:
-            while pool.idle:
-                job_id = self._next_job(pool.shard_id)
-                if job_id is None:
-                    break
-                pool.dispatch(job_id, dict(
-                    self.jobs[job_id], incarnation=self.incarnation[job_id]))
+        while self.pool.idle and self.queue:
+            job_id = self.queue.popleft()
+            self.pool.dispatch(job_id, dict(
+                self.jobs[job_id], incarnation=self.incarnation[job_id]))
 
     # -- completion / crash handling -----------------------------------------------
 
@@ -444,7 +364,7 @@ class ShardScheduler:
         self.completed += 1
         record_cb(job, "fail", (failure, {}, attempts), None)
 
-    def _handle_reply(self, pool, record, reply, record_cb):
+    def _handle_reply(self, record, reply, record_cb):
         job_id = record["job"]
         if isinstance(reply, WorkerCrashError):
             self._handle_crash(job_id, reply, record_cb)
@@ -454,7 +374,6 @@ class ShardScheduler:
             self._drain()
             raise value
         self.completed += 1
-        self.busy[pool.shard_id] += timing["seconds"]
         self.busy_by_pid[timing["pid"]] += timing["seconds"]
         if self.metrics.enabled:
             self.metrics.histogram("runner.cell_seconds").observe(
@@ -467,7 +386,7 @@ class ShardScheduler:
         """A worker died mid-cell: re-queue or fail the cell."""
         self.incarnation[job_id] += 1
         if self.incarnation[job_id] <= self.retries:
-            self.deques[self.home[job_id]].appendleft(job_id)
+            self.queue.appendleft(job_id)
             self.metrics.counter("shard.requeues").inc()
             return
         if not self.tolerant:
@@ -480,14 +399,13 @@ class ShardScheduler:
         """Collect or retire in-flight cells after an error, keeping
         every healthy worker warm for the next sweep."""
         limit = time.time() + deadline
-        while any(pool.inflight for pool in self.pools):
+        while self.pool.inflight:
             remaining = limit - time.time()
             if remaining <= 0:
                 break
-            for pool, conn in ready(self.pools, remaining):
-                pool.receive(conn)
-        for pool in self.pools:
-            pool.abandon()
+            for conn in self.pool.ready(remaining):
+                self.pool.receive(conn)
+        self.pool.abandon()
 
     # -- the main loop -------------------------------------------------------------
 
@@ -497,50 +415,42 @@ class ShardScheduler:
         try:
             while self.completed < total:
                 self._fill_idle()
-                for pool, conn in ready(self.pools, 0.05):
-                    record, reply = pool.receive(conn)
-                    self._handle_reply(pool, record, reply, record_cb)
+                for conn in self.pool.ready(0.05):
+                    record, reply = self.pool.receive(conn)
+                    self._handle_reply(record, reply, record_cb)
                 if self.tolerant:
-                    for pool in self.pools:
-                        for record, exc in pool.reap_hung():
-                            job_id = record["job"]
-                            self._fail(job_id, "execute", exc,
-                                       self.incarnation[job_id] + 1,
-                                       record_cb)
+                    for record, exc in self.pool.reap_hung():
+                        job_id = record["job"]
+                        self._fail(job_id, "execute", exc,
+                                   self.incarnation[job_id] + 1,
+                                   record_cb)
         except KeyboardInterrupt:
             # Ctrl-C routes through the drain path: in-flight cells
-            # finish (or their workers are replaced), and the warm
-            # pools survive for the partial-result report / next sweep
+            # finish (or their workers are replaced), and the warm pool
+            # survives for the partial-result report / next sweep
             # instead of being torn down mid-stride.
             self._drain()
             raise
         if self.metrics.enabled:
             wall = max(time.time() - start, 1e-9)
-            self.metrics.gauge("shard.count").set(len(self.pools))
-            self.metrics.gauge("runner.jobs").set(
-                sum(pool.width for pool in self.pools))
+            self.metrics.gauge("runner.jobs").set(self.pool.width)
             self.metrics.counter("runner.cells").inc(total)
-            for pool in self.pools:
-                self.metrics.gauge(
-                    f"shard.{pool.shard_id}.utilization").set(
-                    self.busy[pool.shard_id] / wall)
             for i, pid in enumerate(sorted(self.busy_by_pid)):
                 self.metrics.gauge(f"runner.worker.{i}.utilization").set(
                     self.busy_by_pid[pid] / wall)
 
 
-def run_sharded_jobs(jobs_list, shards: int, jobs: int, record,
-                     tolerant: bool = False, retries: int = 2, plan=None):
-    """Schedule ``jobs_list`` over the persistent shard pools.
+def run_sharded_jobs(jobs_list, jobs: int, record, tolerant: bool = False,
+                     retries: int = 2, plan=None):
+    """Schedule ``jobs_list`` on the persistent pool of ``jobs`` workers.
 
     ``record(job, kind, value, timing)`` receives every completed cell
     exactly once (``kind``: ``ok`` or, in tolerant mode, ``fail``).
     Raises fast-mode cell errors and exhausted-retry
     :class:`WorkerCrashError` after draining; Ctrl-C drains in-flight
-    cells (pools stay warm) and propagates.
+    cells (the pool stays warm) and propagates.
     """
-    pools = get_shard_pools(shards, jobs)
-    scheduler = ShardScheduler(pools, jobs_list, tolerant=tolerant,
-                               retries=retries, plan=plan)
+    scheduler = ShardScheduler(get_shard_pool(jobs), jobs_list,
+                               tolerant=tolerant, retries=retries, plan=plan)
     scheduler.run(record)
     return scheduler

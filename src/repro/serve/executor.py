@@ -1,10 +1,12 @@
-"""The service executor: jobs -> warm shard workers -> results.
+"""The service executor: jobs -> warm pool workers -> results.
 
-One dispatcher thread drives the whole execution plane.  It owns a
-persistent :class:`~repro.harness.shard.ShardPool` and runs on that
-pool's worker lifecycle, the one the sweep scheduler runs on.  Under
-the service lock it moves jobs from the admission queue onto idle
-workers and completions back onto jobs:
+One dispatcher thread drives the whole execution plane.  It owns one
+persistent :class:`~repro.harness.shard.ShardPool` of ``--workers``
+processes and runs on that pool's worker lifecycle, the one the sweep
+scheduler runs on.  Where the scheduler takes the head of its FIFO
+queue, the dispatcher takes the highest-priority job from admission:
+under the service lock it moves jobs onto idle workers and completions
+back onto jobs:
 
 * every job runs **tolerant**: the worker measures through
   :func:`repro.resilience.measure_cell`, so fuel/wall-clock watchdogs,
@@ -37,7 +39,7 @@ import zlib
 
 from ..errors import WorkerCrashError, classify
 from ..harness.runner import NOISE
-from ..harness.shard import ShardPool, ready
+from ..harness.shard import ShardPool
 from . import jobs as J
 
 #: Default instruction budget per cell (same as the CLI sweeps).
@@ -89,7 +91,7 @@ class ServeExecutor:
         self.use_cache = use_cache
         self.tier = get_tier()
         self.memo: dict[tuple, dict] = {}
-        self.pool = ShardPool(0, max(1, int(workers)))
+        self.pool = ShardPool(max(1, int(workers)))
         self.wake = threading.Event()
         self.stopping = False
         self.force = False
@@ -277,7 +279,7 @@ class ServeExecutor:
                         and not self.admission.depth():
                     return
             if self.pool.inflight:
-                for _pool, conn in ready([self.pool], 0.05):
+                for conn in self.pool.ready(0.05):
                     with self.store.lock:
                         self._complete(*self.pool.receive(conn))
             else:

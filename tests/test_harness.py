@@ -117,12 +117,21 @@ class TestRunner:
                                 runs=1, validate=False)
         # Force a mismatch through the private check to prove it bites.
         results["chrome"].run.stdout = b"corrupted"
-        from repro.analysis.experiments import SuiteData
-        data = SuiteData([], [])
-        data.results = {spec.name: {
-            "native": results["native"], "chrome": results["chrome"]}}
-        with pytest.raises(AssertionError):
-            data._validate()
+        from repro.harness.runner import _validate_strict
+        with pytest.raises(ValidationError):
+            _validate_strict(spec.name, results)
+
+    def test_serial_run_benchmark_counts_its_cells(self, spec):
+        """``--jobs 1`` runs the same sweep as every other width, so its
+        cells are counted like a pooled sweep's."""
+        from repro.obs import metrics as obs_metrics
+        registry = obs_metrics.enable()
+        try:
+            run_benchmark(spec, targets=("native", "chrome"), runs=1,
+                          jobs=1)
+        finally:
+            obs_metrics.disable()
+        assert registry.counters["runner.cells"].value == 2
 
 
 class TestBrowsixSpecSession:

@@ -1,6 +1,6 @@
 """Parallel suite runner: bit-identical to serial, stable ordering, and
-warm worker pools at the default single shard.  Multi-shard stealing,
-crash re-queue and the hang watchdog are tested in ``test_shard.py``."""
+a warm worker pool.  Skewed suites, crash re-queue and the hang
+watchdog are tested in ``test_shard.py``."""
 
 import pytest
 
@@ -30,8 +30,7 @@ def _suite():
 
 
 def _pids():
-    return [w["proc"].pid for pool in shard_mod._SHARDS["pools"]
-            for w in pool.workers]
+    return [w["proc"].pid for w in shard_mod._SHARDS.workers]
 
 
 def test_parallel_matches_serial_bit_for_bit(force_jobs):
@@ -60,21 +59,21 @@ def test_parallel_compile_seconds_reported(force_jobs):
 def test_warm_pool_reused_across_sweeps(force_jobs):
     """A second sweep at the same width reuses the live workers."""
     run_suite(_suite()[:2], ["native"], runs=1, jobs=2, cache=False)
-    pools = shard_mod._SHARDS["pools"]
-    assert [pool.width for pool in pools] == [2]
-    assert all(pool.alive() for pool in pools)
+    pool = shard_mod._SHARDS
+    assert pool.width == 2
+    assert pool.alive()
     pids = _pids()
     run_suite(_suite()[2:], ["native"], runs=1, jobs=2, cache=False)
-    assert shard_mod._SHARDS["pools"] is pools
+    assert shard_mod._SHARDS is pool
     assert _pids() == pids
 
 
 def test_warm_pool_rebuilt_on_width_change(force_jobs):
     run_suite(_suite()[:2], ["native"], runs=1, jobs=2, cache=False)
-    first = shard_mod._SHARDS["pools"]
+    first = shard_mod._SHARDS
     run_suite(_suite()[:2], ["native"], runs=1, jobs=3, cache=False)
-    assert shard_mod._SHARDS["pools"] is not first
-    assert [pool.width for pool in shard_mod._SHARDS["pools"]] == [3]
+    assert shard_mod._SHARDS is not first
+    assert shard_mod._SHARDS.width == 3
 
 
 def test_warm_pool_cell_error_propagates(force_jobs):
@@ -85,13 +84,13 @@ def test_warm_pool_cell_error_propagates(force_jobs):
     # a *cell* error leaves every worker healthy: the pool is recovered
     # (in-flight cells drained), not discarded, so the next sweep
     # reuses the very same warm workers
-    pools = shard_mod._SHARDS["pools"]
-    assert all(pool.alive() for pool in pools)
+    pool = shard_mod._SHARDS
+    assert pool.alive()
     pids = _pids()
     results, _ = run_suite(_suite()[:2], ["native"], runs=1, jobs=2,
                            cache=False)
     assert set(results) == set(SUBSET[:2])
-    assert shard_mod._SHARDS["pools"] is pools
+    assert shard_mod._SHARDS is pool
     assert _pids() == pids
 
 
@@ -100,7 +99,7 @@ def test_warm_pool_survives_ctrl_c(force_jobs):
     finish, the warm pool survives, and the next sweep reuses the very
     same workers instead of re-paying the fork cost."""
     run_suite(_suite()[:2], ["native"], runs=1, jobs=2, cache=False)
-    pools = shard_mod._SHARDS["pools"]
+    pool = shard_mod._SHARDS
     pids = _pids()
 
     def interrupt(name):
@@ -109,14 +108,24 @@ def test_warm_pool_survives_ctrl_c(force_jobs):
     with pytest.raises(KeyboardInterrupt):
         run_suite(_suite(), ["native"], runs=1, jobs=2, cache=False,
                   progress=interrupt)
-    assert shard_mod._SHARDS["pools"] is pools
-    assert all(pool.alive() for pool in pools)
+    assert shard_mod._SHARDS is pool
+    assert pool.alive()
     assert _pids() == pids
     # and the recovered pool is immediately usable
     results, _ = run_suite(_suite()[:2], ["native"], runs=1, jobs=2,
                            cache=False)
     assert set(results) == set(SUBSET[:2])
     assert _pids() == pids
+
+
+def test_run_suite_accepts_only_one_pool(force_jobs):
+    """``shards`` survives only as perfbench's ``shards=1``."""
+    with pytest.raises(ValueError):
+        run_suite(_suite()[:1], ["native"], runs=1, jobs=2, shards=2,
+                  cache=False)
+    results, _ = run_suite(_suite()[:2], ["native"], runs=1, jobs=2,
+                           shards=1, cache=False)
+    assert set(results) == set(SUBSET[:2])
 
 
 def test_spec_ref_round_trip():

@@ -1,8 +1,8 @@
 """The sweep scheduler: determinism under adversarial schedules.
 
 The contract under test is the one the engine documents: the merged
-suite results are bit-identical to a serial run no matter the shard
-count, steal schedule, or killed workers, and the pools stay warm
+suite results are bit-identical to a serial run no matter the pool
+width, a skewed matrix, or killed workers, and the pool stays warm
 across sweeps, errors and Ctrl-C.  Chaos manifests (which cells fail,
 with how many attempts) are checked against the fault plan's own
 ``worker`` draws.
@@ -18,8 +18,7 @@ from repro.benchsuite import matmul_spec, polybench_benchmark
 from repro.harness import runner
 from repro.harness.parallel import run_suite
 from repro.harness.shard import (
-    AUTO_SHARD_WIDTH, MAX_SHARDS, ShardScheduler, get_shard_pools,
-    normalize_shards, shard_widths, shutdown_shard_pools,
+    ShardScheduler, get_shard_pool, shutdown_shard_pools,
 )
 from repro.harness import shard as shard_mod
 from repro.obs import metrics as obs_metrics
@@ -32,7 +31,7 @@ TARGETS = ["native", "chrome", "firefox"]
 
 @pytest.fixture
 def force_jobs(monkeypatch):
-    """Exercise real shard pools even on a single-CPU box."""
+    """Exercise the real pool even on a single-CPU box."""
     monkeypatch.setenv("REPRO_FORCE_JOBS", "1")
     yield
     shutdown_shard_pools()
@@ -50,7 +49,7 @@ def _suite():
 
 
 def _skewed_suite():
-    """One heavy cell in shard 0's contiguous slice forces stealing."""
+    """One heavy cell at the head of the queue."""
     return [matmul_spec(40, 40, 40)] + _suite()
 
 
@@ -60,12 +59,11 @@ def _counter(registry, name):
 
 
 def _pids():
-    return [w["proc"].pid for pool in shard_mod._SHARDS["pools"]
-            for w in pool.workers]
+    return [w["proc"].pid for w in shard_mod._SHARDS.workers]
 
 
 def _patch_workers(monkeypatch, replacement):
-    """Wrap ``run_compiled`` in the workers: tear the pools down so the
+    """Wrap ``run_compiled`` in the workers: tear the pool down so the
     next sweep forks fresh workers that inherit the patched module."""
     shutdown_shard_pools()
     original = runner.run_compiled
@@ -77,116 +75,88 @@ def _patch_workers(monkeypatch, replacement):
     monkeypatch.setattr(runner, "run_compiled", patched)
 
 
-def _assert_identical(sharded, serial, suite):
+def _assert_identical(pooled, serial, suite):
     for spec in suite:
         for target in TARGETS:
-            got = sharded[spec.name][target]
+            got = pooled[spec.name][target]
             want = serial[spec.name][target]
             assert got.times == want.times, (spec.name, target)
             assert got.perf.as_dict() == want.perf.as_dict()
             assert got.run.stdout == want.run.stdout
 
 
-# -- shard shaping -----------------------------------------------------------------
-
-def test_normalize_shards_auto():
-    assert normalize_shards(None, 1) == 1
-    assert normalize_shards(None, AUTO_SHARD_WIDTH - 1) == 1
-    assert normalize_shards(None, AUTO_SHARD_WIDTH) == 1
-    assert normalize_shards(None, 2 * AUTO_SHARD_WIDTH) == 2
-    assert normalize_shards(None, 10 * AUTO_SHARD_WIDTH * MAX_SHARDS) \
-        == MAX_SHARDS
-
-
-def test_normalize_shards_explicit_clamped():
-    assert normalize_shards(4, 8) == 4
-    assert normalize_shards(16, 8) == 8      # one worker per shard min
-    assert normalize_shards(99, 99) == MAX_SHARDS
-    assert normalize_shards(0, 8) == 1
-    assert normalize_shards(2, 1) == 1       # serial stays serial
-
-
-def test_shard_widths_balanced():
-    assert shard_widths(2, 4) == [2, 2]
-    assert shard_widths(3, 8) == [3, 3, 2]
-    assert shard_widths(2, 2) == [1, 1]
-    assert sum(shard_widths(5, 17)) == 17
-
-
-# -- determinism across shard counts -----------------------------------------------
+# -- determinism across pool widths ------------------------------------------------
 
 def test_sharded_matches_serial_bit_for_bit(force_jobs):
     serial, _ = run_suite(_suite(), TARGETS, runs=3, jobs=1, cache=False)
-    for shards in (1, 2, 8):
-        sharded, _ = run_suite(_suite(), TARGETS, runs=3, jobs=8,
-                               shards=shards, cache=False)
-        assert list(sharded) == SUBSET       # suite order preserved
-        _assert_identical(sharded, serial, _suite())
+    for jobs in (2, 8):
+        pooled, _ = run_suite(_suite(), TARGETS, runs=3, jobs=jobs,
+                              cache=False)
+        assert list(pooled) == SUBSET        # suite order preserved
+        _assert_identical(pooled, serial, _suite())
 
 
 def test_sharded_compile_seconds_reported(force_jobs):
     _, compile_seconds = run_suite(_suite(), ["native"], runs=1, jobs=4,
-                                   shards=2, cache=False)
+                                   cache=False)
     for name in SUBSET:
         assert compile_seconds[name]["native"] > 0
 
 
 def test_steals_under_skew(force_jobs, metrics):
-    """A skewed matrix forces idle shards to steal; results still match."""
+    """A skewed matrix: while one worker runs the heavy head cell, the
+    idle workers drain the rest of the queue; results still match."""
     serial, _ = run_suite(_skewed_suite(), TARGETS, runs=2, jobs=1,
                           cache=False)
-    sharded, _ = run_suite(_skewed_suite(), TARGETS, runs=2, jobs=4,
-                           shards=2, cache=False)
-    _assert_identical(sharded, serial, _skewed_suite())
-    assert _counter(metrics, "shard.steals") > 0
+    pooled, _ = run_suite(_skewed_suite(), TARGETS, runs=2, jobs=4,
+                          cache=False)
+    assert list(pooled) == [spec.name for spec in _skewed_suite()]
+    _assert_identical(pooled, serial, _skewed_suite())
     # runner.cells counts every measured cell, serial and pooled
     assert _counter(metrics, "runner.cells") == 2 * len(_skewed_suite()) \
         * len(TARGETS)
 
 
-# -- warm pools: reuse, rebuild, errors, Ctrl-C ------------------------------------
-# The single-shard legs are the warm-pool tests in test_parallel.py.
+# -- the warm pool: reuse, rebuild, errors, Ctrl-C ---------------------------------
+# The two-worker legs are the warm-pool tests in test_parallel.py.
 
 def test_shard_pools_warm_across_sweeps(force_jobs):
-    """A second sweep of the same shape reuses the live workers."""
-    run_suite(_suite()[:2], ["native"], runs=1, jobs=4, shards=2,
-              cache=False)
-    pools = shard_mod._SHARDS["pools"]
-    assert [pool.width for pool in pools] == [2, 2]
+    """A second sweep of the same width reuses the live workers."""
+    run_suite(_suite()[:2], ["native"], runs=1, jobs=4, cache=False)
+    pool = shard_mod._SHARDS
+    assert pool.width == 4
     pids = _pids()
-    run_suite(_suite()[2:], ["native"], runs=1, jobs=4, shards=2,
-              cache=False)
-    assert shard_mod._SHARDS["pools"] is pools
+    run_suite(_suite()[2:], ["native"], runs=1, jobs=4, cache=False)
+    assert shard_mod._SHARDS is pool
     assert _pids() == pids
 
 
 def test_shard_pools_rebuilt_on_shape_change(force_jobs):
-    first = get_shard_pools(2, 4)
-    assert get_shard_pools(2, 4) is first
-    second = get_shard_pools(3, 6)
+    first = get_shard_pool(4)
+    assert get_shard_pool(4) is first
+    second = get_shard_pool(6)
     assert second is not first
-    assert [pool.width for pool in second] == [2, 2, 2]
+    assert second.width == 6
 
 
 def test_shard_pools_survive_ctrl_c(force_jobs):
-    """Ctrl-C mid-sweep drains in-flight cells and keeps every pool
+    """Ctrl-C mid-sweep drains in-flight cells and keeps the pool
     warm: the next sweep reuses the very same workers."""
-    run_suite(_suite()[:2], ["native"], runs=1, jobs=4, shards=2,
-              cache=False)
-    pools = shard_mod._SHARDS["pools"]
+    run_suite(_suite()[:2], ["native"], runs=1, jobs=4, cache=False)
+    pool = shard_mod._SHARDS
     pids = _pids()
 
     def interrupt(name):
         raise KeyboardInterrupt
 
     with pytest.raises(KeyboardInterrupt):
-        run_suite(_suite(), ["native"], runs=1, jobs=4, shards=2,
-                  cache=False, progress=interrupt)
-    assert shard_mod._SHARDS["pools"] is pools
-    assert all(pool.alive() for pool in pools)
+        run_suite(_suite(), ["native"], runs=1, jobs=4, cache=False,
+                  progress=interrupt)
+    assert shard_mod._SHARDS is pool
+    assert pool.alive()
     assert _pids() == pids
     results, _ = run_suite(_suite()[:2], ["native"], runs=1, jobs=4,
-                           shards=2, cache=False)
+                           cache=False)
     assert set(results) == set(SUBSET[:2])
     assert _pids() == pids
 
@@ -197,13 +167,13 @@ def test_shard_cell_error_keeps_pools_warm(force_jobs):
     bad = polybench_benchmark("trisolv", "test")
     with pytest.raises(Exception):
         run_suite([bad] + _suite()[:1], ["no-such-target", "native"],
-                  runs=1, jobs=4, shards=2, cache=False)
-    pools = shard_mod._SHARDS["pools"]
+                  runs=1, jobs=4, cache=False)
+    pool = shard_mod._SHARDS
     pids = _pids()
     results, _ = run_suite(_suite()[:2], ["native"], runs=1, jobs=4,
-                           shards=2, cache=False)
+                           cache=False)
     assert set(results) == set(SUBSET[:2])
-    assert shard_mod._SHARDS["pools"] is pools
+    assert shard_mod._SHARDS is pool
     assert _pids() == pids
 
 
@@ -219,8 +189,8 @@ def _doomed_cells(plan, names, retries):
 
 def test_worker_crashes_requeue_deterministically(force_jobs, metrics):
     """Injected worker deaths re-queue cells.  The failure manifest is
-    exactly what the plan's own ``worker`` draws predict, at any shard
-    count, and every surviving cell is bit-identical with serial."""
+    exactly what the plan's own ``worker`` draws predict, and every
+    surviving cell is bit-identical with serial."""
     suite = _skewed_suite() + [polybench_benchmark("durbin", "test")]
     names = [spec.name for spec in suite]
     plan = FaultPlan.parse("worker:0.5", seed=11)
@@ -228,20 +198,18 @@ def test_worker_crashes_requeue_deterministically(force_jobs, metrics):
     doomed = _doomed_cells(plan, names, retries)
     assert 0 < len(doomed) < len(names) * len(TARGETS)
     serial, _ = run_suite(suite, TARGETS, runs=2, jobs=1, cache=False)
-    for shards in (1, 2):
-        pooled, _ = run_suite(suite, TARGETS, runs=2, jobs=4,
-                              shards=shards, cache=False, tolerant=True,
-                              plan=plan, timeout=None)
-        for name in names:
-            for target in TARGETS:
-                cell = pooled[name][target]
-                if (name, target) in doomed:
-                    assert is_failure(cell), (name, target)
-                    assert (cell.phase, cell.attempts, cell.injected) \
-                        == ("worker", retries + 1, True), (name, target)
-                else:
-                    assert cell.times == serial[name][target].times, \
-                        (name, target)
+    pooled, _ = run_suite(suite, TARGETS, runs=2, jobs=4, cache=False,
+                          tolerant=True, plan=plan, timeout=None)
+    for name in names:
+        for target in TARGETS:
+            cell = pooled[name][target]
+            if (name, target) in doomed:
+                assert is_failure(cell), (name, target)
+                assert (cell.phase, cell.attempts, cell.injected) \
+                    == ("worker", retries + 1, True), (name, target)
+            else:
+                assert cell.times == serial[name][target].times, \
+                    (name, target)
     assert _counter(metrics, "shard.worker_respawns") > 0
     assert _counter(metrics, "shard.requeues") > 0
 
@@ -262,21 +230,21 @@ def test_killed_workers_requeue_fast_sweep(force_jobs, metrics,
             os.kill(os.getpid(), signal.SIGKILL)
 
     _patch_workers(monkeypatch, die_once)
-    pools = get_shard_pools(1, 2)
+    pool = get_shard_pool(2)
     pids = _pids()
     results, _ = run_suite(suite, TARGETS, runs=2, jobs=2, cache=False)
     _assert_identical(results, serial, suite)
     assert _counter(metrics, "shard.requeues") == len(doomed)
     assert _counter(metrics, "shard.worker_respawns") == len(doomed)
-    assert shard_mod._SHARDS["pools"] is pools
-    assert all(pool.alive() for pool in pools) and _pids() != pids
+    assert shard_mod._SHARDS is pool
+    assert pool.alive() and _pids() != pids
 
 
 def test_worker_dead_while_idle_is_replaced_at_dispatch(force_jobs):
     """A worker that died between cells is replaced when the scheduler
     next sends it work; no cell is charged for it."""
-    pools = get_shard_pools(1, 2)
-    victim = pools[0].workers[0]["proc"]
+    pool = get_shard_pool(2)
+    victim = pool.workers[0]["proc"]
     victim.kill()
     victim.join(timeout=10.0)
     assert not victim.is_alive()
@@ -287,11 +255,11 @@ def test_worker_dead_while_idle_is_replaced_at_dispatch(force_jobs):
         "tier": get_tier(),
     } for target in ("native", "chrome")]
     done = []
-    scheduler = ShardScheduler(pools, jobs_list)
+    scheduler = ShardScheduler(pool, jobs_list)
     scheduler.run(lambda job, kind, value, timing: done.append(kind))
     assert done == ["ok", "ok"]
     assert scheduler.incarnation == [0, 0]
-    assert victim.pid not in _pids() and pools[0].alive()
+    assert victim.pid not in _pids() and pool.alive()
 
 
 def test_hung_cell_terminated_by_watchdog(force_jobs, monkeypatch):
@@ -307,8 +275,8 @@ def test_hung_cell_terminated_by_watchdog(force_jobs, monkeypatch):
             time.sleep(60)
 
     _patch_workers(monkeypatch, hang_on_firefox)
-    results, _ = run_suite(suite, TARGETS, runs=1, jobs=2, shards=2,
-                           cache=False, tolerant=True, timeout=1.0)
+    results, _ = run_suite(suite, TARGETS, runs=1, jobs=2, cache=False,
+                           tolerant=True, timeout=1.0)
     for spec in suite:
         for target in TARGETS:
             cell = results[spec.name][target]
@@ -323,7 +291,7 @@ def test_hung_cell_terminated_by_watchdog(force_jobs, monkeypatch):
 
 def test_worker_crash_fast_mode_raises_after_retries(force_jobs):
     """Without the tolerant flag an exhausted crash budget aborts the
-    sweep, and the next sweep still works on rebuilt pools."""
+    sweep, and the next sweep still works on a rebuilt pool."""
     from repro.errors import WorkerCrashError
     from repro.tier import get_tier
     plan = FaultPlan.parse("worker:1.0", seed=1)
@@ -335,8 +303,8 @@ def test_worker_crash_fast_mode_raises_after_retries(force_jobs):
     }]
     from repro.harness.shard import run_sharded_jobs
     with pytest.raises(WorkerCrashError):
-        run_sharded_jobs(jobs_list, 2, 4, lambda *a: None, retries=1,
+        run_sharded_jobs(jobs_list, 4, lambda *a: None, retries=1,
                          plan=plan)
     results, _ = run_suite(_suite()[:1], ["native"], runs=1, jobs=4,
-                           shards=2, cache=False)
+                           cache=False)
     assert "trisolv" in results
