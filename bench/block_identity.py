@@ -2,8 +2,8 @@
 
 Compiles all 39 benchmarks (23 PolyBench kernels, 15 SPEC proxies and
 the Figure 8 matmul kernel) at test size for every target, runs each
-cell once with ``--tier off`` (the per-instruction reference loop) and
-once with the default tier (the block engine), and diffs stdout, every
+cell once with ``reference=True`` (the per-instruction reference loop)
+and once by default (the block engine), and diffs stdout, every
 PerfCounters field and the i-cache accesses and misses.  Exits 1 on any
 difference.
 
@@ -25,15 +25,13 @@ from repro.benchsuite import (                            # noqa: E402
     spec_benchmark,
 )
 from repro.harness.runner import compile_benchmark, run_compiled  # noqa: E402
-from repro.tier import DEFAULT_TIER, set_tier             # noqa: E402
 
 TARGETS = ("native", "chrome", "firefox", "chrome-tiered", "firefox-tiered",
            "asmjs-chrome", "asmjs-firefox")
 
 
-def _observed(compiled, target, tier):
-    set_tier(tier)
-    run = run_compiled(compiled, target, runs=1).run
+def _observed(compiled, target, reference):
+    run = run_compiled(compiled, target, runs=1, reference=reference).run
     return (run.stdout, run.perf.as_dict(), run.icache_accesses,
             run.icache_misses)
 
@@ -43,24 +41,23 @@ def main() -> int:
     specs += [spec_benchmark(name, "test") for name in SPEC_NAMES]
     specs.append(matmul_spec())
     mismatches = []
-    seconds = {"off": 0.0, DEFAULT_TIER: 0.0}
+    seconds = {True: 0.0, False: 0.0}
     for spec in specs:
         compiled = compile_benchmark(spec, TARGETS, cache=False)
         for target in TARGETS:
             observed = {}
-            for tier in seconds:
+            for reference in seconds:
                 start = time.perf_counter()
-                observed[tier] = _observed(compiled, target, tier)
-                seconds[tier] += time.perf_counter() - start
-            if observed["off"] != observed[DEFAULT_TIER]:
+                observed[reference] = _observed(compiled, target, reference)
+                seconds[reference] += time.perf_counter() - start
+            if observed[True] != observed[False]:
                 mismatches.append((spec.name, target))
                 print(f"[block-identity] MISMATCH {spec.name} {target}",
                       flush=True)
-    set_tier(None)
     cells = len(specs) * len(TARGETS)
     print(f"[block-identity] {cells} cells, {len(mismatches)} mismatches; "
-          f"execute {seconds['off']:.1f}s at --tier off, "
-          f"{seconds[DEFAULT_TIER]:.1f}s on the block engine")
+          f"execute {seconds[True]:.1f}s on the reference loop, "
+          f"{seconds[False]:.1f}s on the block engine")
     return 1 if mismatches else 0
 
 

@@ -8,7 +8,8 @@ loudly (exit 1) when broken:
    ``--jobs 2`` parallel sweep reproduces the serial sweep exactly
    (the model rides through forked workers via ``REPRO_HWC``).
 2. **Bit-identity** — attaching the model changes no retired counter,
-   cycle figure, or program byte, at every execution tier.
+   cycle figure, or program byte, against a bare run on the reference
+   loop and a bare run on the block engine.
 3. **Exactness** — per-function hwc buckets sum to the whole-program
    totals for every cell (``HwcReport.verify``).
 
@@ -33,7 +34,6 @@ from repro.harness.runner import (                        # noqa: E402
     compile_benchmark, run_compiled,
 )
 from repro.obs.hwc import HwcModel, hwc_cycles            # noqa: E402
-from repro.tier import TIERS                              # noqa: E402
 
 BENCHMARKS = ("durbin", "trisolv", "gemm")
 TARGETS = ("native", "chrome")
@@ -122,21 +122,18 @@ def main(argv=None) -> int:
                 cell["perf"]["instructions"]:
             return _fail(f"{key[0]}@{key[1]}: retired != instructions")
 
-    # ...at every tier.
+    # ...whichever loop the bare run takes.
     spec_name = BENCHMARKS[0]
-    for tier in TIERS:
-        os.environ["REPRO_TIER"] = tier
-        try:
-            bare = run_compiled(compiled[spec_name], "chrome", runs=1)
-            modeled = run_compiled(compiled[spec_name], "chrome", runs=1,
-                                   hwc=HwcModel())
-        finally:
-            os.environ.pop("REPRO_TIER", None)
+    modeled = run_compiled(compiled[spec_name], "chrome", runs=1,
+                           hwc=HwcModel())
+    for reference in (True, False):
+        bare = run_compiled(compiled[spec_name], "chrome", runs=1,
+                            reference=reference)
         if bare.run.perf.as_dict() != modeled.run.perf.as_dict() or \
                 bare.run.cycles != modeled.run.cycles or \
                 bare.run.stdout != modeled.run.stdout:
-            return _fail(f"tier {tier}: counters changed with hwc "
-                         f"attached")
+            return _fail(f"reference={reference}: counters changed with "
+                         f"hwc attached")
 
     # 1b. Parallel determinism: --jobs reproduces the serial reports.
     parallel = _parallel_sweep(args.jobs)
@@ -148,7 +145,6 @@ def main(argv=None) -> int:
     report = {
         "benchmarks": list(BENCHMARKS),
         "targets": list(TARGETS),
-        "tiers": list(TIERS),
         "jobs": args.jobs,
         "cells": len(first),
         "hwc_cycles": {
@@ -163,7 +159,8 @@ def main(argv=None) -> int:
 
     print(f"PASS: {len(first)} cells deterministic (serial and "
           f"--jobs {args.jobs}), retired counters bit-identical with "
-          f"the model attached across tiers {', '.join(TIERS)}")
+          f"the model attached, against the reference loop and the "
+          f"block engine")
     return 0
 
 

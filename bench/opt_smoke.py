@@ -15,9 +15,9 @@ Two gates:
    Measured speedup is ~2-4x; the floor trips on a real regression
    (cache never hitting, over-invalidation), not on CI timer noise.
 
-The third leg of the opt gate — fig4 at ``--tier fuse --verify-ir``
-staying clean with SSA on — runs as a separate step of the CI job,
-through the real CLI.
+The third leg of the opt gate — fig4 at ``--verify-ir`` staying clean
+with SSA on — runs as a separate step of the CI job, through the real
+CLI.
 
 Usage::
 

@@ -1,8 +1,8 @@
 """Range-analysis smoke gate: the soundness oracle and the elision floor.
 
 Three promises are enforced, on every one of the 39 benchmarks (23
-PolyBenchC + 15 SPEC + matmul) at test size, at ``--tier fuse`` with
-``--verify-ir`` and ``--check-ranges`` armed:
+PolyBenchC + 15 SPEC + matmul) at test size, with ``--verify-ir`` and
+``--check-ranges`` armed:
 
 * **Soundness** — the runtime range oracle stays silent on both
   executors: the wasm interpreter asserts every fact-bearing local and
@@ -46,7 +46,6 @@ from repro.harness.runner import (                       # noqa: E402
 from repro.ir import CollectingHost                      # noqa: E402
 from repro.ir.verify import set_check_ranges, set_verify_ir  # noqa: E402
 from repro.obs.hwc import HwcModel, hwc_cycles           # noqa: E402
-from repro.tier import set_tier                          # noqa: E402
 from repro.wasm import WasmInstance                      # noqa: E402
 
 #: PR 9 checked-in matmul wasm/native gap (EXPERIMENTS.md): the
@@ -149,12 +148,11 @@ def main(argv=None) -> int:
     parser.add_argument("--output", help="write the report as JSON")
     args = parser.parse_args(argv)
 
-    set_tier("fuse")
     set_verify_ir(True)
     set_check_ranges(True)
 
-    print("range oracle + elision sweep (39 benchmarks, --tier fuse, "
-          "--verify-ir, --check-ranges):")
+    print("range oracle + elision sweep (39 benchmarks, --verify-ir, "
+          "--check-ranges):")
     rows, totals, fig4, failures = sweep()
     gap = matmul_gap()
 

@@ -5,8 +5,8 @@ in the tree, and writes ``BENCH_repro.json`` at the repo root:
 
 * ``compile_cache``   — a repeated 2-experiment suite run, cold
   (``--no-cache`` semantics) vs. warm (content-addressed cache);
-* ``x86_blocks``      — the x86 block engine (default tier) vs. the
-  per-instruction reference loop (``--tier off``) on a ref-size
+* ``x86_blocks``      — the x86 block engine (the default) vs. the
+  per-instruction reference loop (``reference=True``) on a ref-size
   workload, counters and i-cache asserted identical;
 * ``parallel_suite``  — a 4-benchmark suite sweep, ``--jobs 4`` vs.
   serial, results asserted bit-identical (degrades honestly to serial
@@ -40,7 +40,6 @@ from repro.harness.parallel import (                      # noqa: E402
 )
 from repro.harness.runner import compile_benchmark        # noqa: E402
 from repro.ir import CollectingHost                       # noqa: E402
-from repro.tier import DEFAULT_TIER                       # noqa: E402
 from repro.x86.machine import X86Machine                  # noqa: E402
 
 
@@ -105,9 +104,9 @@ def bench_x86_blocks():
     spec = polybench_benchmark("gemm", "ref")
     program, module = compile_native(spec.source, spec.name)
 
-    def run(tier):
+    def run(reference):
         machine = X86Machine(program, host=_Host(module.heap_base),
-                             tier=tier)
+                             reference=reference)
         machine.call("main")
         return (machine.perf.as_dict(), machine.icache.accesses,
                 machine.icache.misses)
@@ -115,17 +114,17 @@ def bench_x86_blocks():
     # Interleaved, so a slow spell on a shared host hits both sides.
     best = {}
     for _ in range(9):
-        for tier in ("off", DEFAULT_TIER):
-            seconds, out = _best_of(lambda: run(tier), repeats=1)
-            if tier not in best or seconds < best[tier][0]:
-                best[tier] = (seconds, out)
+        for reference in (True, False):
+            seconds, out = _best_of(lambda: run(reference), repeats=1)
+            if reference not in best or seconds < best[reference][0]:
+                best[reference] = (seconds, out)
     (table_seconds, table_out), (block_seconds, block_out) = \
-        best["off"], best[DEFAULT_TIER]
+        best[True], best[False]
     assert table_out == block_out, "block engine diverged"
     return {
         "description": "native ref-size gemm on the x86 machine, the "
-                       "per-instruction reference loop (--tier off) vs "
-                       "the block engine (default tier); perf counters "
+                       "per-instruction reference loop (reference=True) "
+                       "vs the block engine (the default); perf counters "
                        "and i-cache asserted identical",
         "baseline_seconds": table_seconds,
         "optimized_seconds": block_seconds,

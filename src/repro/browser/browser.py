@@ -82,20 +82,20 @@ class RunResult:
 def execute_program(program: X86Program, runtime, name: str,
                     entry: str = "main",
                     max_instructions: int = 2_000_000_000,
-                    timeout: float = None, tier=None,
+                    timeout: float = None, reference: bool = False,
                     hwc=None) -> RunResult:
     """Run a compiled program against a process runtime.
 
     ``timeout`` (wall-clock seconds) arms the machine's deadline
     watchdog: a run that exceeds it raises
     :class:`~repro.errors.CellTimeout` instead of hanging the sweep.
-    ``tier`` overrides the process-wide execution tier for this run
-    (``None`` follows the ``--tier`` / ``REPRO_TIER`` setting, not any
-    tier stamped into a cached program's compile_stats).
+    ``reference=True`` runs the machine's per-instruction reference
+    loop instead of the block engine (same results; the oracle that
+    equivalence checks compare against).
     ``hwc`` attaches an instrument — a
     :class:`~repro.obs.profile.Attribution` or a
     :class:`~repro.obs.hwc.HwcModel` (with ``hwc=True`` /
-    ``REPRO_HWC=1``, a default-configured one); its report lands on
+    ``REPRO_HWC=1``, a default one); its report lands on
     ``RunResult.hwc``.
     """
     from time import monotonic
@@ -103,11 +103,11 @@ def execute_program(program: X86Program, runtime, name: str,
         hwc = True
     if hwc is True:
         from ..obs.hwc import HwcModel
-        hwc = HwcModel.from_env()
+        hwc = HwcModel()
     deadline = None if timeout is None else monotonic() + timeout
     machine = X86Machine(program, host=runtime,
                          max_instructions=max_instructions,
-                         deadline=deadline, tier=tier, hwc=hwc)
+                         deadline=deadline, reference=reference, hwc=hwc)
     with span("execute", program=name, entry=entry):
         rax, _ = machine.call(entry)
     return RunResult(

@@ -31,7 +31,6 @@ from .jit import (
     CHROME_ENGINE, CHROME_TIERED, FIREFOX_ENGINE, FIREFOX_TIERED,
 )
 from .kernel import BrowsixRuntime, Kernel, NativeRuntime
-from .tier import DEFAULT_TIER, TIERS
 from .wasm import encode_module, format_module
 from .x86.perf import EVENT_TABLE
 
@@ -404,7 +403,6 @@ def cmd_report(args) -> int:
         ret = standalone[artifact]()
     print(ret[-1])
     if args.json:
-        from .tier import get_tier
         registry_dict = get_registry().as_dict()
         counters = registry_dict["counters"]
         gauges = registry_dict.get("gauges", {})
@@ -413,7 +411,6 @@ def cmd_report(args) -> int:
             "data": _jsonify(list(ret[:-1])),
             "text": ret[-1],
             "metrics": get_registry().as_dict(),
-            "tier": {"tier": get_tier()},
             "analysis": {
                 "verifier_runs": counters.get("analysis.verifier_runs", 0),
                 "lints_emitted": counters.get("analysis.lints_emitted", 0),
@@ -637,7 +634,7 @@ def cmd_stat(args) -> int:
     spec = _resolve_spec(args.benchmark, args.size)
     if spec is None:
         return _unknown_benchmark(args.benchmark)
-    model = HwcModel.from_env(sample_every=args.sample)
+    model = HwcModel(sample_every=args.sample or 0)
     compiled = compile_benchmark(spec, (args.target,))
     result = run_compiled(compiled, args.target, runs=1, hwc=model)
     run = result.run
@@ -741,15 +738,6 @@ def _add_verify_arg(p) -> None:
                         "the ranges pass")
 
 
-def _add_tier_arg(p) -> None:
-    p.add_argument("--tier", choices=TIERS, default=None,
-                   help="x86 simulator tier: off runs the "
-                        "per-instruction reference loop, fuse runs "
-                        "straight-line blocks as closures (default "
-                        f"{DEFAULT_TIER}); results are bit-identical "
-                        "at both")
-
-
 def _add_resilience_args(p) -> None:
     """The fault-injection / fault-tolerance knobs (bench + report)."""
     p.add_argument("--inject", metavar="SPEC",
@@ -789,14 +777,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="attach the microarchitectural event model and "
                         "append its counters to the --stats table "
                         "(implies --stats; default output unchanged)")
-    _add_tier_arg(p)
     _add_verify_arg(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="run a program on every pipeline")
     p.add_argument("program")
     p.add_argument("--file", action="append")
-    _add_tier_arg(p)
     _add_verify_arg(p)
     p.set_defaults(func=cmd_compare)
 
@@ -831,7 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", action="store_true",
                    help="collect and print harness metrics")
     _add_resilience_args(p)
-    _add_tier_arg(p)
     _add_verify_arg(p)
     p.set_defaults(func=cmd_bench)
 
@@ -875,7 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-seed", type=int, default=0, metavar="N",
                    help="seed for the deterministic fault injector "
                         "(default: 0)")
-    _add_tier_arg(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("report", help="regenerate a paper table/figure")
@@ -895,7 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="attach the microarchitectural event model to "
                         "every cell and include an hwc block in --json")
     _add_resilience_args(p)
-    _add_tier_arg(p)
     _add_verify_arg(p)
     p.set_defaults(func=cmd_report)
 
@@ -909,7 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stage a file into the kernel filesystem")
     p.add_argument("-o", "--output", default="trace.json",
                    help="output path (load via chrome://tracing)")
-    _add_tier_arg(p)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser(
@@ -921,8 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", choices=("test", "ref"), default="test")
     p.add_argument("--sample", type=int, default=None, metavar="N",
                    help="event-based sampling: record one sample per N "
-                        "retired instructions (default: REPRO_HWC_SAMPLE "
-                        "or off)")
+                        "retired instructions (default: off)")
     p.add_argument("--json", action="store_true",
                    help="print the counters as JSON on stdout")
     p.add_argument("--no-cache", action="store_true",
@@ -967,10 +948,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    tier = getattr(args, "tier", None)
-    if tier is not None:
-        from .tier import set_tier
-        set_tier(tier)
     if getattr(args, "verify_ir", False):
         from .ir.verify import set_verify_ir
         set_verify_ir(True)

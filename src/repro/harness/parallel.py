@@ -38,7 +38,6 @@ import time
 from ..obs import get_registry
 from ..resilience import (RetryPolicy, interrupted_cell, is_failure,
                           measure_cell)
-from ..tier import get_tier
 from . import compilecache
 from .runner import NOISE, compile_benchmark, run_compiled
 from .shard import run_sharded_jobs, shutdown_shard_pools
@@ -186,11 +185,10 @@ def run_suite(benchmarks, targets, runs: int = 5, noise: float = NOISE,
                   if fan_out and refs[spec.name] is not None]
     serial_specs = [spec for spec in benchmarks if spec not in pool_specs]
     use_cache = compilecache.resolve_cache(cache) is not None
-    tier_name = get_tier()
     jobs_list = [{
         "ref": refs[spec.name], "name": spec.name, "target": target,
         "runs": runs, "noise": noise, "max_instructions": max_instructions,
-        "use_cache": use_cache, "tier": tier_name, "tolerant": tolerant,
+        "use_cache": use_cache, "tolerant": tolerant,
         "plan": plan, "retries": policy.retries, "timeout": timeout,
     } for spec in pool_specs for target in targets]
 

@@ -237,16 +237,18 @@ def _compile_benchmark(spec, targets, engines, store, result):
 def run_compiled(compiled: CompiledBenchmark, target: str, runs: int = 5,
                  noise: float = NOISE, seed: int = None,
                  max_instructions: int = 2_000_000_000,
-                 timeout: float = None, hwc=None):
+                 timeout: float = None, hwc=None, reference: bool = False):
     """Execute one compiled target; returns a BenchResult.
 
     ``timeout`` (wall-clock seconds) arms the per-cell deadline
     watchdog.  ``hwc`` attaches an instrument to the simulated machine:
     a :class:`repro.obs.profile.Attribution` for per-function
     attribution, or the microarchitectural event model (``True`` for a
-    fresh env-configured :class:`repro.obs.hwc.HwcModel`).  Its report
-    lands on ``run.hwc``; no instrument perturbs counters, timings, or
-    output.
+    fresh :class:`repro.obs.hwc.HwcModel`).  Its report lands on
+    ``run.hwc``; no instrument perturbs counters, timings, or output.
+    ``reference=True`` runs the cell on the machine's per-instruction
+    reference loop, the oracle the block engine is checked against;
+    the result is bit-identical.
     """
     spec = compiled.spec
     program = compiled.programs[target]
@@ -262,7 +264,8 @@ def run_compiled(compiled: CompiledBenchmark, target: str, runs: int = 5,
         run_result = execute_program(program, runtime,
                                      f"{spec.name}@{target}",
                                      max_instructions=max_instructions,
-                                     timeout=timeout, hwc=hwc)
+                                     timeout=timeout, hwc=hwc,
+                                     reference=reference)
     base_time = run_result.total_seconds
     if seed is None:
         # Stable across processes (Python's hash() is randomized).

@@ -6,9 +6,13 @@ in-process (see :mod:`repro.harness.parallel`).
 
 * **One warm pool.**  The ``--jobs`` workers form one
   :class:`ShardPool`, a persistent fork pool.  Workers are forked once,
-  inherit the parent's imported toolchain and compile cache, and stay
-  alive across sweeps until the width changes or a worker dies outside
-  the scheduler's control.
+  inherit the parent's imported toolchain, compile cache and
+  configuration, and stay alive across sweeps until the width or the
+  ``REPRO_*`` environment changes, or a worker dies outside the
+  scheduler's control.  The configuration setters (``set_verify_ir``,
+  ``set_check_ranges``, ``set_ranges``, ``report --hwc``) each write
+  their ``REPRO_*`` variable, so a pool forked before one of them ran
+  is rebuilt rather than left running the old configuration.
 
 * **FIFO dispatch.**  Cells wait in one queue in suite order, and an
   idle worker takes the head.  There is nothing to steal: every worker
@@ -63,7 +67,7 @@ DRAIN_SECONDS = 10.0
 def _shard_worker_main(conn):
     """Loop of one persistent pool worker: recv job, measure, reply.
 
-    Jobs carry ``use_cache`` and ``tier`` (process-global state a
+    Jobs carry ``use_cache`` (a per-call ``run_suite`` argument a
     persistent worker must not carry over between sweeps) plus the
     dispatch ``incarnation``, which scopes the ``worker`` fault point so
     a respawned worker re-draws.  Tolerant jobs run through
@@ -71,7 +75,6 @@ def _shard_worker_main(conn):
     classification, bounded in-worker retry) and reply ``fail`` with a
     CellFailure instead of raising.
     """
-    from ..tier import set_tier
     from .parallel import resolve_ref
 
     while True:
@@ -84,7 +87,6 @@ def _shard_worker_main(conn):
         start = time.time()
         try:
             compilecache.set_enabled(p["use_cache"])
-            set_tier(p["tier"])
             plan = p.get("plan")
             if plan is not None:
                 from ..resilience import faults
@@ -165,6 +167,8 @@ class ShardPool:
                 ctx = mp.get_context()
         self.width = width
         self.ctx = ctx
+        #: The configuration the workers were forked with.
+        self.env = repro_environment()
         self.workers = []
         self.idle = []
         self.inflight = {}   # conn -> {"job", "worker", "sent", "timeout"}
@@ -294,11 +298,19 @@ class ShardPool:
 _SHARDS = None  # the process-wide ShardPool
 
 
+def repro_environment() -> list:
+    """The sorted ``REPRO_*`` items of ``os.environ``."""
+    return sorted(item for item in os.environ.items()
+                  if item[0].startswith("REPRO_"))
+
+
 def get_shard_pool(jobs: int) -> ShardPool:
-    """The process-wide pool of ``jobs`` workers, rebuilt only when the
-    width changes or a worker died outside the scheduler's control."""
+    """The process-wide pool of ``jobs`` workers, rebuilt when the width
+    or the ``REPRO_*`` environment changed since it forked, or a worker
+    died outside the scheduler's control."""
     global _SHARDS
-    if _SHARDS is not None and _SHARDS.width == jobs and _SHARDS.alive():
+    if _SHARDS is not None and _SHARDS.width == jobs and _SHARDS.alive() \
+            and _SHARDS.env == repro_environment():
         return _SHARDS
     shutdown_shard_pools()
     _SHARDS = ShardPool(jobs)

@@ -245,8 +245,7 @@ def jit_pipeline_fingerprint(optimizing_tier: bool, ssa: bool = None) -> str:
     The range configuration is part of the identity: toggling
     ``REPRO_RANGES``/``--check-ranges`` changes what an eliding engine
     emits (checks elided, oracle assertions attached), so it must never
-    serve stale code.  The execution tier is not: it changes only how
-    fast the simulator runs a program, never the program."""
+    serve stale code."""
     use_ssa = (ssa_enabled() if ssa is None else bool(ssa)) \
         and optimizing_tier
     return pipeline_fingerprint(

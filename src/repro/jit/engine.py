@@ -90,8 +90,7 @@ class Engine:
         opt in (``elide_checks`` — tiered engines only), the SSA mid-end
         must be on (the simplification pass is phi-aware and the facts
         come out of the SSA region), and ``REPRO_RANGES`` must not
-        revert it.  The execution tier plays no part: it is a pure
-        simulator-speed setting."""
+        revert it."""
         return (getattr(self.config, "elide_checks", False)
                 and self.optimizing_tier and ssa_enabled()
                 and ranges_enabled())

@@ -17,7 +17,8 @@ exact retired-instruction stream the executors already produce:
   ``Mem.spill``) are counted separately from program memory traffic —
   the paper's register-pressure story (§6.1);
 * deterministic event-based **sampling**: every N retired instructions
-  a sample is charged to the executing function (``REPRO_HWC_SAMPLE``).
+  a sample is charged to the executing function
+  (``repro stat --sample N``).
 
 The model is an :class:`~repro.obs.profile.Attribution`: it rides the
 executor's one instrument hook, which reports calls and returns and
@@ -52,8 +53,6 @@ decompose.
 
 from __future__ import annotations
 
-import os
-
 from ..x86.icache import SetAssocCache
 from ..x86.isa import Mem
 from ..x86.perf import (
@@ -68,7 +67,7 @@ BRANCH_MISS_PENALTY = 14.0
 BTB_MISS_PENALTY = 8.0
 DCACHE_MISS_PENALTY = 10.0
 
-#: Scaled L1D defaults (same ~100x scaling argument as the i-cache: the
+#: Scaled L1D geometry (same ~100x scaling argument as the i-cache: the
 #: proxy working sets are far smaller than SPEC's, so a 32 KB L1D would
 #: never miss; 4 KB/8-way preserves *whether a pipeline's hot data
 #: fits* at the reproduced footprints).
@@ -93,12 +92,12 @@ class BranchPredictor:
     alias, exactly like hardware.
     """
 
-    def __init__(self, pht_bits: int = PHT_BITS, btb_bits: int = BTB_BITS):
-        self.pht = bytearray([1]) * (1 << pht_bits)
-        self._pht_mask = (1 << pht_bits) - 1
-        self.btb_tags = [-1] * (1 << btb_bits)
-        self.btb_targets = [0] * (1 << btb_bits)
-        self._btb_mask = (1 << btb_bits) - 1
+    def __init__(self):
+        self.pht = bytearray([1]) * (1 << PHT_BITS)
+        self._pht_mask = (1 << PHT_BITS) - 1
+        self.btb_tags = [-1] * (1 << BTB_BITS)
+        self.btb_targets = [0] * (1 << BTB_BITS)
+        self._btb_mask = (1 << BTB_BITS) - 1
 
     def cond(self, site: int, taken: bool) -> bool:
         """Predict + train one conditional branch; True if mispredicted."""
@@ -294,13 +293,10 @@ class HwcModel(Attribution):
     counters stay bit-identical.
     """
 
-    def __init__(self, dcache_size: int = DCACHE_SIZE,
-                 dcache_ways: int = DCACHE_WAYS,
-                 pht_bits: int = PHT_BITS, btb_bits: int = BTB_BITS,
-                 sample_every: int = 0):
+    def __init__(self, sample_every: int = 0):
         super().__init__()
-        self.dcache = SetAssocCache(dcache_size, DCACHE_LINE, dcache_ways)
-        self.bp = BranchPredictor(pht_bits, btb_bits)
+        self.dcache = SetAssocCache(DCACHE_SIZE, DCACHE_LINE, DCACHE_WAYS)
+        self.bp = BranchPredictor()
         self.totals = HwcCounters()
         self.events: dict[str, HwcCounters] = {}
         self.samples: dict[str, int] = {}
@@ -308,9 +304,9 @@ class HwcModel(Attribution):
         self._next_sample = sample_every if sample_every else None
         self._retired = 0
         self.config = {
-            "dcache_size": dcache_size, "dcache_ways": dcache_ways,
+            "dcache_size": DCACHE_SIZE, "dcache_ways": DCACHE_WAYS,
             "dcache_line": DCACHE_LINE,
-            "pht_bits": pht_bits, "btb_bits": btb_bits,
+            "pht_bits": PHT_BITS, "btb_bits": BTB_BITS,
             "sample_every": sample_every,
         }
         self._cur_c: HwcCounters = None
@@ -332,22 +328,6 @@ class HwcModel(Attribution):
             "jcc": self._h_jcc, "call": self._h_push,
             "callr": self._h_callr, "ret": self._h_pop,
         }
-
-    @classmethod
-    def from_env(cls, sample_every: int = None) -> "HwcModel":
-        """Build a model from ``REPRO_HWC_DCACHE`` ("size,ways") and
-        ``REPRO_HWC_SAMPLE`` (sample every N retired instructions)."""
-        size, ways = DCACHE_SIZE, DCACHE_WAYS
-        spec = os.environ.get("REPRO_HWC_DCACHE", "")
-        if spec:
-            parts = spec.split(",")
-            size = int(parts[0])
-            if len(parts) > 1:
-                ways = int(parts[1])
-        if sample_every is None:
-            sample_every = int(os.environ.get("REPRO_HWC_SAMPLE", "0") or 0)
-        return cls(dcache_size=size, dcache_ways=ways,
-                   sample_every=sample_every)
 
     # -- executor interface ------------------------------------------------
 
@@ -644,6 +624,6 @@ def explain_benchmark(spec, target: str = "chrome", cache=None,
     """Compile + run ``spec`` native and on ``target`` with the hwc
     model attached; returns a checked :class:`GapExplanation`."""
     explanation = GapExplanation(spec, target, *attribute_benchmark(
-        spec, target, HwcModel.from_env, cache, max_instructions))
+        spec, target, HwcModel, cache, max_instructions))
     explanation.check()
     return explanation

@@ -9,7 +9,7 @@ shutdown are the normal case:
 * :mod:`~repro.serve.admission` — the bounded pending pool: load
   shedding with ``retry_after``, priority preemption, deadline
   eviction;
-* :mod:`~repro.serve.breaker` — per-(benchmark, target, tier) circuit
+* :mod:`~repro.serve.breaker` — per-(benchmark, target) circuit
   breakers that fail fast on repeated permanent failures and half-open
   on a timer;
 * :mod:`~repro.serve.executor` — dispatch onto a warm

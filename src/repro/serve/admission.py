@@ -8,8 +8,8 @@ overload becomes a *structured* answer instead of a timeout:
   estimated queue wait (depth x EMA cell seconds / workers) — unless
   the newcomer outranks a queued job, in which case the lowest-
   priority, oldest victim is **evicted** (``preempted``) to make room.
-* **Circuit breaking.**  Submissions for a tripped (benchmark, target,
-  tier) fail fast (:class:`~repro.serve.breaker.BreakerBoard`).
+* **Circuit breaking.**  Submissions for a tripped (benchmark, target)
+  fail fast (:class:`~repro.serve.breaker.BreakerBoard`).
 * **Deadlines.**  Before every dispatch the queue is swept: jobs whose
   deadline already passed are evicted rather than started late.
 
@@ -160,13 +160,13 @@ class AdmissionController:
             return AdmissionDecision(
                 "draining", "service is draining; not accepting jobs",
                 retry_after=30.0)
-        key = (job.benchmark, job.target, job.tier)
+        key = (job.benchmark, job.target)
         ok, retry_after = self.breakers.allow(key)
         if not ok:
             return AdmissionDecision(
                 "circuit_open",
-                f"circuit open for {job.benchmark}@{job.target} "
-                f"(tier {job.tier}): repeated permanent failures",
+                f"circuit open for {job.benchmark}@{job.target}: "
+                f"repeated permanent failures",
                 retry_after=retry_after)
         if self.depth() >= self.max_depth \
                 and not self._evict_lower_priority(job.priority):

@@ -1,4 +1,4 @@
-"""Per-(benchmark, target, tier) circuit breakers.
+"""Per-(benchmark, target) circuit breakers.
 
 A cell that fails *permanently* (a guest trap, a validation mismatch —
 anything :func:`repro.errors.classify` marks non-transient) will fail
@@ -33,7 +33,7 @@ RESET_SECONDS = 15.0
 
 
 class CircuitBreaker:
-    """One breaker guarding one (benchmark, target, tier) cell class."""
+    """One breaker guarding one (benchmark, target) cell class."""
 
     def __init__(self, clock=time.monotonic):
         self.clock = clock
@@ -87,7 +87,7 @@ class CircuitBreaker:
 
 
 class BreakerBoard:
-    """The breaker registry, keyed by (benchmark, target, tier)."""
+    """The breaker registry, keyed by (benchmark, target)."""
 
     def __init__(self, clock=time.monotonic, metrics=None):
         self.clock = clock

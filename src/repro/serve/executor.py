@@ -26,7 +26,7 @@ back onto jobs:
   dispatch timeout is the remaining deadline budget, and a job whose
   deadline lapses while queued is evicted instead of started late;
 * successful results are **memoized** by (benchmark, target, size,
-  tier, runs) — the measurement is deterministic, so a repeat
+  runs) — the measurement is deterministic, so a repeat
   submission is answered from memory, bit-identical to a fresh run
   (which itself rides the content-addressed compile cache on disk).
 """
@@ -79,8 +79,6 @@ class ServeExecutor:
     def __init__(self, store, admission, breakers, workers: int,
                  retries: int = 2, timeout: float = None, plan=None,
                  metrics=None, use_cache: bool = True):
-        from ..tier import get_tier
-
         self.store = store
         self.admission = admission
         self.breakers = breakers
@@ -89,7 +87,6 @@ class ServeExecutor:
         self.plan = plan
         self.metrics = metrics
         self.use_cache = use_cache
-        self.tier = get_tier()
         self.memo: dict[tuple, dict] = {}
         self.pool = ShardPool(max(1, int(workers)))
         self.wake = threading.Event()
@@ -135,7 +132,7 @@ class ServeExecutor:
             "runs": job.runs, "noise": NOISE,
             "max_instructions": MAX_INSTRUCTIONS,
             "use_cache": self.use_cache, "plan": self.plan,
-            "tier": job.tier or self.tier, "retries": self.retries,
+            "retries": self.retries,
             "timeout": timeout, "tolerant": True,
             "incarnation": job.incarnation,
             "retry_jitter": 1.0,
@@ -206,7 +203,7 @@ class ServeExecutor:
         self.store.transition(job, J.FAILED, error.get("message"),
                               error=error)
         self.breakers.record(
-            (job.benchmark, job.target, job.tier), success=False,
+            (job.benchmark, job.target), success=False,
             permanent=permanent)
         if self.metrics is not None:
             self.metrics.counter("serve.failed").inc()
@@ -255,7 +252,7 @@ class ServeExecutor:
         self.memo.setdefault(job.memo_key(), result)
         self.store.transition(job, J.DONE, "measured", result=result)
         self.breakers.record(
-            (job.benchmark, job.target, job.tier), success=True)
+            (job.benchmark, job.target), success=True)
         if self.metrics is not None:
             self.metrics.counter("serve.done").inc()
             self._observe_latency(job)

@@ -1,7 +1,7 @@
 """Job lifecycle for the benchmark service.
 
 A :class:`Job` is one accepted unit of work — measure a (benchmark,
-target, size, tier) cell — moving through a small, strictly terminal
+target, size) cell — moving through a small, strictly terminal
 state machine:
 
     QUEUED -> RUNNING -> DONE | FAILED
@@ -41,14 +41,14 @@ class Job:
     """One unit of service work plus its full transition history."""
 
     __slots__ = (
-        "id", "client", "benchmark", "target", "size", "tier", "runs",
+        "id", "client", "benchmark", "target", "size", "runs",
         "priority", "deadline", "ref", "state", "submitted", "started",
         "finished", "result", "error", "attempts", "incarnation",
         "memo_hit", "events", "seq",
     )
 
     def __init__(self, job_id: str, seq: int, client: str, benchmark: str,
-                 target: str, size: str, tier: str, runs: int,
+                 target: str, size: str, runs: int,
                  priority: int, deadline: float, ref, now: float):
         self.id = job_id
         self.seq = seq                    # admission order tie-breaker
@@ -56,7 +56,6 @@ class Job:
         self.benchmark = benchmark
         self.target = target
         self.size = size
-        self.tier = tier
         self.runs = runs
         self.priority = priority
         self.deadline = deadline          # absolute clock time, or None
@@ -78,8 +77,7 @@ class Job:
 
     def memo_key(self):
         """The result-memoization identity of this job's measurement."""
-        return (self.benchmark, self.target, self.size, self.tier,
-                self.runs)
+        return (self.benchmark, self.target, self.size, self.runs)
 
     def snapshot(self, now: float = None) -> dict:
         """A JSON-safe view of the job for ``status`` / event streams."""
@@ -95,7 +93,6 @@ class Job:
             "benchmark": self.benchmark,
             "target": self.target,
             "size": self.size,
-            "tier": self.tier,
             "runs": self.runs,
             "priority": self.priority,
             "state": self.state,
@@ -135,14 +132,14 @@ class JobStore:
         self._ids = itertools.count(1)
 
     def create(self, client: str, benchmark: str, target: str, size: str,
-               tier: str, runs: int, priority: int, deadline_s, ref,
+               runs: int, priority: int, deadline_s, ref,
                state: str = QUEUED) -> Job:
         with self.lock:
             seq = next(self._ids)
             now = self.clock()
             deadline = now + deadline_s if deadline_s else None
             job = Job(f"job-{seq}", seq, client, benchmark, target, size,
-                      tier, runs, priority, deadline, ref, now)
+                      runs, priority, deadline, ref, now)
             if state != QUEUED:
                 job.state = state
                 job.finished = now

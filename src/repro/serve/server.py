@@ -121,10 +121,6 @@ class BenchService:
         size = params.get("size", "test")
         if size not in ("test", "ref"):
             raise RpcError(f"unknown size {size!r}", code=-32602)
-        from ..tier import TIERS, get_tier
-        tier = params.get("tier") or get_tier()
-        if tier not in TIERS:
-            raise RpcError(f"unknown tier {tier!r}", code=-32602)
         runs = max(1, int(params.get("runs", self.config.runs)))
         priority = int(params.get("priority", 0))
         deadline_s = params.get("deadline_s")
@@ -137,8 +133,8 @@ class BenchService:
 
         with self.store.lock:
             self.metrics.counter("serve.submitted").inc()
-            job = self.store.create(client, benchmark, target, size, tier,
-                                    runs, priority, deadline_s, ref)
+            job = self.store.create(client, benchmark, target, size, runs,
+                                    priority, deadline_s, ref)
             decision = self.admission.admit(job)
             if decision is not None:
                 self.store.transition(

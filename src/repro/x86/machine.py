@@ -15,7 +15,6 @@ import struct
 from time import monotonic as _monotonic
 
 from ..errors import CellTimeout, FuelExhausted, TrapError
-from ..tier import tier_level
 from .icache import ICache
 from .isa import Imm, Mem, Reg
 from .perf import PerfCounters
@@ -382,7 +381,16 @@ SHARED_OPS = {
 
 
 class X86Machine:
-    """Executes one compiled program."""
+    """Executes one compiled program.
+
+    Each call runs on the block engine (:mod:`repro.x86.blocks`)
+    unless the per-instruction reference loop (:meth:`_execute`) is
+    asked for: by ``reference=True`` (the oracle callers that check the
+    block engine against it), by an attached instrument (``hwc``), or
+    by the ``--check-ranges`` oracle.  Both loops retire the same
+    events: times, perf counters, i-cache, trap text and stdout are
+    bit-identical.
+    """
 
     #: How often (in retired instructions) the wall-clock deadline is
     #: polled; a power of two so the checkpoint arithmetic stays cheap.
@@ -390,7 +398,8 @@ class X86Machine:
 
     def __init__(self, program: X86Program, host=None, icache: ICache = None,
                  max_instructions: int = 2_000_000_000,
-                 deadline: float = None, tier=None, hwc=None):
+                 deadline: float = None, reference: bool = False,
+                 hwc=None):
         self.program = program
         self.memory = bytearray(program.machine_memory_size)
         for addr, blob in program.data_segments + program.rodata_image():
@@ -408,12 +417,8 @@ class X86Machine:
         self._entry_map = program.entry_map()
         self._abi = getattr(program, "abi", None)
         self._decode_cache = {}
-        #: Execution tier (0=off, 1=fuse); ``None`` follows the
-        #: process-wide setting from :mod:`repro.tier`.  Tier off runs
-        #: the per-instruction reference loop (:meth:`_execute`); fuse
-        #: runs uninstrumented calls on the block engine
-        #: (:mod:`repro.x86.blocks`), which retires the same events.
-        self._tier = tier_level(tier)
+        #: Run every call on the reference loop, never the block engine.
+        self.reference = reference
         #: Block-engine state: per-function block tables, every block
         #: built so far, the flags cell, and the dynamic counters.
         #: Closures bind registers and memory, never the machine.
@@ -648,7 +653,7 @@ class X86Machine:
         return decoded
 
     def _execute(self, func) -> None:
-        if self._tier and self.hwc is None and not self._oracle:
+        if not self.reference and self.hwc is None and not self._oracle:
             from .blocks import run_blocks
             return run_blocks(self, func)
         # The reference loop, one decoded instruction at a time.

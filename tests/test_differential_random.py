@@ -3,7 +3,7 @@
 Hypothesis generates small integer programs (expression trees over locals
 plus a loop) and the test requires the native x86 pipeline and the Chrome
 wasm pipeline to match the IR reference interpreter exactly, and the x86
-block engine to match the reference loop (``tier="off"``) on stdout,
+block engine to match the reference loop (``reference=True``) on stdout,
 every counter and the i-cache.  Division is generated with guarded
 denominators so programs are trap-free.
 """
@@ -20,11 +20,11 @@ from repro.x86.registers import RAX
 
 def assert_matches_reference_loop(machine):
     """``machine`` ran ``main`` on the block engine; a run of the same
-    program on the reference loop (``tier="off"``) leaves identical
+    program on the reference loop (``reference=True``) leaves identical
     output, counters and i-cache state."""
     program = machine.program
     host = GuestHost(program.heap_base)
-    reference = X86Machine(program, host=host, tier="off")
+    reference = X86Machine(program, host=host, reference=True)
     reference.call("main")
     assert (reference.regs[RAX], bytes(host.output),
             reference.perf.as_dict(), reference.icache.accesses,
@@ -90,7 +90,7 @@ int main(void) {{
 @given(programs())
 def test_random_programs_native_matches_reference(source):
     ref_value, ref_out = run_ir(source)
-    rc, out, machine = run_native(source, tier="fuse")
+    rc, out, machine = run_native(source)
     assert out == ref_out
     assert rc == (ref_value or 0) & 0xFFFFFFFF
     assert_matches_reference_loop(machine)
@@ -102,7 +102,7 @@ def test_random_programs_native_matches_reference(source):
 @given(programs())
 def test_random_programs_chrome_matches_reference(source):
     ref_value, ref_out = run_ir(source)
-    rc, out, machine = run_engine(source, CHROME_ENGINE, tier="fuse")
+    rc, out, machine = run_engine(source, CHROME_ENGINE)
     assert out == ref_out
     assert rc == (ref_value or 0) & 0xFFFFFFFF
     assert_matches_reference_loop(machine)
@@ -154,7 +154,7 @@ int main(void) {{
 @given(array_programs())
 def test_random_array_programs_native_matches_reference(source):
     ref_value, ref_out = run_ir(source)
-    rc, out, machine = run_native(source, tier="fuse")
+    rc, out, machine = run_native(source)
     assert out == ref_out
     assert_matches_reference_loop(machine)
 
@@ -165,6 +165,6 @@ def test_random_array_programs_native_matches_reference(source):
 @given(array_programs())
 def test_random_array_programs_chrome_matches_reference(source):
     ref_value, ref_out = run_ir(source)
-    rc, out, machine = run_engine(source, CHROME_ENGINE, tier="fuse")
+    rc, out, machine = run_engine(source, CHROME_ENGINE)
     assert out == ref_out
     assert_matches_reference_loop(machine)

@@ -4,13 +4,14 @@ The load-bearing invariants:
 
 * the model is purely observational: every retired counter, i-cache
   count, cycle figure, and program output is bit-identical with the
-  model attached, at every tier;
+  model attached, on the reference loop and the block engine;
 * per-function hwc buckets sum EXACTLY to the whole-program totals;
 * the model's own accounting is closed: retired events mirror the
   machine's counters (``retired == instructions``, ``dcache_accesses ==
   loads + stores``) and the cycle decomposition sums to the modeled
   cycle count;
-* both execution tiers report the same hwc counters;
+* a machine asked for the reference loop reports the same hwc
+  counters as one that takes it because the model is attached;
 * everything is deterministic per (program, input, config).
 """
 
@@ -24,7 +25,6 @@ from repro.obs.hwc import (
     BranchPredictor, HwcCounters, HwcModel, class_cycles,
     explain_benchmark, hwc_cycles,
 )
-from repro.tier import TIERS
 from repro.x86 import X86Machine
 
 PROGRAM = """
@@ -48,10 +48,10 @@ int main(void) {
 """
 
 
-def _native(hwc=None, tier="off"):
+def _native(hwc=None, reference=True):
     program, module = compile_native(PROGRAM, "test")
     host = GuestHost(module.heap_base)
-    machine = X86Machine(program, host=host, tier=tier, hwc=hwc)
+    machine = X86Machine(program, host=host, reference=reference, hwc=hwc)
     rax, _ = machine.call("main")
     return rax & 0xFFFFFFFF, bytes(host.output), machine
 
@@ -100,10 +100,10 @@ def test_hwc_counters_merge_and_eq():
 # -- the model never perturbs execution ---------------------------------------------
 
 
-@pytest.mark.parametrize("tier", TIERS)
-def test_retired_counters_bit_identical_with_hwc(tier):
-    rax_plain, out_plain, m_plain = _native(tier=tier)
-    rax_hwc, out_hwc, m_hwc = _native(hwc=HwcModel(), tier=tier)
+@pytest.mark.parametrize("reference", [True, False], ids=["off", "fuse"])
+def test_retired_counters_bit_identical_with_hwc(reference):
+    rax_plain, out_plain, m_plain = _native(reference=reference)
+    rax_hwc, out_hwc, m_hwc = _native(hwc=HwcModel(), reference=reference)
     assert rax_plain == rax_hwc
     assert out_plain == out_hwc
     assert m_plain.perf.as_dict() == m_hwc.perf.as_dict()
@@ -146,8 +146,8 @@ def test_hwc_is_deterministic():
 
 def test_fused_tier_reports_identical_hwc():
     m_off, m_fuse = HwcModel(), HwcModel()
-    _native(hwc=m_off, tier="off")
-    _native(hwc=m_fuse, tier="fuse")
+    _native(hwc=m_off, reference=True)
+    _native(hwc=m_fuse, reference=False)
     assert m_off.report() == m_fuse.report()
 
 
@@ -182,15 +182,6 @@ def test_event_sampling_is_deterministic_and_attributed():
     assert sum(r1.samples.values()) == r1.totals.retired // 1000
     assert set(r1.samples) <= set(r1.functions)
     assert m1.report().as_dict()["samples"] == r1.samples
-
-
-def test_from_env_reads_config(monkeypatch):
-    monkeypatch.setenv("REPRO_HWC_DCACHE", "2048,4")
-    monkeypatch.setenv("REPRO_HWC_SAMPLE", "500")
-    model = HwcModel.from_env()
-    assert model.config["dcache_size"] == 2048
-    assert model.dcache.ways == 4
-    assert model.sample_every == 500
 
 
 def test_run_result_carries_hwc_via_env(monkeypatch):

@@ -76,6 +76,25 @@ def test_warm_pool_rebuilt_on_width_change(force_jobs):
     assert shard_mod._SHARDS.width == 3
 
 
+def test_warm_pool_follows_the_environment(force_jobs, monkeypatch):
+    """Workers read their configuration from the state they were forked
+    with, so a ``REPRO_*`` change after the fork rebuilds the pool."""
+    def sweep():
+        results, _ = run_suite(_suite()[:2], ["native"], runs=1, jobs=2,
+                               cache=False)
+        return [cell.run.hwc for by_target in results.values()
+                for cell in by_target.values()]
+
+    assert sweep() == [None, None]
+    pids = _pids()
+    monkeypatch.setenv("REPRO_HWC", "1")
+    assert all(report is not None for report in sweep())
+    fresh = _pids()
+    assert not set(fresh) & set(pids)
+    assert all(report is not None for report in sweep())
+    assert _pids() == fresh
+
+
 def test_warm_pool_cell_error_propagates(force_jobs):
     bad = polybench_benchmark("trisolv", "test")
     with pytest.raises(Exception):

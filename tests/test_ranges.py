@@ -1,6 +1,5 @@
 """Interval range analysis: domain algebra, widening termination,
-check elision in the tiered engines (the same at every execution
-tier), the runtime soundness oracle
+check elision in the tiered engines, the runtime soundness oracle
 (``--check-ranges``), bit-identity for non-eliding engines, and
 compile-cache freshness across every range-configuration toggle."""
 
@@ -23,7 +22,6 @@ from repro.ir.verify import (RangeOracleError, check_ranges_enabled,
                              set_check_ranges)
 from repro.jit import CHROME_ENGINE, CHROME_TIERED, FIREFOX_TIERED
 from repro.mcc import compile_source
-from repro.tier import TIERS, set_tier
 from repro.wasm import WasmInstance, encode_module
 from repro.wasm.binary import decode_module
 from repro.x86 import X86Machine
@@ -31,13 +29,12 @@ from repro.x86 import X86Machine
 
 @pytest.fixture
 def range_config():
-    """Snapshot/restore the process-wide range + tier configuration."""
+    """Snapshot/restore the process-wide range configuration."""
     ranges = ranges_enabled()
     check = check_ranges_enabled()
     yield
     set_ranges(ranges)
     set_check_ranges(check)
-    set_tier(None)
 
 
 # -- the Ival domain -------------------------------------------------------
@@ -240,21 +237,6 @@ def test_ranges_off_reverts_elision(range_config):
     assert stats["indirect_elided"] == 0
 
 
-def test_elision_is_tier_invariant(range_config):
-    """The execution tier only changes how fast the simulator runs: an
-    eliding engine emits the same checks at every tier."""
-    set_ranges(True)
-    spec = polybench_benchmark("gemm", "test")
-    stats = {}
-    for tier in TIERS:
-        set_tier(tier)
-        compiled = compile_benchmark(spec, ("chrome-tiered",), cache=False)
-        stats[tier] = \
-            compiled.program_for("chrome-tiered").compile_stats["checks"]
-    assert all(stats[tier] == stats["off"] for tier in TIERS)
-    assert stats["off"]["stack_elided"] + stats["off"]["indirect_elided"] > 0
-
-
 # -- bit-identity for non-eliding engines ----------------------------------
 
 def _perf_tuple(machine):
@@ -411,11 +393,6 @@ def test_fingerprints_roll_with_range_config(range_config):
     assert opt_pipeline_fingerprint() != base_opt
     assert jit_pipeline_fingerprint(True) != base_jit
     set_check_ranges(False)
-
-    # The execution tier is no part of any artifact's identity.
-    set_tier("off")
-    assert opt_pipeline_fingerprint() == base_opt
-    assert jit_pipeline_fingerprint(True) == base_jit
 
 
 def test_cache_never_serves_stale_range_config(tmp_path, range_config):

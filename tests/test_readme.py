@@ -3,22 +3,12 @@
 import os
 import re
 
-from repro.obs.hwc import HwcModel
-from repro.tier import DEFAULT_TIER, TIERS
-
-README = os.path.join(os.path.dirname(__file__), "..", "README.md")
-
-
-def _dcache():
-    config = HwcModel.from_env().config
-    return config["dcache_size"], config["dcache_ways"]
-
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+README = os.path.join(ROOT, "README.md")
 
 #: What the code falls back to for each knob with a numeric default,
 #: read with the variable unset.
-CODE_DEFAULTS = {
-    "REPRO_HWC_DCACHE": _dcache,
-}
+CODE_DEFAULTS = {}
 
 
 def env_table() -> dict:
@@ -51,9 +41,13 @@ def test_env_table_numeric_defaults_match_code(monkeypatch):
         assert tuple(float(x) for x in numbers) == documented[var], var
 
 
-def test_env_table_tier_row_matches_code():
-    """The REPRO_TIER row lists exactly the tiers, with the default."""
-    tiers, default = re.match(r"x86 simulator tier: (.*?) \(default `(\w+)`",
-                              env_table()["REPRO_TIER"]).groups()
-    assert tuple(re.findall(r"`(\w+)`", tiers)) == TIERS
-    assert default == DEFAULT_TIER
+def test_env_table_lists_every_variable_the_code_reads():
+    """Every ``REPRO_*`` name in ``src/`` has a row, and every row names
+    a variable the code still reads."""
+    named = set()
+    for dirpath, _dirs, files in os.walk(os.path.join(ROOT, "src")):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(dirpath, name)) as fh:
+                    named |= set(re.findall(r"REPRO_[A-Z_]+", fh.read()))
+    assert named == set(env_table())

@@ -119,8 +119,8 @@ def _admission(clock, max_depth=3):
 
 def _submit(store, controller, priority=0, deadline_s=None,
             client="c", benchmark="bm", target="native"):
-    job = store.create(client, benchmark, target, "test", "baseline",
-                       3, priority, deadline_s, ref=None)
+    job = store.create(client, benchmark, target, "test", 3, priority,
+                       deadline_s, ref=None)
     decision = controller.admit(job)
     if decision is not None:
         store.transition(job, J.SHED, decision.message,
@@ -187,7 +187,7 @@ class TestAdmission:
 
     def test_open_breaker_fails_fast(self):
         store, controller = _admission(FakeClock())
-        key = ("bm", "native", "baseline")
+        key = ("bm", "native")
         for _ in range(3):
             controller.breakers.record(key, success=False, permanent=True)
         _, decision = _submit(store, controller)
@@ -365,18 +365,6 @@ class TestBenchService:
             service.rpc("submit", {"benchmark": "no-such-benchmark",
                                    "client": "t"})
         assert err.value.data["code"] == "unknown_benchmark"
-
-    def test_unknown_tier_rejected_at_submit(self, service):
-        with pytest.raises(RpcError) as err:
-            service.rpc("submit", {"benchmark": "matmul-8x8x8",
-                                   "target": "native", "tier": "turbo",
-                                   "client": "t"})
-        assert err.value.code == -32602
-        assert "unknown tier" in str(err.value)
-        # Rejected before a job exists: nothing queued, nothing dispatched
-        # to a worker, no breaker charged.
-        assert service.store.jobs == {}
-        assert service.admission.breakers.as_dict() == {}
 
     def test_unknown_method_rejected(self, service):
         with pytest.raises(RpcError) as err:

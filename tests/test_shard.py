@@ -23,7 +23,6 @@ from repro.harness.shard import (
 from repro.harness import shard as shard_mod
 from repro.obs import metrics as obs_metrics
 from repro.resilience import FaultInjector, FaultPlan, RetryPolicy, is_failure
-from repro.tier import get_tier
 
 SUBSET = ["trisolv", "bicg", "mvt", "gesummv"]
 TARGETS = ["native", "chrome", "firefox"]
@@ -252,7 +251,6 @@ def test_worker_dead_while_idle_is_replaced_at_dispatch(force_jobs):
         "ref": ("polybench", "trisolv", "test"), "name": "trisolv",
         "target": target, "runs": 1, "noise": 0.004,
         "max_instructions": 2_000_000_000, "use_cache": False,
-        "tier": get_tier(),
     } for target in ("native", "chrome")]
     done = []
     scheduler = ShardScheduler(pool, jobs_list)
@@ -293,13 +291,12 @@ def test_worker_crash_fast_mode_raises_after_retries(force_jobs):
     """Without the tolerant flag an exhausted crash budget aborts the
     sweep, and the next sweep still works on a rebuilt pool."""
     from repro.errors import WorkerCrashError
-    from repro.tier import get_tier
     plan = FaultPlan.parse("worker:1.0", seed=1)
     jobs_list = [{
         "ref": ("polybench", "trisolv", "test"), "name": "trisolv",
         "target": "native", "runs": 1, "noise": 0.004,
         "max_instructions": 2_000_000_000, "use_cache": False,
-        "plan": plan, "tier": get_tier(),
+        "plan": plan,
     }]
     from repro.harness.shard import run_sharded_jobs
     with pytest.raises(WorkerCrashError):

@@ -22,7 +22,6 @@ from repro.ir.types import FuncType, Type
 from repro.ir.values import Const
 from repro.ir.verify import VerifyError, set_verify_ir, verify_function
 from repro.mcc import compile_source
-from repro.tier import TIERS, set_tier
 
 from conftest import GuestHost, run_engine, run_ir, run_native
 
@@ -483,26 +482,22 @@ def test_ssa_pipeline_matches_reference_output(name):
         "the SSA mid-end must never grow the program"
 
 
-@pytest.mark.parametrize("tier", TIERS)
-def test_ssa_on_native_and_jit_tiers(tier, monkeypatch):
+@pytest.mark.parametrize("reference", [True, False], ids=["off", "fuse"])
+def test_ssa_on_native_and_jit_tiers(reference, monkeypatch):
     """matmul runs bit-identically (return code, stdout, trap-free)
-    under the SSA pipeline on native and both JIT engines at every
-    execution tier."""
+    under the SSA pipeline on native and both JIT engines, on the
+    reference loop and on the block engine."""
     from repro.jit.engine import CHROME_ENGINE, FIREFOX_ENGINE
 
     monkeypatch.delenv("REPRO_SSA", raising=False)
     source = matmul_source(8, 7, 6)
-    set_tier(tier)
-    try:
-        ref, ref_out = run_ir(source)
-        rc, out, _ = run_native(source)
-        assert (rc, out) == ((ref or 0) & 0xFFFFFFFF, ref_out)
-        for engine in (CHROME_ENGINE, FIREFOX_ENGINE):
-            rc, out, _ = run_engine(source, engine)
-            assert (rc, out) == ((ref or 0) & 0xFFFFFFFF, ref_out), \
-                f"{engine.name} diverged at tier {tier}"
-    finally:
-        set_tier(None)
+    ref, ref_out = run_ir(source)
+    rc, out, _ = run_native(source, reference=reference)
+    assert (rc, out) == ((ref or 0) & 0xFFFFFFFF, ref_out)
+    for engine in (CHROME_ENGINE, FIREFOX_ENGINE):
+        rc, out, _ = run_engine(source, engine, reference=reference)
+        assert (rc, out) == ((ref or 0) & 0xFFFFFFFF, ref_out), \
+            f"{engine.name} diverged (reference={reference})"
 
 
 def test_trap_text_identical_with_ssa(monkeypatch):

@@ -382,7 +382,7 @@ def test_fresh_memory_matches_module_image(proxies, name):
 
 # -- the block engine against the reference loop ------------------------------------
 #
-# ``tier="off"`` runs the per-instruction reference loop; any other tier
+# ``reference=True`` runs the per-instruction reference loop; the default
 # runs the block engine.  Each test below requires the two to leave the
 # same exception (class and text), every PerfCounters field, the same
 # i-cache accesses and misses, and the same register files.
@@ -394,9 +394,9 @@ class _FailingHost:
         raise SyscallError("EIO", name)
 
 
-def _outcome(program, tier, entry="f", setup=None, setup_regs=False,
+def _outcome(program, reference, entry="f", setup=None, setup_regs=False,
              **kwargs):
-    machine = X86Machine(program, tier=tier, **kwargs)
+    machine = X86Machine(program, reference=reference, **kwargs)
     if setup:
         setup(machine)
     try:
@@ -410,8 +410,8 @@ def _outcome(program, tier, entry="f", setup=None, setup_regs=False,
 
 
 def assert_blocks_match_reference(program, **kwargs):
-    reference = _outcome(program, "off", **kwargs)
-    assert _outcome(program, "fuse", **kwargs) == reference
+    reference = _outcome(program, True, **kwargs)
+    assert _outcome(program, False, **kwargs) == reference
     return reference
 
 
@@ -472,6 +472,40 @@ def test_blocks_match_reference_at_every_fuel_budget():
             assert perf["instructions"] == budget + 1
         else:
             assert error is None
+
+
+def test_reference_loop_is_chosen_per_machine(monkeypatch):
+    """No process-wide setting picks the loop: the block engine runs
+    unless this machine asks for the reference loop, by ``reference``,
+    an instrument or the range oracle, and all four agree."""
+    from repro.ir.verify import check_ranges_enabled, set_check_ranges
+    from repro.obs.profile import Attribution
+
+    # The deleted process-wide tier variable, set to its old reference
+    # value: no machine may read it.
+    monkeypatch.setenv("REPRO_" "TIER", "off")
+    # set_check_ranges writes this variable; monkeypatch restores it.
+    monkeypatch.setenv("REPRO_CHECK_RANGES", "0")
+    program = _loop_program()
+
+    def run(**kwargs):
+        machine = X86Machine(program, **kwargs)
+        machine.call("f")
+        return (len(machine._built), machine.perf.as_dict(),
+                machine.icache.accesses, machine.icache.misses)
+
+    default = run()
+    assert default[0] > 0
+    observed = [run(reference=True), run(hwc=Attribution())]
+    was_checking = check_ranges_enabled()
+    set_check_ranges(True)
+    try:
+        observed.append(run())
+    finally:
+        set_check_ranges(was_checking)
+    for built, *figures in observed:
+        assert built == 0
+        assert figures == list(default[1:])
 
 
 _FAR = 1 << 30      # beyond the machine's memory
@@ -649,7 +683,7 @@ def test_block_engine_frees_finished_machines():
     try:
         kernel = Kernel()
         host = Host(kernel, kernel.spawn("t"), module.heap_base)
-        result = execute_program(program, host, "t", tier="fuse")
+        result = execute_program(program, host, "t")
         assert result.perf.instructions > 0
         machine, memory, regs = seen.pop()
         assert result.stdout and machine() is None
