@@ -11,7 +11,10 @@ and seed, and asserts that
 * at least one fault actually fired (otherwise the injector is dead
   code and the smoke proves nothing);
 * every clean cell's measurements are bit-identical to an uninjected
-  run of the same matrix.
+  run of the same matrix;
+* the same plan swept on a two-worker pool (``REPRO_FORCE_JOBS=1`` is
+  set in-process, so the pool runs even on one CPU) yields the serial
+  manifest, so manifests do not depend on the pool width.
 
 Prints the manifest as JSON and exits non-zero on any violation, so CI
 can gate on it.
@@ -31,7 +34,9 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.benchsuite import polybench_benchmark          # noqa: E402
-from repro.harness.parallel import run_suite              # noqa: E402
+from repro.harness.parallel import (                      # noqa: E402
+    run_suite, shutdown_warm_pool,
+)
 from repro.resilience import (                            # noqa: E402
     FaultPlan, RetryPolicy, is_failure,
 )
@@ -43,9 +48,9 @@ SEED = 20190710  # the paper's USENIX ATC 2019 presentation date
 POLICY = RetryPolicy(retries=2, sleep=lambda s: None)
 
 
-def sweep(plan):
+def sweep(plan, jobs=1):
     specs = [polybench_benchmark(name, "test") for name in BENCHMARKS]
-    results, _ = run_suite(specs, TARGETS, runs=2, jobs=1, cache=False,
+    results, _ = run_suite(specs, TARGETS, runs=2, jobs=jobs, cache=False,
                            tolerant=True, plan=plan, policy=POLICY)
     return results
 
@@ -81,6 +86,12 @@ def main() -> int:
     if not failed:
         errors.append("no fault fired: injector appears dead")
 
+    os.environ["REPRO_FORCE_JOBS"] = "1"
+    pooled = manifest(sweep(plan, jobs=2))
+    shutdown_warm_pool()
+    if pooled != first:
+        errors.append("manifest differs between jobs=1 and jobs=2")
+
     clean = manifest(sweep(None))
     clean_by_cell = {(r["benchmark"], r["target"]): r for r in clean}
     for row in first:
@@ -94,6 +105,7 @@ def main() -> int:
     payload = {
         "inject": INJECT, "seed": SEED,
         "cells": total, "failed": len(failed),
+        "pooled_matches": pooled == first,
         "manifest": first, "errors": errors,
     }
     text = json.dumps(payload, indent=2)

@@ -3,14 +3,9 @@
 Times each fast path against the slower path it replaces, both still
 in the tree, and writes ``BENCH_repro.json`` at the repo root:
 
-* ``compile_cache``   — a repeated 2-experiment suite run, cold
-  (``--no-cache`` semantics) vs. warm (content-addressed cache);
 * ``x86_blocks``      — the x86 block engine (the default) vs. the
   per-instruction reference loop (``reference=True``) on a ref-size
   workload, counters and i-cache asserted identical;
-* ``parallel_suite``  — a 4-benchmark suite sweep, ``--jobs 4`` vs.
-  serial, results asserted bit-identical (degrades honestly to serial
-  on a single-CPU box);
 * ``parallel_warm``   — the sweep scheduler's persistent worker pool
   reused across sweeps vs. forked afresh for every sweep, results
   asserted bit-identical to serial.
@@ -34,11 +29,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.benchsuite import polybench_benchmark          # noqa: E402
 from repro.codegen import compile_native                  # noqa: E402
-from repro.harness.compilecache import CompileCache       # noqa: E402
 from repro.harness.parallel import (                      # noqa: E402
     run_suite, shutdown_warm_pool,
 )
-from repro.harness.runner import compile_benchmark        # noqa: E402
 from repro.ir import CollectingHost                       # noqa: E402
 from repro.x86.machine import X86Machine                  # noqa: E402
 
@@ -65,37 +58,6 @@ def _best_of(fn, repeats=3):
         if best is None or elapsed < best:
             best = elapsed
     return best, result
-
-
-def bench_compile_cache():
-    """Two experiments over the same 2 benchmarks: each experiment
-    recompiles every (benchmark, target) cell, so the second pass and
-    the repeated benchmarks are pure cache-hit territory."""
-    names = ["trisolv", "bicg"]
-    targets = ("native", "chrome", "firefox")
-
-    def experiment(cache):
-        for _ in range(2):  # e.g. Table 1 then Fig. 3 over the same suite
-            for name in names:
-                compile_benchmark(polybench_benchmark(name, "test"),
-                                  targets, cache=cache)
-
-    cold_seconds, _ = _best_of(lambda: experiment(False), repeats=2)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = CompileCache(directory=tmp)
-        experiment(cache)  # populate
-        warm_seconds, _ = _best_of(lambda: experiment(cache), repeats=2)
-        stats = cache.stats.as_dict()
-
-    return {
-        "description": "repeated 2-experiment compile sweep, "
-                       "cold vs content-addressed cache",
-        "baseline_seconds": cold_seconds,
-        "optimized_seconds": warm_seconds,
-        "speedup": cold_seconds / warm_seconds,
-        "cache_stats": stats,
-    }
 
 
 def bench_x86_blocks():
@@ -130,40 +92,6 @@ def bench_x86_blocks():
         "optimized_seconds": block_seconds,
         "speedup": table_seconds / block_seconds,
         "instructions": block_out[0]["instructions"],
-    }
-
-
-def bench_parallel_suite():
-    # Heavy enough that per-cell work dominates worker startup.
-    names = ["2mm", "3mm", "gemm", "covariance"]
-    targets = ["native", "chrome", "firefox"]
-
-    from repro.harness.parallel import normalize_jobs
-    effective = normalize_jobs(4, quiet=True)
-
-    def sweep(jobs):
-        suite = [polybench_benchmark(name, "test") for name in names]
-        return run_suite(suite, targets, runs=3, jobs=jobs, cache=False)
-
-    serial_seconds, (serial, _) = _best_of(lambda: sweep(1), repeats=1)
-    parallel_seconds, (parallel, _) = _best_of(lambda: sweep(4),
-                                               repeats=1)
-    shutdown_warm_pool()
-    for name in names:
-        for target in targets:
-            assert serial[name][target].times == \
-                parallel[name][target].times, "parallel diverged"
-    return {
-        "description": "4-benchmark x 3-target suite sweep, serial vs "
-                       "--jobs 4; results asserted bit-identical. "
-                       "On a single-CPU box --jobs degrades to serial "
-                       "(see parallel_warm for the forced-pool number).",
-        "baseline_seconds": serial_seconds,
-        "optimized_seconds": parallel_seconds,
-        "speedup": serial_seconds / parallel_seconds,
-        "jobs": 4,
-        "effective_jobs": effective,
-        "cpus": os.cpu_count(),
     }
 
 
@@ -227,9 +155,7 @@ def bench_parallel_warm():
 
 
 SCENARIOS = {
-    "compile_cache": bench_compile_cache,
     "x86_blocks": bench_x86_blocks,
-    "parallel_suite": bench_parallel_suite,
     "parallel_warm": bench_parallel_warm,
 }
 

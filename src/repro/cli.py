@@ -725,6 +725,14 @@ def cmd_lint(args) -> int:
     return 1 if any(f.severity == "error" for f in findings) else 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _add_verify_arg(p) -> None:
     p.add_argument("--verify-ir", action="store_true",
                    help="verify IR invariants between every optimization "
@@ -901,7 +909,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("benchmark")
     p.add_argument("--target", choices=TARGETS, default="chrome")
     p.add_argument("--size", choices=("test", "ref"), default="test")
-    p.add_argument("--sample", type=int, default=None, metavar="N",
+    p.add_argument("--sample", type=_positive_int, default=None,
+                   metavar="N",
                    help="event-based sampling: record one sample per N "
                         "retired instructions (default: off)")
     p.add_argument("--json", action="store_true",

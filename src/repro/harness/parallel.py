@@ -1,12 +1,11 @@
 """Parallel BROWSIX-SPEC suite execution.
 
 A full Table 1 / Fig. 3 sweep measures every benchmark on every target —
-dozens of independent (benchmark, target) cells that the serial drivers
-grind through one at a time.  :func:`run_suite` has two execution
-paths: in-process, and the FIFO scheduler over one persistent warm
-pool in :mod:`repro.harness.shard`, which runs every pooled sweep
-(fast or tolerant).  Every measurement stays *bit-identical* to a
-serial run:
+dozens of independent (benchmark, target) cells.  :func:`run_suite`
+runs them in-process or on the FIFO scheduler over one persistent warm
+pool in :mod:`repro.harness.shard`, and either way, fast or tolerant,
+each cell is measured by :func:`repro.resilience.measure_cell`.  Every
+measurement stays *bit-identical* to a serial run:
 
 * the simulated machine is deterministic, and the synthesized
   measurement noise is seeded per (benchmark, target) with the existing
@@ -15,7 +14,8 @@ serial run:
   into a result;
 * results are reassembled in suite order (benchmark order × target
   order), so completion order never changes output;
-* ``jobs=1`` (or a single cell) runs the plain serial loop in-process.
+* ``jobs=1`` (or a single cell) runs the serial loop in-process, which
+  compiles each benchmark once for every target of the sweep.
 
 Jobs are shipped to workers as *spec references* — ``(suite, name,
 size)`` triples resolved through :mod:`repro.benchsuite` — because
@@ -31,6 +31,7 @@ and mid-end.
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 import time
@@ -38,8 +39,7 @@ import time
 from ..obs import get_registry
 from ..resilience import (RetryPolicy, interrupted_cell, is_failure,
                           measure_cell)
-from . import compilecache
-from .runner import NOISE, compile_benchmark, run_compiled
+from . import compilecache, runner
 from .shard import run_sharded_jobs, shutdown_shard_pools
 
 #: Upper bound for auto-selected worker counts: beyond this, pool
@@ -121,7 +121,8 @@ shutdown_warm_pool = shutdown_shard_pools
 
 # -- the suite runner --------------------------------------------------------------
 
-def run_suite(benchmarks, targets, runs: int = 5, noise: float = NOISE,
+def run_suite(benchmarks, targets, runs: int = 5,
+              noise: float = runner.NOISE,
               max_instructions: int = 2_000_000_000, jobs=1,
               progress=None, cache=None, tolerant: bool = False,
               plan=None, policy=None, timeout: float = None,
@@ -141,6 +142,7 @@ def run_suite(benchmarks, targets, runs: int = 5, noise: float = NOISE,
     cells come back as :class:`~repro.resilience.CellFailure` values in
     ``results`` instead of raising, and the sweep always completes the
     full matrix: Ctrl-C marks unfinished cells ``interrupted``.
+    ``timeout`` arms every cell's wall-clock deadline, fast or tolerant.
 
     ``shards`` accepts only 1: it is kept for the perfbench workload
     that still passes ``shards=1`` until a benchmark-only change drops
@@ -159,7 +161,7 @@ def run_suite(benchmarks, targets, runs: int = 5, noise: float = NOISE,
     compile_seconds = {spec.name: {} for spec in benchmarks}
     remaining = {spec.name: len(targets) for spec in benchmarks}
 
-    def record(name, target, cell, seconds, attempts=1):
+    def record(name, target, cell, seconds, attempts):
         cell_results[(name, target)] = cell
         compile_seconds[name].update(seconds)
         if tolerant and metrics.enabled:
@@ -197,27 +199,22 @@ def run_suite(benchmarks, targets, runs: int = 5, noise: float = NOISE,
             run_sharded_jobs(jobs_list, jobs, pooled, tolerant=tolerant,
                              retries=policy.retries, plan=plan)
         for spec in serial_specs:
-            if tolerant:
-                for target in targets:
-                    result, failure, seconds, attempts = measure_cell(
-                        spec, target, runs=runs, noise=noise,
-                        max_instructions=max_instructions, cache=cache,
-                        plan=plan, policy=policy, timeout=timeout)
-                    record(spec.name, target,
-                           failure if failure is not None else result,
-                           seconds, attempts)
-                continue
-            compiled = compile_benchmark(spec, targets, cache=cache)
+            row = functools.cache(functools.partial(
+                runner.compile_benchmark, spec, targets, cache=cache))
             for target in targets:
                 cell_start = time.time()
-                result = run_compiled(compiled, target, runs=runs,
-                                      noise=noise,
-                                      max_instructions=max_instructions)
+                result, failure, seconds, attempts = measure_cell(
+                    spec, target, runs=runs, noise=noise,
+                    max_instructions=max_instructions, plan=plan,
+                    policy=policy, timeout=timeout, tolerant=tolerant,
+                    compile_step=row)
                 if metrics.enabled:
                     metrics.histogram("runner.cell_seconds").observe(
                         time.time() - cell_start)
                     metrics.counter("runner.cells").inc()
-                record(spec.name, target, result, compiled.compile_seconds)
+                record(spec.name, target,
+                       failure if failure is not None else result,
+                       seconds, attempts)
     except KeyboardInterrupt:
         if not tolerant:
             raise

@@ -291,12 +291,12 @@ def run_benchmark(spec: BenchmarkSpec, targets=None, runs: int = 5,
     target's stdout must byte-compare equal to the native baseline's
     (the harness's ``cmp`` step).
 
-    ``tolerant`` (implied by a fault-injection ``plan``) switches to the
-    fault-tolerant path: failed cells come back as
-    :class:`~repro.resilience.CellFailure` values instead of raising,
-    transient failures are retried per ``policy``, every cell gets the
-    fuel watchdog plus the optional wall-clock ``timeout``, and Ctrl-C
-    yields partial results (remaining cells marked interrupted).
+    ``tolerant`` (implied by a fault-injection ``plan``) makes failed
+    cells come back as :class:`~repro.resilience.CellFailure` values
+    instead of raising, retries transient failures per ``policy``, and
+    lets Ctrl-C yield partial results (remaining cells marked
+    interrupted).  Every cell gets the fuel watchdog plus the optional
+    wall-clock ``timeout``.
     """
     from .parallel import run_suite
     tolerant = tolerant or plan is not None

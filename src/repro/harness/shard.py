@@ -70,11 +70,12 @@ def _shard_worker_main(conn):
     Jobs carry ``use_cache`` (a per-call ``run_suite`` argument a
     persistent worker must not carry over between sweeps) plus the
     dispatch ``incarnation``, which scopes the ``worker`` fault point so
-    a respawned worker re-draws.  Tolerant jobs run through
-    :func:`repro.resilience.measure_cell` (fuel/deadline watchdogs,
-    classification, bounded in-worker retry) and reply ``fail`` with a
-    CellFailure instead of raising.
+    a respawned worker re-draws.  Every job runs through
+    :func:`repro.resilience.measure_cell`.  A tolerant job (fuel and
+    deadline watchdogs, classification, bounded in-worker retry) replies
+    ``fail`` with a CellFailure; a fast job's error replies ``err``.
     """
+    from ..resilience import RetryPolicy, measure_cell
     from .parallel import resolve_ref
 
     while True:
@@ -96,34 +97,20 @@ def _shard_worker_main(conn):
                     if injector.should("worker"):
                         conn.close()
                         os._exit(17)  # die unreported, like a real crash
-            spec = resolve_ref(p["ref"])
-            if p.get("tolerant"):
-                from ..resilience import RetryPolicy, measure_cell
-                policy = RetryPolicy(retries=p["retries"],
-                                     jitter=p.get("retry_jitter", 0.0),
-                                     seed=p.get("retry_seed", 0))
-                result, failure, seconds, attempts = measure_cell(
-                    spec, p["target"], runs=p["runs"], noise=p["noise"],
-                    max_instructions=p["max_instructions"], plan=plan,
-                    policy=policy, timeout=p["timeout"])
-                timing = {"pid": os.getpid(), "start": start,
-                          "seconds": time.time() - start}
-                if failure is not None:
-                    conn.send(("fail", (failure, seconds, attempts),
-                               timing))
-                else:
-                    conn.send(("ok", (result, seconds, attempts), timing))
+            policy = RetryPolicy(retries=p.get("retries", 2),
+                                 jitter=p.get("retry_jitter", 0.0),
+                                 seed=p.get("retry_seed", 0))
+            result, failure, seconds, attempts = measure_cell(
+                resolve_ref(p["ref"]), p["target"], runs=p["runs"],
+                noise=p["noise"], max_instructions=p["max_instructions"],
+                plan=plan, policy=policy, timeout=p.get("timeout"),
+                tolerant=p.get("tolerant", False))
+            timing = {"pid": os.getpid(), "start": start,
+                      "seconds": time.time() - start}
+            if failure is not None:
+                conn.send(("fail", (failure, seconds, attempts), timing))
             else:
-                from .runner import compile_benchmark, run_compiled
-                compiled = compile_benchmark(spec, (p["target"],))
-                result = run_compiled(
-                    compiled, p["target"], runs=p["runs"], noise=p["noise"],
-                    max_instructions=p["max_instructions"])
-                timing = {"pid": os.getpid(), "start": start,
-                          "seconds": time.time() - start}
-                conn.send(("ok",
-                           (result, dict(compiled.compile_seconds), 1),
-                           timing))
+                conn.send(("ok", (result, seconds, attempts), timing))
         except KeyboardInterrupt:
             os._exit(130)
         except BaseException as exc:

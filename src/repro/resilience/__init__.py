@@ -10,10 +10,11 @@ degrade gracefully instead of aborting:
   corruption, worker crashes), driven by ``repro bench --inject``;
 * :mod:`repro.resilience.retry` — bounded retry with exponential
   backoff for transient failures;
-* :mod:`repro.resilience.cell` — the tolerant per-cell runner: every
-  (benchmark, target) cell gets a fuel watchdog, a wall-clock deadline,
-  classification of any failure via :func:`repro.errors.classify`, and
-  a :class:`~repro.resilience.cell.CellFailure` record (phase, seed,
+* :mod:`repro.resilience.cell` — the per-cell runner of every sweep:
+  each (benchmark, target) cell gets a fuel watchdog and a wall-clock
+  deadline, and a tolerant cell gets classification of any failure via
+  :func:`repro.errors.classify` and a
+  :class:`~repro.resilience.cell.CellFailure` record (phase, seed,
   exact repro command) instead of an escaped exception.
 """
 

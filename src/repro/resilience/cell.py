@@ -1,25 +1,30 @@
-"""The fault-tolerant per-cell runner.
+"""The per-cell runner.
 
-:func:`measure_cell` is the one code path through which both the serial
-driver and every parallel worker measure a (benchmark, target) cell.  It
-wraps compile + execute in:
+:func:`measure_cell` is the one code path through which the serial
+driver, every pool worker and ``repro serve`` compile and run a
+(benchmark, target) cell, fast or tolerant.  It wraps compile + execute
+in:
 
 * a fault-injection scope (``"{benchmark}:{target}:a{attempt}"``), so
   every injected decision is deterministic per seed and attempt;
 * a fuel watchdog (the executor's instruction budget) plus an optional
   wall-clock deadline;
-* classification of *any* raised exception — including raw Python
-  errors escaping a buggy layer — via :func:`repro.errors.classify`;
-* bounded retry with exponential backoff for transient failures.
+* in a tolerant cell, classification of *any* raised exception —
+  including raw Python errors escaping a buggy layer — via
+  :func:`repro.errors.classify`, and bounded retry with exponential
+  backoff for transient failures.
 
-A failed cell comes back as a :class:`CellFailure` carrying the phase,
-the taxonomy, the attempt count, and the exact command that reproduces
-the failure — never as an escaped exception.  ``KeyboardInterrupt`` is
-the one exception deliberately re-raised, so a Ctrl-C can cancel the
-whole sweep.
+A failed tolerant cell comes back as a :class:`CellFailure` carrying the
+phase, the taxonomy, the attempt count, and the exact command that
+reproduces the failure — never as an escaped exception.
+``KeyboardInterrupt`` is the one exception deliberately re-raised, so a
+Ctrl-C can cancel the whole sweep.  A fast cell re-raises its first
+exception unchanged.
 """
 
 from __future__ import annotations
+
+import functools
 
 from ..errors import classify
 from . import faults as _faults
@@ -97,17 +102,29 @@ def failure_from_exception(benchmark: str, target: str, phase: str,
 def measure_cell(spec, target: str, runs: int = 5, noise: float = None,
                  max_instructions: int = 2_000_000_000, cache=None,
                  plan=None, policy: RetryPolicy = None,
-                 timeout: float = None):
-    """Measure one cell, tolerating faults.
+                 timeout: float = None, tolerant: bool = True,
+                 compile_step=None):
+    """Measure one cell.
 
     Returns ``(result, failure, compile_seconds, attempts)`` where
     exactly one of ``result`` (a BenchResult) and ``failure`` (a
-    :class:`CellFailure`) is not None.
+    :class:`CellFailure`) is not None.  With ``tolerant=False`` the
+    cell's first exception propagates unchanged instead: no
+    classification, no retry.
+
+    ``compile_step`` returns the cell's CompiledBenchmark; by default
+    the cell compiles ``spec`` for ``target`` alone.  A serial sweep
+    passes one memoized compile of every target per benchmark, so the
+    row's first cell compiles it inside its own fault scope and later
+    cells and retries reuse it.
     """
-    from ..harness.runner import NOISE, compile_benchmark, run_compiled
+    from ..harness import runner
 
     if noise is None:
-        noise = NOISE
+        noise = runner.NOISE
+    if compile_step is None:
+        compile_step = functools.partial(runner.compile_benchmark, spec,
+                                         (target,), cache=cache)
     policy = policy or RetryPolicy()
     compile_seconds = {}
     failure = None
@@ -116,18 +133,20 @@ def measure_cell(spec, target: str, runs: int = 5, noise: float = None,
         phase = "compile"
         try:
             with _faults.scope(plan, scope_name):
-                compiled = compile_benchmark(spec, (target,), cache=cache)
+                compiled = compile_step()
                 compile_seconds.update(compiled.compile_seconds)
                 phase = "execute"
                 _faults.check("trap")
                 _faults.check("fuel")
-                result = run_compiled(
+                result = runner.run_compiled(
                     compiled, target, runs=runs, noise=noise,
                     max_instructions=max_instructions, timeout=timeout)
             return result, None, compile_seconds, attempt + 1
         except KeyboardInterrupt:
             raise
         except Exception as exc:  # noqa: BLE001 - classified, never lost
+            if not tolerant:
+                raise
             info = classify(exc)
             failure = CellFailure(spec.name, target, phase, info,
                                   attempts=attempt + 1, plan=plan)

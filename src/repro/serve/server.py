@@ -20,6 +20,7 @@ chaos-under-load gate enforces.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -58,6 +59,17 @@ class RpcError(Exception):
         super().__init__(message)
         self.code = code
         self.data = data or {}
+
+
+def _number(params: dict, name: str, kind, default):
+    """``kind(params[name])``, or ``default`` when it is absent; a value
+    that does not convert is an invalid-params error."""
+    value = params.get(name)
+    try:
+        return default if value is None else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise RpcError(f"{name} must be a number, got {value!r}",
+                       code=-32602) from None
 
 
 class BenchService:
@@ -121,13 +133,11 @@ class BenchService:
         size = params.get("size", "test")
         if size not in ("test", "ref"):
             raise RpcError(f"unknown size {size!r}", code=-32602)
-        runs = max(1, int(params.get("runs", self.config.runs)))
-        priority = int(params.get("priority", 0))
-        deadline_s = params.get("deadline_s")
-        if deadline_s is not None:
-            deadline_s = float(deadline_s)
-            if deadline_s <= 0:
-                raise RpcError("deadline_s must be positive", code=-32602)
+        runs = max(1, _number(params, "runs", int, self.config.runs))
+        priority = _number(params, "priority", int, 0)
+        deadline_s = _number(params, "deadline_s", float, None)
+        if deadline_s is not None and not 0 < deadline_s < math.inf:
+            raise RpcError("deadline_s must be positive", code=-32602)
         client = str(params.get("client", "anonymous"))
         _spec, ref = self._resolve(benchmark, size)
 

@@ -166,40 +166,6 @@ class Instr:
             size += 2  # SSE prefix bytes
         return size
 
-    def reads_memory(self) -> int:
-        """Number of memory *read* accesses this instruction performs."""
-        count = 0
-        if self.op in ("pop", "ret"):
-            return 1
-        if self.op == "push":
-            return 1 if isinstance(self.a, Mem) else 0
-        if self.op in ("mov", "movsx", "movzx", "movsd", "lea", "setcc"):
-            if self.op != "lea" and isinstance(self.b, Mem):
-                count += 1
-            return count
-        # read-modify-write ALU with memory destination reads it first
-        if isinstance(self.a, Mem) and self.op in (
-                "add", "sub", "and", "or", "xor", "imul", "shl", "shr",
-                "sar", "neg", "not", "inc", "dec"):
-            count += 1
-        if isinstance(self.b, Mem):
-            count += 1
-        if self.op in ("cmp", "test", "ucomisd", "idiv", "div", "callr"):
-            if isinstance(self.a, Mem):
-                count += 1
-        return count
-
-    def writes_memory(self) -> int:
-        """Number of memory *write* accesses this instruction performs."""
-        if self.op in ("push", "call", "hostcall", "callr"):
-            return 1  # return address / pushed value
-        if self.op in ("cmp", "test", "ucomisd", "idiv", "div", "jmp",
-                       "jcc", "ret", "pop", "label"):
-            return 0
-        if isinstance(self.a, Mem) and self.op != "lea":
-            return 1
-        return 0
-
     def __repr__(self):
         if self.op == "label":
             return f"{self.a}:"

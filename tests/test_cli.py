@@ -125,3 +125,13 @@ def test_profile_json_rows_sum_to_the_events(tmp_path, capsys):
         for field, event in events.items():
             assert sum(row[field] for row in rows) == \
                 data["events"][event][build], (build, field)
+
+
+def test_stat_sample_must_be_positive(capsys):
+    """``--sample N`` samples every N retired instructions, so N < 1 is
+    a usage error, not a sample at every instruction."""
+    for sample in ("-5", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["stat", "matmul", "--sample", sample])
+        assert exc.value.code == 2
+        assert "--sample" in capsys.readouterr().err

@@ -1,6 +1,7 @@
-"""Parallel suite runner: bit-identical to serial, stable ordering, and
-a warm worker pool.  Skewed suites, crash re-queue and the hang
-watchdog are tested in ``test_shard.py``."""
+"""Parallel suite runner: bit-identical to serial, stable ordering, a
+warm worker pool, and one compile per benchmark in a serial sweep.
+Skewed suites, crash re-queue and the hang watchdog are tested in
+``test_shard.py``."""
 
 import pytest
 
@@ -10,8 +11,11 @@ from repro.harness.parallel import (
     shutdown_warm_pool, spec_ref,
 )
 from repro.harness import parallel as parallel_mod
+from repro.harness import runner
 from repro.harness import shard as shard_mod
 from repro.harness.spec import BenchmarkSpec
+from repro.jit import engine as jit_engine
+from repro.obs import metrics as obs_metrics
 
 SUBSET = ["trisolv", "bicg", "mvt", "gesummv"]
 TARGETS = ["native", "chrome", "firefox"]
@@ -145,6 +149,39 @@ def test_run_suite_accepts_only_one_pool(force_jobs):
     results, _ = run_suite(_suite()[:2], ["native"], runs=1, jobs=2,
                            shards=1, cache=False)
     assert set(results) == set(SUBSET[:2])
+
+
+# -- one cell runner: the serial sweep -------------------------------------------
+
+def test_serial_sweep_compiles_each_benchmark_once(monkeypatch):
+    """Fast or tolerant, the serial sweep runs the frontend and the JIT
+    front half once per benchmark, not once per cell."""
+    calls = {}
+    for module, name in ((runner, "compile_source"),
+                         (jit_engine, "wasm_to_ir")):
+        real = getattr(module, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    for tolerant in (True, False):
+        calls.clear()
+        run_suite(_suite()[:2], TARGETS, runs=1, jobs=1, cache=False,
+                  tolerant=tolerant)
+        assert calls == {"compile_source": 2, "wasm_to_ir": 2}, tolerant
+
+
+def test_tolerant_serial_sweep_counts_its_cells():
+    registry = obs_metrics.enable()
+    try:
+        run_suite(_suite()[:2], TARGETS, runs=1, jobs=1, cache=False,
+                  tolerant=True)
+    finally:
+        obs_metrics.disable()
+    assert registry.counters["runner.cells"].value == 6
+    assert registry.histograms["runner.cell_seconds"].count == 6
 
 
 def test_spec_ref_round_trip():

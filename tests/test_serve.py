@@ -366,6 +366,16 @@ class TestBenchService:
                                    "client": "t"})
         assert err.value.data["code"] == "unknown_benchmark"
 
+    def test_non_numeric_params_rejected(self, service):
+        """A value that is not a number is an invalid-params error, like
+        an unknown target, not an internal error."""
+        for bad in ({"runs": "abc"}, {"priority": "high"},
+                    {"deadline_s": "soon"}):
+            with pytest.raises(RpcError) as err:
+                service.rpc("submit", dict(bad, benchmark="matmul-8x8x8",
+                                           target="native", client="t"))
+            assert err.value.code == -32602, bad
+
     def test_unknown_method_rejected(self, service):
         with pytest.raises(RpcError) as err:
             service.rpc("frobnicate", {})
