@@ -5,8 +5,8 @@ forward or backward, any join — over a :class:`repro.ir.Function`.  The
 canned analyses cover what the rest of the toolchain needs:
 
 * :func:`liveness` — backward may-analysis; the one liveness
-  implementation in the repo (the register allocators' ``block_liveness``
-  is a thin wrapper over it);
+  implementation in the repo (the register allocators and
+  ``localize_temps`` call it directly);
 * :func:`definite_assignment` — forward must-analysis; the strict IR
   verifier's def-before-use check and ``repro lint``'s
   uninitialized-variable detection;

@@ -163,8 +163,6 @@ def classify(exc: BaseException) -> FailureInfo:
         origin = exc.origin
         transient = exc.transient
         injected = exc.injected
-    elif isinstance(exc, KeyboardInterrupt):
-        origin, transient, injected = "harness", False, False
     else:
         origin, transient, injected = "harness", False, False
     return FailureInfo(status=status, origin=origin, transient=transient,

@@ -3,8 +3,8 @@
 Every figure and table of the paper recompiles the same PolyBench/SPEC
 sources through the same pipelines: Table 1, Fig. 3 and the ablation
 suites each rebuild identical artifacts.  This module stores the
-artifact of each (source, pipeline, flags, toolchain) combination in a
-two-tier cache:
+artifact of each (source, pipeline, settings, toolchain) combination in
+a two-tier cache:
 
 * an in-process dict (shared artifacts, zero-copy hits), and
 * an on-disk pickle store under ``~/.cache/repro`` so hits survive
@@ -16,11 +16,14 @@ Nothing coordinates compiles in progress, though: workers that miss
 the same key at the same time each compile it, so on a cold cache the
 pooled cells of one benchmark may each run the frontend and mid-end.
 
-Keys are SHA-256 digests over the source text, the pipeline identity,
-the optimization flags, and a *toolchain fingerprint*: a content hash of
-every ``repro`` source file.  Changing any compiler code (or the package
-version) therefore invalidates the whole cache automatically — there is
-no way to observe a stale artifact.
+:meth:`CompileCache.key` is the one definition of an artifact's
+identity: a SHA-256 digest over a *toolchain fingerprint* (a content
+hash of every ``repro`` source file), the settings that change output
+without a source edit (:func:`compile_config`), and the caller's parts
+(the pipeline, source text, name and memory size of a compile, or an
+engine's signature and the wasm key).  Changing any compiler code (or
+the package version) therefore invalidates the whole cache
+automatically — there is no way to observe a stale artifact.
 
 Escape hatches: the ``--no-cache`` CLI flag, the ``REPRO_NO_CACHE``
 environment variable, or :func:`set_enabled`.  ``REPRO_CACHE_DIR``
@@ -34,6 +37,8 @@ import os
 import pickle
 
 from ..errors import CacheCorruptionError
+from ..ir.passes import ranges_enabled, ssa_enabled
+from ..ir.verify import check_ranges_enabled
 from ..obs import get_registry
 from ..resilience import faults
 
@@ -148,6 +153,15 @@ def toolchain_fingerprint() -> str:
     return _FINGERPRINT
 
 
+def compile_config() -> tuple:
+    """The settings that change an artifact without a source edit: the
+    SSA mid-end (``REPRO_SSA``), range analysis (``REPRO_RANGES``) and
+    the range oracle (``--check-ranges``).  ``--verify-ir`` is not one:
+    it checks compiles but changes no artifact."""
+    return (("ssa", ssa_enabled()), ("ranges", ranges_enabled()),
+            ("check_ranges", check_ranges_enabled()))
+
+
 class CompileCache:
     """Two-tier (memory + disk) content-addressed artifact store."""
 
@@ -160,13 +174,14 @@ class CompileCache:
     # -- keys -------------------------------------------------------------------
 
     def key(self, *parts) -> str:
-        """SHA-256 over the toolchain fingerprint and ``parts``.
+        """SHA-256 over the toolchain fingerprint, :func:`compile_config`
+        and ``parts``.
 
         Parts may be str/bytes/int/float/bool/None or nested tuples of
         those; each is tagged so e.g. ``1`` and ``"1"`` hash differently.
         """
         digest = hashlib.sha256(toolchain_fingerprint().encode())
-        self._feed(digest, parts)
+        self._feed(digest, (compile_config(), parts))
         return digest.hexdigest()
 
     def _feed(self, digest, value) -> None:

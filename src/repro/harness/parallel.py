@@ -191,7 +191,7 @@ def run_suite(benchmarks, targets, runs: int = 5,
         "ref": refs[spec.name], "name": spec.name, "target": target,
         "runs": runs, "noise": noise, "max_instructions": max_instructions,
         "use_cache": use_cache, "tolerant": tolerant,
-        "plan": plan, "retries": policy.retries, "timeout": timeout,
+        "plan": plan, "policy": policy.as_dict(), "timeout": timeout,
     } for spec in pool_specs for target in targets]
 
     try:

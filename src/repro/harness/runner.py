@@ -21,7 +21,7 @@ from ..asmjs import ASMJS_CHROME, ASMJS_FIREFOX
 from ..browser.browser import execute_program
 from ..codegen.emscripten import compile_ir_to_wasm
 from ..codegen.native import compile_native_tail
-from ..ir.passes import opt_pipeline_fingerprint, optimize_module
+from ..ir.passes import optimize_module
 from ..jit.engine import CHROME_ENGINE, FIREFOX_ENGINE
 from ..kernel import BrowsixRuntime, Kernel, NativeRuntime
 from ..mcc import compile_source
@@ -112,11 +112,9 @@ class CompiledBenchmark:
 
 
 def _engine_signature(engine):
-    """A stable content identity for an engine's code generation,
-    including the mid-end pipeline it runs (the SSA region on 2019
-    optimizing tiers), so toggling ``REPRO_SSA`` or reordering passes
-    never serves a stale cached program."""
-    from ..ir.passes import jit_pipeline_fingerprint
+    """A stable content identity for an engine's code generation, so a
+    caller-built engine that reuses a name is never served another
+    engine's cached program."""
     config = engine.config
     abi = config.abi
     fields = tuple(sorted(
@@ -125,9 +123,7 @@ def _engine_signature(engine):
         if isinstance(value, (str, int, float, bool, type(None), list,
                               tuple))))
     return (engine.name, engine.year, engine.local_cleanup, fields,
-            tuple(abi.int_args), tuple(abi.float_args),
-            jit_pipeline_fingerprint(getattr(engine, "optimizing_tier",
-                                             False)))
+            tuple(abi.int_args), tuple(abi.float_args))
 
 
 def compile_benchmark(spec: BenchmarkSpec, targets=None,
@@ -137,9 +133,11 @@ def compile_benchmark(spec: BenchmarkSpec, targets=None,
     ``cache`` selects the compile cache: ``None`` uses the process-wide
     default (two-tier, content-addressed), ``False`` disables caching
     for this call, and an explicit :class:`~repro.harness.compilecache.
-    CompileCache` is used as-is.  Keyed on (source, pipeline, opt flags,
-    toolchain fingerprint), so once a (benchmark, target) is stored,
-    every later request for it, in any process, is a cache hit.
+    CompileCache` is used as-is.  Keyed on (pipeline, source, name,
+    memory size) by :meth:`~repro.harness.compilecache.CompileCache.key`,
+    which adds the toolchain fingerprint and the output-changing
+    settings, so once a (benchmark, target) is stored, every later
+    request for it, in any process, is a cache hit.
     """
     engines = dict(_ENGINES, **(engines or {}))
     targets = list(targets or TARGETS)
@@ -167,17 +165,11 @@ def _compile_benchmark(spec, targets, engines, store, result):
     if store is not None:
         if native:
             native_key = store.key("native", spec.source, spec.name,
-                                   spec.memory_size, ("opt", 2),
-                                   ("unroll", True),
-                                   ("pipeline", opt_pipeline_fingerprint(
-                                       level=2, unroll=True)))
+                                   spec.memory_size)
             program = store.get(native_key)
         if wasm_targets:
             wasm_key = store.key("emscripten", spec.source, spec.name,
-                                 spec.memory_size, ("opt", 2),
-                                 ("unroll", False),
-                                 ("pipeline", opt_pipeline_fingerprint(
-                                     level=2, unroll=False)))
+                                 spec.memory_size)
             cached = store.get(wasm_key)
     need_native = native and program is None
     need_wasm = bool(wasm_targets) and cached is None

@@ -68,12 +68,14 @@ def _shard_worker_main(conn):
     """Loop of one persistent pool worker: recv job, measure, reply.
 
     Jobs carry ``use_cache`` (a per-call ``run_suite`` argument a
-    persistent worker must not carry over between sweeps) plus the
-    dispatch ``incarnation``, which scopes the ``worker`` fault point so
-    a respawned worker re-draws.  Every job runs through
-    :func:`repro.resilience.measure_cell`.  A tolerant job (fuel and
-    deadline watchdogs, classification, bounded in-worker retry) replies
-    ``fail`` with a CellFailure; a fast job's error replies ``err``.
+    persistent worker must not carry over between sweeps), the caller's
+    retry ``policy`` (:meth:`RetryPolicy.as_dict`; the defaults when
+    absent) and the dispatch ``incarnation``, which scopes the
+    ``worker`` fault point so a respawned worker re-draws.  Every job
+    runs through :func:`repro.resilience.measure_cell`.  A tolerant job
+    (fuel and deadline watchdogs, classification, bounded in-worker
+    retry) replies ``fail`` with a CellFailure; a fast job's error
+    replies ``err``.
     """
     from ..resilience import RetryPolicy, measure_cell
     from .parallel import resolve_ref
@@ -97,9 +99,7 @@ def _shard_worker_main(conn):
                     if injector.should("worker"):
                         conn.close()
                         os._exit(17)  # die unreported, like a real crash
-            policy = RetryPolicy(retries=p.get("retries", 2),
-                                 jitter=p.get("retry_jitter", 0.0),
-                                 seed=p.get("retry_seed", 0))
+            policy = RetryPolicy(**p.get("policy", {}))
             result, failure, seconds, attempts = measure_cell(
                 resolve_ref(p["ref"]), p["target"], runs=p["runs"],
                 noise=p["noise"], max_instructions=p["max_instructions"],

@@ -27,11 +27,9 @@ from ...obs import get_registry, span
 from ..module import Module
 from ..passmanager import (
     CFG_ANALYSES, FixedPoint, FunctionAnalysisManager, FunctionPass,
-    PassManager, SimplePass, _run_pass, pipeline_fingerprint,
+    SimplePass, _run_pass,
 )
-from ..verify import (
-    VerifyError, check_ranges_enabled, verify_function, verify_ir_enabled,
-)
+from ..verify import VerifyError, verify_function, verify_ir_enabled
 from .collapse import collapse_defs
 from .constfold import fold_constants
 from .copyprop import propagate_copies
@@ -41,8 +39,7 @@ from .inline import inline_calls
 from .licm import hoist_invariants
 from .localize import localize_temps
 from .ranges import (
-    RANGES_VERSION, RangeSimplifyPass, annotate_ranges, ranges_enabled,
-    set_ranges,
+    RangeSimplifyPass, annotate_ranges, ranges_enabled, set_ranges,
 )
 from .rotate import rotate_loops
 from .sccp import SCCPPass, sparse_conditional_constant_propagation
@@ -56,8 +53,7 @@ __all__ = [
     "inline_calls", "rotate_loops", "simplify_cfg", "unroll_loops",
     "global_value_numbering", "sparse_conditional_constant_propagation",
     "reduce_strength", "run_ssa_midend", "ssa_enabled",
-    "optimize_module", "unroll_module", "opt_pipeline_fingerprint",
-    "jit_pipeline_fingerprint",
+    "optimize_module", "unroll_module",
     "PassBlameError", "verify_after_pass",
     "RangeSimplifyPass", "annotate_ranges", "ranges_enabled", "set_ranges",
 ]
@@ -189,71 +185,6 @@ def run_ssa_midend(func, module=None,
     return changed
 
 
-def _pipeline_passes(level: int, licm: bool, rotate: bool, use_ssa: bool):
-    """The ordered function-pass list ``optimize_module`` runs (the
-    module-level inliner and the unroll tail are fingerprinted as config
-    flags instead)."""
-    passes = [_CLEANUP]
-    if level >= 2:
-        passes.append(_CLEANUP)          # post-inline cleanup
-        if use_ssa:
-            passes.extend(_SSA_PIPELINE)
-            passes.append(_CLEANUP)
-        if licm:
-            passes.extend([_LICM, _CLEANUP])
-        if rotate:
-            passes.extend([_ROTATE, _CLEANUP])
-    return passes
-
-
-#: The native tail's unroll policy (``unroll_module``), fingerprinted
-#: by ``opt_pipeline_fingerprint(unroll=True)``.
-UNROLL_FACTOR = 4
-UNROLL_MAX_INSTRS = 86
-
-
-def opt_pipeline_fingerprint(level: int = 2, inline_threshold: int = 20,
-                             rotate: bool = True, licm: bool = True,
-                             unroll: bool = False,
-                             unroll_factor: int = UNROLL_FACTOR,
-                             unroll_max_instrs: int = UNROLL_MAX_INSTRS,
-                             ssa: bool = None) -> str:
-    """Fingerprint of the optimization pipeline these settings produce.
-
-    Folded into compile-cache keys so that adding, reordering, or
-    re-versioning passes — or toggling ``REPRO_SSA`` — can never serve a
-    program compiled by a different pipeline.
-    """
-    use_ssa = ssa_enabled() if ssa is None else bool(ssa)
-    return pipeline_fingerprint(
-        _pipeline_passes(level, licm, rotate, use_ssa),
-        ("level", level), ("inline", inline_threshold),
-        ("unroll", unroll, unroll_factor, unroll_max_instrs),
-        ("ssa", use_ssa),
-        # Artifacts depend on the range configuration even though the
-        # shared pipeline never folds ranges: the ``--check-ranges``
-        # oracle annotates (and the wasm encoder embeds) range facts.
-        ("ranges", ranges_enabled(), RANGES_VERSION,
-         check_ranges_enabled()))
-
-
-def jit_pipeline_fingerprint(optimizing_tier: bool, ssa: bool = None) -> str:
-    """Fingerprint of the mid-end a JIT engine runs (the SSA region for
-    2019 optimizing tiers, nothing extra for older vintages).  Folded
-    into JIT compile-cache keys alongside the engine signature.
-
-    The range configuration is part of the identity: toggling
-    ``REPRO_RANGES``/``--check-ranges`` changes what an eliding engine
-    emits (checks elided, oracle assertions attached), so it must never
-    serve stale code."""
-    use_ssa = (ssa_enabled() if ssa is None else bool(ssa)) \
-        and optimizing_tier
-    return pipeline_fingerprint(
-        list(_SSA_PIPELINE) if use_ssa else [], ("jit-ssa", use_ssa),
-        ("jit-ranges", ranges_enabled(), RANGES_VERSION,
-         check_ranges_enabled()))
-
-
 def optimize_module(module: Module, level: int = 2,
                     inline_threshold: int = 20,
                     rotate: bool = True,
@@ -312,8 +243,7 @@ def unroll_module(module: Module) -> Module:
     429.mcf i-cache mechanism, §6.3)."""
     with span("opt.unroll", module=module.name):
         for func in module.functions.values():
-            if unroll_loops(func, factor=UNROLL_FACTOR,
-                            max_instrs=UNROLL_MAX_INSTRS):
+            if unroll_loops(func):
                 verify_after_pass("unroll", func, module)
                 localize_temps(func)
                 verify_after_pass("localize", func, module)

@@ -10,14 +10,14 @@ outside it gets a fresh name private to that block.
 
 from __future__ import annotations
 
+from ...dataflow import liveness
 from ..function import Function
 from ..values import VReg
-from ...regalloc.liveness import block_liveness
 
 
 def localize_temps(func: Function) -> int:
     """Returns the number of registers renamed."""
-    live_in, live_out = block_liveness(func)
+    live_in, live_out = liveness(func)
     renamed = 0
     for block in func.blocks.values():
         # Candidates: defined in this block, not live-in, not live-out.

@@ -27,9 +27,10 @@ side of that experiment, built on the interval abstract interpreter in
   stays inside its proved interval.
 
 The whole feature is gated by ``REPRO_RANGES`` (default on;
-``REPRO_RANGES=0`` reverts to the PR 9 pipeline) and folded into the
-pipeline fingerprints so the compile cache never serves code built
-under the other setting.
+``REPRO_RANGES=0`` reverts to the PR 9 pipeline), one of the settings
+:func:`repro.harness.compilecache.compile_config` folds into every
+compile-cache key, so the cache never serves code built under the
+other setting.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ from ..instructions import CondBr, Move
 from ..passmanager import ANALYSES, CFG_ANALYSES, FunctionPass
 from ..types import Type
 from ..values import Const
-
-#: Bump when the analysis or any of its clients changes behaviour —
-#: feeds the pipeline fingerprints, which invalidates cached artifacts.
-RANGES_VERSION = 1
 
 
 def ranges_enabled() -> bool:
@@ -89,7 +86,6 @@ class RangeSimplifyPass(FunctionPass):
     """
 
     name = "ranges"
-    version = RANGES_VERSION
     # Rewrites instructions and branch conditions in place but never
     # adds, removes, or retargets blocks or edges.
     preserves = CFG_ANALYSES

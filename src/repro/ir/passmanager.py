@@ -14,16 +14,13 @@ and the analysis cache reports ``opt.analysis.{hits,misses,
 invalidations}``.  All of it surfaces through ``--stats`` and the
 ``opt`` block of ``repro report --json``.
 
-The pass *pipeline fingerprint* (:func:`pipeline_fingerprint`) is a
-content hash over the ordered ``(name, version)`` pairs of a pipeline
-plus any runtime configuration flags.  The compile cache folds it into
-every artifact key, so adding, reordering, or re-versioning a pass can
-never silently serve a program compiled by the old pipeline.
+Passes carry no version: the compile cache's toolchain fingerprint
+hashes every ``repro`` source file into every key, so editing,
+adding or reordering a pass already misses every cached artifact.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
 
 from ..obs import get_registry, span
@@ -114,40 +111,32 @@ class FunctionAnalysisManager:
 
 
 class FunctionPass:
-    """Base class: a named, versioned transform over one function.
+    """Base class: a named transform over one function.
 
     ``preserves`` lists the analysis cache keys that remain valid when
     the pass *does* change the function; a run that reports no change
-    implicitly preserves everything.  ``version`` feeds the pipeline
-    fingerprint — bump it when a pass's output changes so cached
-    artifacts from the old behaviour are invalidated.
+    implicitly preserves everything.
     """
 
     name = "?"
     preserves: frozenset = frozenset()
-    version = 1
 
     def run(self, func: Function, module: Module,
             fam: FunctionAnalysisManager):
         """Transform ``func``; return truthy when anything changed."""
         raise NotImplementedError
 
-    @property
-    def tag(self):
-        return (self.name, self.version)
-
     def __repr__(self):
-        return f"<pass {self.name} v{self.version}>"
+        return f"<pass {self.name}>"
 
 
 class SimplePass(FunctionPass):
     """Adapter for the plain ``fn(func) -> changed`` legacy passes."""
 
-    def __init__(self, name: str, fn, preserves=frozenset(), version=1):
+    def __init__(self, name: str, fn, preserves=frozenset()):
         self.name = name
         self._fn = fn
         self.preserves = frozenset(preserves)
-        self.version = version
 
     def run(self, func, module, fam):
         return self._fn(func)
@@ -164,11 +153,6 @@ class FixedPoint(FunctionPass):
         self.max_rounds = max_rounds
         self.name = name or ("fixpoint(" +
                              "+".join(p.name for p in self.passes) + ")")
-
-    @property
-    def tag(self):
-        return tuple(p.tag for p in self.passes) + ("fixpoint",
-                                                    self.max_rounds)
 
     def run(self, func, module, fam):
         changed_any = False
@@ -206,52 +190,3 @@ def _run_pass(p: FunctionPass, func: Function, module: Module,
         # A fixpoint's last constituent has just verified this IR.
         verify_after_pass(p.name, func, module)
     return changed
-
-
-class PassManager:
-    """Runs a pipeline of function passes over a module, sharing one
-    analysis cache across passes and functions."""
-
-    def __init__(self, passes, fam: FunctionAnalysisManager = None):
-        self.passes = list(passes)
-        self.fam = fam if fam is not None else FunctionAnalysisManager()
-
-    def run_function(self, func: Function, module: Module = None) -> bool:
-        changed = False
-        for p in self.passes:
-            changed |= bool(_run_pass(p, func, module, self.fam))
-        return changed
-
-    def run(self, module: Module) -> bool:
-        changed = False
-        for func in module.functions.values():
-            changed |= self.run_function(func, module)
-        return changed
-
-    def fingerprint(self, *extra) -> str:
-        return pipeline_fingerprint(self.passes, *extra)
-
-
-def pipeline_fingerprint(passes, *extra) -> str:
-    """SHA-256 over the ordered pass tags plus runtime config flags.
-
-    This is the compile-cache ingredient that distinguishes *pipeline
-    configurations* sharing one toolchain build — e.g. the same sources
-    with the SSA mid-end on vs. off (``REPRO_SSA``), or a reordered
-    pass list during an ablation."""
-    digest = hashlib.sha256(b"repro-pass-pipeline:")
-
-    def feed(value):
-        if isinstance(value, (tuple, list)):
-            digest.update(b"(")
-            for item in value:
-                feed(item)
-            digest.update(b")")
-        elif isinstance(value, FunctionPass):
-            feed(value.tag)
-        else:
-            digest.update(f"{type(value).__name__}:{value!r};".encode())
-
-    feed(list(passes))
-    feed(list(extra))
-    return digest.hexdigest()

@@ -7,22 +7,10 @@ block layout order; every block occupies a contiguous position range.
 
 from __future__ import annotations
 
+from ..dataflow import liveness
 from ..ir.function import Function
 from ..ir.instructions import Call, CallIndirect
 from ..ir.loops import loop_depths, natural_loops
-
-
-def block_liveness(func: Function, order=None):
-    """Per-block liveness; returns (live_in, live_out) keyed by block
-    label, holding sets of vreg ids.
-
-    Thin wrapper over :func:`repro.dataflow.liveness` — the one liveness
-    implementation in the repo.  ``order`` is accepted for backward
-    compatibility but ignored: iteration order only affects how fast the
-    solver converges, never the fixed point it converges to.
-    """
-    from ..dataflow import liveness
-    return liveness(func)
 
 
 class Interval:
@@ -59,7 +47,7 @@ class LivenessInfo:
     def __init__(self, func: Function):
         self.func = func
         self.order = func.block_order()
-        self.live_in, self.live_out = block_liveness(func, self.order)
+        self.live_in, self.live_out = liveness(func)
         self.depths = loop_depths(func)
         self.intervals: dict[int, Interval] = {}
         self.call_positions: list[int] = []

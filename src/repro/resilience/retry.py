@@ -30,7 +30,9 @@ class RetryPolicy:
     while any single job's schedule is a pure function of its seed —
     rerunning a failure manifest replays the exact same waits.
     ``jitter=0`` (the default) keeps the historical deterministic
-    schedule.  ``sleep`` is injectable for tests.
+    schedule.  ``sleep`` is injectable for tests; it cannot cross a
+    process boundary, so a pooled cell's policy (rebuilt in the worker
+    from :meth:`as_dict`) always sleeps with :func:`time.sleep`.
     """
 
     def __init__(self, retries: int = 2, base_delay: float = 0.05,

@@ -40,6 +40,7 @@ import zlib
 from ..errors import WorkerCrashError, classify
 from ..harness.runner import NOISE
 from ..harness.shard import ShardPool
+from ..resilience import RetryPolicy
 from . import jobs as J
 
 #: Default instruction budget per cell (same as the CLI sweeps).
@@ -132,11 +133,11 @@ class ServeExecutor:
             "runs": job.runs, "noise": NOISE,
             "max_instructions": MAX_INSTRUCTIONS,
             "use_cache": self.use_cache, "plan": self.plan,
-            "retries": self.retries,
+            "policy": RetryPolicy(
+                retries=self.retries, jitter=1.0,
+                seed=zlib.crc32(job.id.encode())).as_dict(),
             "timeout": timeout, "tolerant": True,
             "incarnation": job.incarnation,
-            "retry_jitter": 1.0,
-            "retry_seed": zlib.crc32(job.id.encode()),
         }
 
     def _dispatch_ready(self, now: float) -> None:

@@ -368,13 +368,18 @@ def _make_handler(service: BenchService, quiet: bool = True):
     return Handler
 
 
+class _HttpServer(ThreadingHTTPServer):
+    daemon_threads = True
+    #: Listen backlog.  socketserver's default of 5 resets connections
+    #: when dozens of clients connect at once (serve-smoke's burst load
+    #: opens one connection per call from 80 client threads).
+    request_queue_size = 128
+
+
 def make_server(service: BenchService, host: str = "127.0.0.1",
                 port: int = 0, quiet: bool = True) -> ThreadingHTTPServer:
     """Bind the HTTP front-end (port 0 = ephemeral); caller serves."""
-    httpd = ThreadingHTTPServer((host, port),
-                                _make_handler(service, quiet=quiet))
-    httpd.daemon_threads = True
-    return httpd
+    return _HttpServer((host, port), _make_handler(service, quiet=quiet))
 
 
 def serve_in_thread(service: BenchService, host: str = "127.0.0.1",

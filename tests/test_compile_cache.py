@@ -103,6 +103,29 @@ def test_typed_keys_distinguish_types(cache):
     assert cache.key(("a", "b")) != cache.key("ab")
 
 
+def test_cache_never_serves_stale_ssa_config(tmp_path, monkeypatch):
+    """REPRO_SSA=0 after a cached compile recompiles every artifact;
+    flipping it back serves the first compile's artifacts again."""
+    spec = polybench_benchmark("gemm", "test")
+    monkeypatch.setenv("REPRO_SSA", "1")
+    cache = CompileCache(directory=str(tmp_path))
+    first = compile_benchmark(spec, TARGETS, cache=cache)
+    lookups = cache.stats.lookups
+
+    monkeypatch.setenv("REPRO_SSA", "0")
+    off = compile_benchmark(spec, TARGETS, cache=cache)
+    assert cache.stats.misses == 2 * lookups
+    assert cache.stats.hits == 0
+    assert _artifacts(off) != _artifacts(first)
+
+    monkeypatch.setenv("REPRO_SSA", "1")
+    warm = CompileCache(directory=str(tmp_path))
+    again = compile_benchmark(spec, TARGETS, cache=warm)
+    assert warm.stats.disk_hits == lookups
+    assert warm.stats.misses == 0
+    assert _artifacts(again) == _artifacts(first)
+
+
 def test_cache_false_disables(cache):
     spec = polybench_benchmark("trisolv", "test")
     compiled = compile_benchmark(spec, ("native",), cache=False)

@@ -10,7 +10,6 @@ from repro.ir import (BinOp, CondBr, Const, FuncType, Function, Jump,
 from repro.ir.loops import dominators as loops_dominators
 from repro.ir.passes import optimize_module
 from repro.mcc import compile_source
-from repro.regalloc.liveness import block_liveness
 
 
 def _diamond():
@@ -178,15 +177,15 @@ def test_dominators_match_loops_module_on_benchmarks():
 
 
 def test_block_liveness_identity_on_full_benchmark_suite():
-    """Satellite (a): the allocators' ``block_liveness`` — now a wrapper
-    over the dataflow framework — agrees with an independent reference
+    """The dataflow framework's liveness, which the register allocators
+    and ``localize_temps`` use, agrees with an independent reference
     implementation on every function of every benchmark, before and
     after optimization."""
     checked = 0
     for name, module in _all_benchmark_modules():
         optimize_module(module)
         for func in module.functions.values():
-            got_in, got_out = block_liveness(func)
+            got_in, got_out = liveness(func)
             want_in, want_out = _reference_liveness(func)
             assert got_in == want_in, f"{name}:{func.name} live-in"
             assert got_out == want_out, f"{name}:{func.name} live-out"

@@ -1,18 +1,19 @@
 """The caching pass manager: analysis cache hits/misses, selective
-invalidation driven by ``preserves`` sets, pipeline fingerprints, and
-the FixedPoint driver."""
+invalidation driven by ``preserves`` sets, the FixedPoint driver, and
+the compile-cache key that stands in for a pipeline fingerprint."""
 
 import pytest
 
 from repro import obs
 from repro.benchsuite import matmul_source
+from repro.harness import compilecache
+from repro.harness.compilecache import CompileCache
+from repro.harness.runner import _engine_signature
 from repro.ir.passmanager import (
     ANALYSES, CFG_ANALYSES, FixedPoint, FunctionAnalysisManager,
-    FunctionPass, PassManager, SimplePass, pipeline_fingerprint,
+    FunctionPass, _run_pass,
 )
-from repro.ir.passes import (
-    jit_pipeline_fingerprint, opt_pipeline_fingerprint,
-)
+from repro.jit import CHROME_2018, CHROME_ENGINE
 from repro.mcc import compile_source
 
 
@@ -99,10 +100,9 @@ def test_changing_pass_invalidates_unpreserved_analyses():
     fam = FunctionAnalysisManager()
     fam.get(func, "domtree")
     fam.get(func, "liveness")
-    pm = PassManager([_CountingPass("churn", preserves=CFG_ANALYSES)],
-                     fam=fam)
+    churn = _CountingPass("churn", preserves=CFG_ANALYSES)
     registry = obs.enable_metrics()
-    assert pm.run_function(func, module)
+    assert _run_pass(churn, func, module, fam)
     fam.get(func, "domtree")     # preserved -> hit
     fam.get(func, "liveness")    # dropped -> miss
     counters = registry.as_dict()["counters"]
@@ -115,9 +115,9 @@ def test_no_change_preserves_everything():
     func, module = _func()
     fam = FunctionAnalysisManager()
     fam.get(func, "liveness")
-    pm = PassManager([_CountingPass("noop", changes=0)], fam=fam)
     registry = obs.enable_metrics()
-    assert not pm.run_function(func, module)
+    assert not _run_pass(_CountingPass("noop", changes=0), func, module,
+                         fam)
     fam.get(func, "liveness")
     counters = registry.as_dict()["counters"]
     assert counters.get("opt.analysis.hits") == 1
@@ -127,8 +127,8 @@ def test_no_change_preserves_everything():
 def test_pass_timing_lands_in_metrics():
     func, module = _func()
     registry = obs.enable_metrics()
-    pm = PassManager([_CountingPass("tick", changes=0)])
-    pm.run_function(func, module)
+    _run_pass(_CountingPass("tick", changes=0), func, module,
+              FunctionAnalysisManager())
     hist = registry.as_dict()["histograms"]["opt.pass_seconds.tick"]
     assert hist["count"] == 1
 
@@ -150,49 +150,62 @@ def test_fixed_point_respects_round_bound():
     assert inner.runs == 3
 
 
-# -- pipeline fingerprints ---------------------------------------------------------
+# -- artifact identity -------------------------------------------------------------
+#
+# Passes carry no version and pipelines no fingerprint: the compile-cache
+# key hashes every repro source file (a pass edit misses) plus the three
+# settings that change output without a source edit.
 
-def _mk(name, version=1):
-    return SimplePass(name, lambda f: False, version=version)
-
-
-def test_fingerprint_is_stable():
-    passes = [_mk("a"), _mk("b")]
-    assert pipeline_fingerprint(passes) == pipeline_fingerprint(passes)
+PARTS = ("native", matmul_source(4, 4, 4), "matmul", 1 << 16)
 
 
-def test_fingerprint_sees_order_name_version_and_config():
-    base = pipeline_fingerprint([_mk("a"), _mk("b")])
-    assert pipeline_fingerprint([_mk("b"), _mk("a")]) != base
-    assert pipeline_fingerprint([_mk("a"), _mk("c")]) != base
-    assert pipeline_fingerprint([_mk("a"), _mk("b", version=2)]) != base
-    assert pipeline_fingerprint([_mk("a"), _mk("b")], ("flag", 1)) != base
+@pytest.fixture
+def cache():
+    return CompileCache(use_disk=False)
 
 
-def test_fingerprint_folds_fixpoint_structure():
-    flat = pipeline_fingerprint([_mk("a"), _mk("b")])
-    nested = pipeline_fingerprint([FixedPoint([_mk("a"), _mk("b")])])
-    assert flat != nested
+def test_fingerprint_is_stable(tmp_path):
+    assert CompileCache(str(tmp_path / "a")).key(*PARTS) == \
+        CompileCache(str(tmp_path / "b")).key(*PARTS)
 
 
-def test_opt_fingerprint_distinguishes_ssa_toggle():
-    on = opt_pipeline_fingerprint(ssa=True)
-    off = opt_pipeline_fingerprint(ssa=False)
-    assert on != off
-    assert opt_pipeline_fingerprint(ssa=True) == on
+def test_fingerprint_sees_order_name_version_and_config(cache, monkeypatch):
+    monkeypatch.setenv("REPRO_RANGES", "1")
+    base = cache.key(*PARTS)
+    # A source edit anywhere in repro (a pass reordered, renamed or
+    # retuned) changes the toolchain fingerprint.
+    with monkeypatch.context() as patch:
+        patch.setattr(compilecache, "_FINGERPRINT", "0" * 64)
+        assert cache.key(*PARTS) != base
+    assert cache.key(*PARTS) == base
+    monkeypatch.setenv("REPRO_RANGES", "0")
+    assert ("ranges", False) in compilecache.compile_config()
+    assert cache.key(*PARTS) != base
 
 
-def test_opt_fingerprint_distinguishes_unroll_config():
-    assert opt_pipeline_fingerprint(unroll=True) \
-        != opt_pipeline_fingerprint(unroll=False)
-    assert opt_pipeline_fingerprint(unroll=True, unroll_factor=8) \
-        != opt_pipeline_fingerprint(unroll=True, unroll_factor=4)
+def test_fingerprint_folds_fixpoint_structure(cache):
+    assert cache.key("a", "b") != cache.key(("a", "b"))
+    assert cache.key(("a", "b"), "c") != cache.key("a", ("b", "c"))
 
 
-def test_jit_fingerprint_tracks_optimizing_tier():
-    baseline = jit_pipeline_fingerprint(False, ssa=True)
-    optimizing = jit_pipeline_fingerprint(True, ssa=True)
-    assert baseline != optimizing
-    # A non-optimizing tier never runs the SSA region, so the SSA
-    # toggle must not perturb its key.
-    assert jit_pipeline_fingerprint(False, ssa=False) == baseline
+def test_opt_fingerprint_distinguishes_ssa_toggle(cache, monkeypatch):
+    monkeypatch.setenv("REPRO_SSA", "1")
+    on = cache.key(*PARTS)
+    monkeypatch.setenv("REPRO_SSA", "0")
+    assert cache.key(*PARTS) != on
+    monkeypatch.setenv("REPRO_SSA", "1")
+    assert cache.key(*PARTS) == on
+
+
+def test_opt_fingerprint_distinguishes_unroll_config(cache):
+    # Only the native half unrolls; its key names its pipeline.
+    assert cache.key(*PARTS) != cache.key("emscripten", *PARTS[1:])
+
+
+def test_jit_fingerprint_tracks_optimizing_tier(cache):
+    # 2018 engines have no optimizing tier (no SSA mid-end).
+    assert not CHROME_2018.optimizing_tier
+    assert CHROME_ENGINE.optimizing_tier
+    old, new = (_engine_signature(e) for e in (CHROME_2018, CHROME_ENGINE))
+    assert old != new
+    assert cache.key("jit", old, "wasm") != cache.key("jit", new, "wasm")

@@ -15,8 +15,6 @@ from repro.dataflow.interval import (Ival, analyze_function, transfer_binop,
                                      transfer_unop)
 from repro.harness.compilecache import CompileCache
 from repro.harness.runner import compile_benchmark, run_compiled
-from repro.ir.passes import (jit_pipeline_fingerprint,
-                             opt_pipeline_fingerprint)
 from repro.ir.passes.ranges import ranges_enabled, set_ranges
 from repro.ir.verify import (RangeOracleError, check_ranges_enabled,
                              set_check_ranges)
@@ -379,20 +377,20 @@ def test_seeded_random_soundness(seed, range_config):
 # -- compile-cache freshness ------------------------------------------------
 
 def test_fingerprints_roll_with_range_config(range_config):
+    cache = CompileCache(use_disk=False)
     set_ranges(True)
     set_check_ranges(False)
-    base_opt = opt_pipeline_fingerprint()
-    base_jit = jit_pipeline_fingerprint(True)
+    base = cache.key("emscripten", "source")
 
     set_ranges(False)
-    assert opt_pipeline_fingerprint() != base_opt
-    assert jit_pipeline_fingerprint(True) != base_jit
+    assert cache.key("emscripten", "source") != base
     set_ranges(True)
+    assert cache.key("emscripten", "source") == base
 
     set_check_ranges(True)
-    assert opt_pipeline_fingerprint() != base_opt
-    assert jit_pipeline_fingerprint(True) != base_jit
+    assert cache.key("emscripten", "source") != base
     set_check_ranges(False)
+    assert cache.key("emscripten", "source") == base
 
 
 def test_cache_never_serves_stale_range_config(tmp_path, range_config):

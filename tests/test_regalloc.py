@@ -1,10 +1,11 @@
 """Register allocator tests: liveness, linear scan, graph coloring."""
 
+from repro.dataflow import liveness
 from repro.ir.passes import optimize_module
 from repro.mcc import compile_source
 from repro.regalloc.graph_coloring import graph_coloring
 from repro.regalloc.linear_scan import linear_scan
-from repro.regalloc.liveness import LivenessInfo, block_liveness
+from repro.regalloc.liveness import LivenessInfo
 
 HIGH_PRESSURE = """
 int spin(int a, int b) {
@@ -84,7 +85,7 @@ def _check_assignment_consistency(info, assignment, pool):
 def test_block_liveness_loop_variable_is_live_in_header():
     module = compile_source(LOOP, "t")
     func = module.functions["main"]
-    live_in, live_out = block_liveness(func)
+    live_in, live_out = liveness(func)
     # At least one block (the loop header) has live-in registers carrying
     # i and sum around the loop.
     assert any(len(s) >= 2 for s in live_in.values())

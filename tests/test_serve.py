@@ -4,6 +4,7 @@ import json
 import os
 import pickle
 import re
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -605,6 +606,32 @@ class TestHttpFrontend:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=10.0)
         assert json.loads(err.value.read())["error"]["code"] == -32700
+
+    def test_concurrent_clients_are_all_served(self, http_service):
+        """64 clients connecting at once overflow a 5-deep listen
+        backlog; every call must still get its answer."""
+        _, port = http_service
+        clients, calls = 64, 5
+        start = threading.Barrier(clients)
+        answers, errors = [], []
+
+        def client():
+            start.wait(timeout=30.0)
+            for _ in range(calls):
+                try:
+                    answers.append(_rpc(port, "ping", {}, timeout=30.0))
+                except OSError as exc:
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=client) for _ in range(clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(answers) == clients * calls
+        assert all("result" in answer for answer in answers)
 
     def test_readyz_flips_503_when_draining(self, http_service):
         svc, port = http_service

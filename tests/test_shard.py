@@ -8,6 +8,7 @@ with how many attempts) are checked against the fault plan's own
 ``worker`` draws.
 """
 
+import multiprocessing
 import os
 import signal
 import time
@@ -285,6 +286,45 @@ def test_hung_cell_terminated_by_watchdog(force_jobs, monkeypatch):
                 assert "hung past 1s" in cell.message
             else:
                 assert cell.times == serial[spec.name][target].times
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_pooled_cells_keep_the_callers_retry_policy(force_jobs,
+                                                    monkeypatch):
+    """Every field of the caller's RetryPolicy, not just ``retries``,
+    reaches the cell a pool worker measures."""
+    from repro import resilience
+    from repro.harness import compilecache, parallel
+    captured = []
+
+    def capture(jobs_list, *args, **kwargs):
+        captured.extend(jobs_list)
+        raise _Captured
+
+    monkeypatch.setattr(parallel, "run_sharded_jobs", capture)
+    policy = RetryPolicy(retries=1, base_delay=0.3, max_delay=0.3,
+                         jitter=0.5, seed=4)
+    with pytest.raises(_Captured):
+        run_suite(_suite()[:1], TARGETS[:2], runs=1, jobs=2, cache=False,
+                  policy=policy)
+
+    seen = []
+
+    def measure_cell(spec, target, **kwargs):
+        seen.append(kwargs["policy"])
+        return None, None, {}, 1
+
+    monkeypatch.setattr(resilience, "measure_cell", measure_cell)
+    monkeypatch.setattr(compilecache, "_ENABLED", compilecache._ENABLED)
+    ours, worker = multiprocessing.Pipe()
+    ours.send(dict(captured[0], incarnation=1))
+    ours.send(None)                   # then the worker exits its loop
+    shard_mod._shard_worker_main(worker)
+    assert ours.recv()[0] == "ok"
+    assert [p.as_dict() for p in seen] == [policy.as_dict()]
 
 
 def test_worker_crash_fast_mode_raises_after_retries(force_jobs):
