@@ -25,6 +25,16 @@ engine's signature and the wasm key).  Changing any compiler code (or
 the package version) therefore invalidates the whole cache
 automatically — there is no way to observe a stale artifact.
 
+Artifacts are compact on disk: :meth:`repro.x86.program.X86Program.layout`
+gives each distinct operand of a program one shared object, and an
+:class:`~repro.x86.isa.Instr` pickles as one flat tuple, so a test-size
+SPEC program stores at about 45 bytes per instruction (about 60 KB).  A
+disk hit unpickles with the cyclic GC paused (:func:`_loads`): the
+thousands of small objects it allocates would otherwise trigger
+collections that free nothing.  :class:`CacheStats` counts the bytes
+written (``bytes_stored``) and the bytes disk hits read
+(``bytes_read``), framing included.
+
 Escape hatches: the ``--no-cache`` CLI flag, the ``REPRO_NO_CACHE``
 environment variable, or :func:`set_enabled`.  ``REPRO_CACHE_DIR``
 relocates the disk tier.
@@ -32,6 +42,7 @@ relocates the disk tier.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import pickle
@@ -69,7 +80,7 @@ class CacheStats:
     """Hit/miss accounting for one :class:`CompileCache`."""
 
     __slots__ = ("memory_hits", "disk_hits", "misses", "stores",
-                 "disk_errors", "evictions", "bytes_stored",
+                 "disk_errors", "evictions", "bytes_stored", "bytes_read",
                  "corruptions")
 
     def __init__(self):
@@ -80,6 +91,7 @@ class CacheStats:
         self.disk_errors = 0
         self.evictions = 0
         self.bytes_stored = 0
+        self.bytes_read = 0
         self.corruptions = 0
 
     @property
@@ -96,7 +108,7 @@ class CacheStats:
             "hits": self.hits, "misses": self.misses,
             "stores": self.stores, "disk_errors": self.disk_errors,
             "evictions": self.evictions, "bytes_stored": self.bytes_stored,
-            "corruptions": self.corruptions,
+            "bytes_read": self.bytes_read, "corruptions": self.corruptions,
         }
 
     def summary_line(self) -> str:
@@ -104,7 +116,8 @@ class CacheStats:
         line = (f"compile cache: {self.hits} hits "
                 f"({self.memory_hits} mem, {self.disk_hits} disk), "
                 f"{self.misses} misses, {self.stores} stores, "
-                f"{self.bytes_stored} bytes written")
+                f"{self.bytes_stored} bytes written, "
+                f"{self.bytes_read} bytes read")
         if self.corruptions:
             line += f", {self.corruptions} corrupt entries evicted"
         return line
@@ -160,6 +173,19 @@ def compile_config() -> tuple:
     it checks compiles but changes no artifact."""
     return (("ssa", ssa_enabled()), ("ranges", ranges_enabled()),
             ("check_ranges", check_ranges_enabled()))
+
+
+def _loads(payload: bytes):
+    """``pickle.loads`` with the cyclic GC paused, then restored as the
+    caller had it: each of an artifact's thousands of objects would
+    otherwise count towards the next collection."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return pickle.loads(payload)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class CompileCache:
@@ -226,7 +252,7 @@ class CompileCache:
                 # Fault point: bit flips / truncation on the read path.
                 blob = faults.mangle("cache", blob)
                 try:
-                    value = pickle.loads(decode_entry(blob))
+                    value = _loads(decode_entry(blob))
                 except (CacheCorruptionError, pickle.PickleError,
                         EOFError, AttributeError, IndexError,
                         ImportError, MemoryError, ValueError):
@@ -235,7 +261,9 @@ class CompileCache:
             if value is not None:
                 self._memory[key] = value
                 self.stats.disk_hits += 1
+                self.stats.bytes_read += len(blob)
                 get_registry().counter("cache.disk_hits").inc()
+                get_registry().counter("cache.bytes_read").inc(len(blob))
                 return value
         self.stats.misses += 1
         get_registry().counter("cache.misses").inc()

@@ -101,13 +101,16 @@ class Instr:
     operand, ``b`` the source.  ``cond`` holds the condition code for
     ``jcc``/``setcc``; ``size`` the operation width in bytes.
 
-    Two optional annotations default to unset (read them with
-    ``getattr(ins, ..., None)`` — cached programs pickled before they
-    existed lack the slots): ``check`` tags safety-check instructions
-    with their kind (``"stack"``/``"indirect"``) for the hwc cycle
-    decomposition, and ``assert_range`` carries a ``(reg, Ival)`` fact
-    the machine validates after this instruction retires under
-    ``--check-ranges``.
+    Two optional annotations stay unset unless the lowering tags an
+    instruction (read them with ``getattr(ins, ..., None)``): ``check``
+    tags safety-check instructions with their kind
+    (``"stack"``/``"indirect"``) for the hwc cycle decomposition, and
+    ``assert_range`` carries a ``(reg, Ival)`` fact the machine
+    validates after this instruction retires under ``--check-ranges``.
+
+    An instruction pickles as one flat tuple of its fields (see
+    :meth:`__reduce__`), followed by the annotations only when set, so
+    an unpickled instruction lacks exactly the slots the original did.
     """
 
     __slots__ = ("op", "a", "b", "cond", "size", "comment", "addr",
@@ -123,6 +126,15 @@ class Instr:
         self.comment = comment
         self.addr = 0        # assigned at layout time
         self.enc_size = 0    # assigned at layout time
+
+    def __reduce__(self):
+        fields = (self.op, self.a, self.b, self.cond, self.size,
+                  self.comment, self.addr, self.enc_size)
+        if not hasattr(self, "check") and not hasattr(self, "assert_range"):
+            return _rebuild_instr, fields
+        tags = {name: getattr(self, name)
+                for name in ("check", "assert_range") if hasattr(self, name)}
+        return _rebuild_instr, fields + (tags,)
 
     def encoded_size(self) -> int:
         """Estimated encoded length in bytes."""
@@ -177,6 +189,25 @@ class Instr:
         if self.comment:
             text += f"  ; {self.comment}"
         return text
+
+
+def _rebuild_instr(op, a, b, cond, size, comment, addr, enc_size,
+                   tags=None):
+    """Unpickle one :class:`Instr` from its :meth:`Instr.__reduce__`
+    tuple."""
+    ins = Instr.__new__(Instr)
+    ins.op = op
+    ins.a = a
+    ins.b = b
+    ins.cond = cond
+    ins.size = size
+    ins.comment = comment
+    ins.addr = addr
+    ins.enc_size = enc_size
+    if tags:
+        for name, value in tags.items():
+            setattr(ins, name, value)
+    return ins
 
 
 def fmt_listing(instrs, with_addr: bool = False) -> str:

@@ -13,8 +13,9 @@ Address-space layout of a compiled program:
 from __future__ import annotations
 
 import struct
+from operator import attrgetter
 
-from .isa import Instr, Label, fmt_listing
+from .isa import Imm, Instr, Label, Mem, Reg, fmt_listing
 
 MACHINE_STACK_SIZE = 1 << 20
 CODE_BASE = 0x4000_0000
@@ -62,6 +63,27 @@ class X86Function:
 
     def __repr__(self):
         return f"<x86 func {self.name} ({len(self.instrs)} instrs)>"
+
+
+#: Per operand class, a reader of its class and fields as one tuple.
+_IDENTITY = {cls: attrgetter("__class__", *cls.__slots__)
+             for cls in (Reg, Mem, Imm, Label)}
+
+
+def _shared(operand, table: dict):
+    """The program's one object for ``operand``.  Two operands are one
+    if they have the same class and every field is equal and of the
+    same type, so ``Imm(1)`` and ``Imm(True)`` stay apart and a spill
+    slot never merges with a program access.  A float field is never
+    shared, since ``0.0 == -0.0``."""
+    identity = _IDENTITY.get(type(operand))
+    if identity is None:
+        return operand
+    fields = identity(operand)
+    types = tuple(map(type, fields))
+    if float in types:
+        return operand
+    return table.setdefault((fields, types), operand)
 
 
 class _TableSpec:
@@ -154,9 +176,13 @@ class X86Program:
     # -- finalization ------------------------------------------------------------
 
     def layout(self) -> None:
-        """Assemble every function, assign code addresses, patch tables."""
+        """Assemble every function, assign code addresses, and give
+        equal operands one shared object per program (nothing mutates
+        an operand after its constructor), which shrinks the program in
+        memory and in the compile cache."""
         align = max(self.code_alignment, 1)
         cursor = CODE_BASE
+        shared = {}
         for func in self.functions.values():
             func.assemble()
             func.entry_addr = cursor
@@ -172,6 +198,8 @@ class X86Program:
                     cursor = (cursor + align - 1) & ~(align - 1)
                 ins.addr = cursor
                 ins.enc_size = ins.encoded_size()
+                ins.a = _shared(ins.a, shared)
+                ins.b = _shared(ins.b, shared)
                 cursor += ins.enc_size
             cursor = (cursor + 15) & ~15  # align function starts
 

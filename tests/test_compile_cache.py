@@ -1,22 +1,27 @@
 """The content-addressed compile cache: hits, misses, invalidation, and
 the compile-once path that fills it."""
 
+import gc
 import hashlib
+import os
 import pickle
 
 import pytest
 
+from repro import obs
 from repro.benchsuite import polybench_benchmark, spec_benchmark
 from repro.codegen.emscripten import compile_ir_to_wasm
 from repro.codegen.native import compile_ir_native
 from repro.harness import compilecache, runner
 from repro.harness.compilecache import CompileCache
-from repro.harness.runner import compile_benchmark
+from repro.harness.runner import compile_benchmark, run_compiled
 from repro.ir import verify
 from repro.ir.passes import optimize_module
 from repro.ir.verify import check_ranges_enabled, set_check_ranges
 from repro.mcc import compile_source
 from repro.wasm import encode_module
+from repro.x86.isa import Imm, Instr, Label, Mem, Reg
+from repro.x86.program import X86Program
 
 TARGETS = ("native", "chrome")
 
@@ -44,11 +49,21 @@ def test_disk_hit_across_cache_instances(tmp_path):
     warm = CompileCache(directory=str(tmp_path))
     compile_benchmark(spec, TARGETS, cache=warm)
 
-    # A fresh instance has an empty memory tier: all hits come from disk.
+    # A fresh instance has an empty memory tier: all hits come from disk,
+    # and they read back every byte the first instance stored.
     cold = CompileCache(directory=str(tmp_path))
-    compile_benchmark(spec, TARGETS, cache=cold)
+    registry = obs.enable_metrics()
+    try:
+        compile_benchmark(spec, TARGETS, cache=cold)
+    finally:
+        obs.disable_metrics()
     assert cold.stats.misses == 0
     assert cold.stats.disk_hits == warm.stats.misses
+    assert cold.stats.bytes_read == warm.stats.bytes_stored > 0
+    assert registry.as_dict()["counters"]["cache.bytes_read"] == \
+        cold.stats.bytes_read
+    assert cold.stats.as_dict()["bytes_read"] == cold.stats.bytes_read
+    assert f"{cold.stats.bytes_read} bytes read" in cold.stats.summary_line()
 
 
 def test_cached_artifacts_equal_fresh(cache):
@@ -302,3 +317,161 @@ def test_shared_front_half_equals_each_engines_own(shared, oracle,
         assert _image(program) == _image(own), target
         assert program.compile_stats.get("ranges") == \
             own.compile_stats.get("ranges"), target
+
+
+# -- compact artifacts: shared operands, one tuple per instruction --------------
+#
+# ``X86Program.layout`` gives equal operands one object per program, an
+# instruction pickles as one flat tuple, and the cache unpickles with the
+# cyclic GC paused.  None of it may change what a program is or does.
+
+def _fields(value):
+    """``value`` as comparable data: a slotted object (operand, ``Ival``,
+    instruction) becomes its class plus the (slot, value) pairs it has
+    set, each value typed, so ``Imm(1)`` differs from ``Imm(True)``."""
+    if isinstance(value, (tuple, list)):
+        return tuple(_fields(item) for item in value)
+    slots = getattr(type(value), "__slots__", None)
+    if slots is None:
+        return type(value), value
+    return type(value), tuple((slot, _fields(getattr(value, slot)))
+                              for slot in slots if hasattr(value, slot))
+
+
+def _operand_objects(program):
+    """Every operand object of ``program``'s instructions, grouped by
+    class and typed fields."""
+    groups = {}
+    for func in program.functions.values():
+        for ins in func.raw:
+            for operand in (ins.a, ins.b):
+                if isinstance(operand, (Reg, Mem, Imm, Label)):
+                    groups.setdefault(_fields(operand), set()).add(
+                        id(operand))
+    return groups
+
+
+@pytest.fixture(scope="module")
+def stored_and_reloaded(tmp_path_factory):
+    """trisolv x TARGETS compiled into a fresh cache, then read back
+    from disk by a second instance."""
+    directory = str(tmp_path_factory.mktemp("compact"))
+    spec = polybench_benchmark("trisolv", "test")
+    compiled = compile_benchmark(spec, TARGETS,
+                                 cache=CompileCache(directory=directory))
+    reader = CompileCache(directory=directory)
+    reloaded = compile_benchmark(spec, TARGETS, cache=reader)
+    assert reader.stats.disk_hits > 0 and reader.stats.misses == 0
+    return compiled, reloaded
+
+
+def test_layout_shares_only_operands_of_equal_type_and_fields():
+    program = X86Program("t", 1 << 16)
+    func = program.new_function("f")
+    pairs = [(Reg(0), Reg(0)), (Mem(base=5, disp=8), Mem(base=5, disp=8)),
+             (Imm(7), Imm(7)), (Label("top"), Label("top")),
+             (Imm(1), Imm(True)), (Mem(disp=16), Mem(disp=16, spill=True)),
+             (Imm(0.0), Imm(-0.0)), (Imm(2.5), Imm(2.5))]
+    func.label("top")
+    for a, b in pairs:
+        func.emit(Instr("mov", a, Reg(1)))
+        func.emit(Instr("mov", b, Reg(1)))
+    func.emit(Instr("ret"))
+    program.layout()
+    movs = func.instrs[:-1]
+    shared = [movs[i].a is movs[i + 1].a for i in range(0, len(movs), 2)]
+    assert shared == [True, True, True, True, False, False, False, False]
+    assert len({id(ins.b) for ins in movs}) == 1
+
+
+@pytest.mark.parametrize("when", ["laid-out", "disk-hit"])
+@pytest.mark.parametrize("target", TARGETS)
+def test_each_distinct_operand_is_one_object(stored_and_reloaded, when,
+                                             target):
+    compiled, reloaded = stored_and_reloaded
+    program = (reloaded if when == "disk-hit" else compiled).programs[target]
+    groups = _operand_objects(program)
+    assert len(groups) > 10
+    duplicated = {key: ids for key, ids in groups.items() if len(ids) > 1}
+    assert not duplicated
+
+
+def test_program_round_trips_exactly(tmp_path, oracle_config):
+    set_check_ranges(True)
+    spec = polybench_benchmark("trisolv", "test")
+    fresh = compile_benchmark(spec, ("chrome",),
+                              cache=CompileCache(directory=str(tmp_path)))
+    reader = CompileCache(directory=str(tmp_path))
+    cached = compile_benchmark(spec, ("chrome",), cache=reader)
+    assert reader.stats.disk_hits > 0 and reader.stats.misses == 0
+
+    raw = [ins for func in fresh.programs["chrome"].functions.values()
+           for ins in func.raw]
+    back = [ins for func in cached.programs["chrome"].functions.values()
+            for ins in func.raw]
+    assert [_fields(ins) for ins in back] == [_fields(ins) for ins in raw]
+    # The optional slots come back set exactly where they were set.
+    for slot in ("check", "assert_range"):
+        tagged = [hasattr(ins, slot) for ins in raw]
+        assert any(tagged) and not all(tagged), slot
+        assert [hasattr(ins, slot) for ins in back] == tagged, slot
+
+    runs = [run_compiled(compiled, "chrome", runs=1).run
+            for compiled in (fresh, cached)]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].perf.as_dict() == runs[1].perf.as_dict()
+    assert (runs[0].icache_accesses, runs[0].icache_misses) == \
+        (runs[1].icache_accesses, runs[1].icache_misses)
+
+
+_GC_DURING_LOADS = []
+
+
+def _note_gc_state():
+    _GC_DURING_LOADS.append(gc.isenabled())
+    return "noted"
+
+
+class _NotesGcState:
+    """Unpickles by recording whether the cyclic GC was running."""
+
+    def __reduce__(self):
+        return _note_gc_state, ()
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def gc_state(request):
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def test_disk_hit_pauses_gc_and_restores_it(tmp_path, gc_state):
+    CompileCache(directory=str(tmp_path)).put("k", [_NotesGcState()])
+    _GC_DURING_LOADS.clear()
+    assert CompileCache(directory=str(tmp_path)).get("k") == ["noted"]
+    assert _GC_DURING_LOADS == [False]
+    assert gc.isenabled() == gc_state
+
+
+@pytest.mark.parametrize("damage", ["bit-flip", "bad-payload"])
+def test_corrupt_entry_restores_gc_and_is_evicted(tmp_path, gc_state,
+                                                  damage):
+    writer = CompileCache(directory=str(tmp_path))
+    writer.put("k", [1, 2, 3])
+    path = writer._path("k")
+    with open(path, "rb") as fh:
+        blob = bytearray(fh.read())
+    if damage == "bit-flip":        # fails the checksum before unpickling
+        blob[-1] ^= 0xFF
+    else:                           # a valid frame pickle cannot read
+        blob = compilecache.encode_entry(b"not a pickle")
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    reader = CompileCache(directory=str(tmp_path))
+    assert reader.get("k") is None
+    assert gc.isenabled() == gc_state
+    assert reader.stats.misses == 1 and reader.stats.disk_hits == 0
+    assert reader.stats.corruptions == 1 and reader.stats.bytes_read == 0
+    assert not os.path.exists(path)
