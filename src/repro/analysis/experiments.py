@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..benchsuite import (
     FIG8_SIZES, POLYBENCH_NAMES, matmul_source,
     all_polybench_benchmarks, all_spec_benchmarks, matmul_spec,
-    polybench_benchmark, spec_benchmark,
+    polybench_benchmark,
 )
 from ..harness.parallel import run_suite
 from ..harness.runner import (

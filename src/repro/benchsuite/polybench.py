@@ -15,7 +15,7 @@ therefore the generated-code comparison — is unchanged.
 
 from __future__ import annotations
 
-from ..harness.spec import BenchmarkSpec, SpecFactory
+from ..harness.spec import BenchmarkSpec
 
 #: (test size, ref size) per kernel; roughly matched dynamic work at ref.
 _SIZES = {
@@ -1078,9 +1078,3 @@ def polybench_spec(name: str, size: str = "ref") -> BenchmarkSpec:
     return BenchmarkSpec(name, "polybench", _body(name, n),
                          description=f"PolyBenchC {name} (N={n})",
                          size=size)
-
-
-def polybench_factories():
-    return [SpecFactory(name, "polybench",
-                        lambda size, _n=name: polybench_spec(_n, size))
-            for name in POLYBENCH_NAMES]

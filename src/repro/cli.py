@@ -19,6 +19,7 @@ Usage (also via ``python -m repro``):
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import sys
@@ -134,15 +135,40 @@ def _sweep_exit_code(failures, total_cells=None) -> int:
     return 3
 
 
-def _print_observability_summary() -> None:
-    """The post-run cache one-liner plus any enabled metrics."""
+def _enable_metrics() -> None:
+    """Turn the metrics registry on for the whole command, keeping one
+    that is already on: a serving process reporting in-process must not
+    wipe its serve.* counters."""
+    from .obs import enable_metrics, metrics_enabled
+    if not metrics_enabled():
+        enable_metrics()
+
+
+def _cache_line(registry) -> str:
+    """The one-line compile-cache report, from the registry's
+    ``cache.*`` counters, so a pooled run counts its workers' lookups."""
+    count = collections.Counter({
+        name[len("cache."):]: counter.value
+        for name, counter in registry.counters.items()
+        if name.startswith("cache.")})
+    line = (f"compile cache: {count['memory_hits'] + count['disk_hits']} "
+            f"hits ({count['memory_hits']} mem, {count['disk_hits']} disk), "
+            f"{count['misses']} misses, {count['stores']} stores, "
+            f"{count['bytes_stored']} bytes written, "
+            f"{count['bytes_read']} bytes read")
+    if count["corruption_detected"]:
+        line += f", {count['corruption_detected']} corrupt entries evicted"
+    return line
+
+
+def _print_observability_summary(stats: bool) -> None:
+    """The post-run cache line, plus every metric when ``stats``."""
     from .harness import compilecache
     from .obs import get_registry
-    if compilecache.is_enabled():
-        print(compilecache.get_cache().stats.summary_line(),
-              file=sys.stderr)
     registry = get_registry()
-    if registry.enabled:
+    if compilecache.is_enabled():
+        print(_cache_line(registry), file=sys.stderr)
+    if stats:
         for line in registry.summary_lines():
             print(f"  {line}", file=sys.stderr)
 
@@ -265,9 +291,7 @@ def cmd_bench(args) -> int:
 
     if args.no_cache:
         compilecache.set_enabled(False)
-    if args.stats:
-        from .obs import enable_metrics
-        enable_metrics()
+    _enable_metrics()
     plan = _parse_inject(args)
     tolerant = plan is not None or args.tolerant or args.timeout is not None
     spec = _resolve_spec(args.benchmark, args.size)
@@ -309,8 +333,14 @@ def cmd_bench(args) -> int:
                         "instrs", "L1I miss"],
                        rows, f"{spec.name} ({args.size})"))
     _print_failures(failures, args.size)
-    _print_observability_summary()
+    _print_observability_summary(args.stats)
     return _sweep_exit_code(failures, total_cells=len(results))
+
+
+#: The layout version of ``repro report --json``.  Schema 2 states each
+#: measured fact once, in ``metrics`` (a pooled sweep's workers
+#: included), and the settings that change a compile in ``config``.
+REPORT_SCHEMA = 2
 
 
 def _hwc_block(data) -> dict:
@@ -341,7 +371,7 @@ def cmd_report(args) -> int:
                            fig8, fig9, fig10, polybench_data, spec_data,
                            table1, table2, table3, table4)
     from .harness import compilecache
-    from .obs import enable_metrics, get_registry, metrics_enabled
+    from .obs import get_registry
 
     if args.no_cache:
         compilecache.set_enabled(False)
@@ -349,10 +379,7 @@ def cmd_report(args) -> int:
         # The env gate reaches forked sweep workers too, so every cell's
         # run comes back with an HwcReport attached.
         os.environ["REPRO_HWC"] = "1"
-    if (args.stats or args.json) and not metrics_enabled():
-        # Keep an already-enabled registry: a serving process reporting
-        # in-process must not wipe its serve.* counters.
-        enable_metrics()
+    _enable_metrics()
     artifact = args.artifact
     plan = _parse_inject(args)
     tolerant = plan is not None or args.tolerant or args.timeout is not None
@@ -403,28 +430,13 @@ def cmd_report(args) -> int:
         ret = standalone[artifact]()
     print(ret[-1])
     if args.json:
-        registry_dict = get_registry().as_dict()
-        counters = registry_dict["counters"]
-        gauges = registry_dict.get("gauges", {})
         payload = {
+            "schema": REPORT_SCHEMA,
             "artifact": artifact,
             "data": _jsonify(list(ret[:-1])),
             "text": ret[-1],
+            "config": dict(compilecache.compile_config()),
             "metrics": get_registry().as_dict(),
-            "analysis": {
-                "verifier_runs": counters.get("analysis.verifier_runs", 0),
-                "lints_emitted": counters.get("analysis.lints_emitted", 0),
-                "regalloc_checks":
-                    counters.get("analysis.regalloc_checks", 0),
-            },
-            "opt": _opt_block(registry_dict),
-            "shard": {
-                "cells": counters.get("runner.cells", 0),
-                "requeues": counters.get("shard.requeues", 0),
-                "worker_respawns":
-                    counters.get("shard.worker_respawns", 0),
-                "merge_seconds": gauges.get("shard.merge_seconds", 0.0),
-            },
             "failures": [_jsonify(f.as_dict(args.size)) for f in failures],
             "partial": bool(failures),
             "hwc": _hwc_block(data),
@@ -433,69 +445,8 @@ def cmd_report(args) -> int:
             json.dump(payload, fh, indent=2)
         print(f"wrote {args.json}", file=sys.stderr)
     _print_failures(failures, args.size)
-    _print_observability_summary()
+    _print_observability_summary(args.stats)
     return _sweep_exit_code(failures)
-
-
-def _opt_block(registry_dict: dict) -> dict:
-    """The ``opt`` payload of ``repro report --json``: SSA mid-end
-    activity, analysis-cache effectiveness, and per-pass wall time and
-    instruction deletions (all zero when compiles were cache hits)."""
-    from .ir.passes import ssa_enabled
-    counters = registry_dict.get("counters", {})
-    histograms = registry_dict.get("histograms", {})
-    prefix = "opt.pass_seconds."
-    passes = {}
-    for name, hist in histograms.items():
-        if not name.startswith(prefix):
-            continue
-        pass_name = name[len(prefix):]
-        passes[pass_name] = {
-            "runs": hist.get("count", 0),
-            "seconds": hist.get("sum", 0.0),
-            "mean_seconds": hist.get("mean", 0.0),
-            "instrs_deleted": counters.get(f"opt.deleted.{pass_name}", 0),
-        }
-    return {
-        "ssa": ssa_enabled(),
-        "phis_placed": counters.get("opt.ssa.phis", 0),
-        "parallel_copies": counters.get("opt.ssa.copies", 0),
-        "instrs_deleted": counters.get("opt.instrs_deleted", 0),
-        "analysis_cache": {
-            "hits": counters.get("opt.analysis.hits", 0),
-            "misses": counters.get("opt.analysis.misses", 0),
-            "invalidations": counters.get("opt.analysis.invalidations", 0),
-        },
-        "ranges": _ranges_block(counters),
-        "passes": passes,
-    }
-
-
-def _ranges_block(counters: dict) -> dict:
-    """Interval-analysis activity and safety-check elision counts (the
-    §6.4 knob): solver work from the `ranges` pass and how many
-    stack/indirect-call checks the eliding targets dropped."""
-    from .ir.passes import ranges_enabled
-    from .ir.verify import check_ranges_enabled
-    return {
-        "enabled": ranges_enabled(),
-        "check_ranges": check_ranges_enabled(),
-        "analysis_runs": counters.get("opt.ranges.analysis_runs", 0),
-        "solver_iterations":
-            counters.get("opt.ranges.solver_iterations", 0),
-        "comparisons_folded": counters.get("opt.ranges.folded", 0),
-        "branches_decided":
-            counters.get("opt.ranges.branches_decided", 0),
-        "annotated_defs": counters.get("opt.ranges.annotated_defs", 0),
-        "stack_checks": {
-            "total": counters.get("codegen.checks.stack_total", 0),
-            "elided": counters.get("codegen.checks.stack_elided", 0),
-        },
-        "indirect_checks": {
-            "total": counters.get("codegen.checks.indirect_total", 0),
-            "elided": counters.get("codegen.checks.indirect_elided", 0),
-        },
-    }
 
 
 def cmd_serve(args) -> int:
@@ -534,7 +485,7 @@ def cmd_serve(args) -> int:
     print(f"repro serve: drained ({summary['reason']}); "
           f"jobs {json.dumps(summary['jobs'], sort_keys=True)}; "
           f"{summary['orphan_workers']} orphan workers", flush=True)
-    _print_observability_summary()
+    _print_observability_summary(stats=True)
     if summary["non_terminal"]:
         print(f"repro serve: {len(summary['non_terminal'])} jobs left "
               f"non-terminal: {summary['non_terminal']}", file=sys.stderr)
@@ -823,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the on-disk compile cache")
     p.add_argument("--stats", action="store_true",
-                   help="collect and print harness metrics")
+                   help="print every harness metric")
     _add_resilience_args(p)
     _add_verify_arg(p)
     p.set_defaults(func=cmd_bench)
@@ -880,7 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the on-disk compile cache")
     p.add_argument("--stats", action="store_true",
-                   help="collect and print harness metrics")
+                   help="print every harness metric")
     p.add_argument("--json", metavar="PATH",
                    help="also write the artifact data + metrics as JSON")
     p.add_argument("--hwc", action="store_true",

@@ -111,17 +111,6 @@ class CacheStats:
             "bytes_read": self.bytes_read, "corruptions": self.corruptions,
         }
 
-    def summary_line(self) -> str:
-        """The one-line cache report printed after bench/report runs."""
-        line = (f"compile cache: {self.hits} hits "
-                f"({self.memory_hits} mem, {self.disk_hits} disk), "
-                f"{self.misses} misses, {self.stores} stores, "
-                f"{self.bytes_stored} bytes written, "
-                f"{self.bytes_read} bytes read")
-        if self.corruptions:
-            line += f", {self.corruptions} corrupt entries evicted"
-        return line
-
     def __repr__(self):
         return (f"<cache-stats hits={self.hits} "
                 f"(mem={self.memory_hits} disk={self.disk_hits}) "

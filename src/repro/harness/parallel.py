@@ -40,7 +40,8 @@ from ..obs import get_registry
 from ..resilience import (RetryPolicy, interrupted_cell, is_failure,
                           measure_cell)
 from . import compilecache, runner
-from .shard import run_sharded_jobs, shutdown_shard_pools
+from .shard import ShardScheduler, get_shard_pool
+from .shard import shutdown_warm_pool  # noqa: F401  (callers import it here)
 
 #: Upper bound for auto-selected worker counts: beyond this, pool
 #: startup and artifact pickling dominate the simulated workloads.
@@ -114,11 +115,6 @@ def resolve_ref(ref):
     raise ValueError(f"unknown spec reference {ref!r}")
 
 
-#: Tear down the persistent worker pool (tests, bench teardown); the
-#: name callers outside this package use.
-shutdown_warm_pool = shutdown_shard_pools
-
-
 # -- the suite runner --------------------------------------------------------------
 
 def run_suite(benchmarks, targets, runs: int = 5,
@@ -133,10 +129,14 @@ def run_suite(benchmarks, targets, runs: int = 5,
     benchmark name -> target -> BenchResult in suite order, and
     ``compile_seconds`` maps benchmark name -> {pipeline: seconds}.
     ``jobs`` > 1 distributes cells over one pool of that many persistent
-    worker processes (see :mod:`repro.harness.shard`); ``jobs=None``
-    auto-selects :func:`default_jobs`.  Results are bit-identical to
-    serial at every width.  A worker that dies mid-cell is respawned
-    and its cell re-queued, up to ``policy.retries`` times.
+    worker processes (see :mod:`repro.harness.shard`; tear it down with
+    :func:`shutdown_warm_pool`); ``jobs=None`` auto-selects
+    :func:`default_jobs`.  Results are bit-identical to serial at every
+    width.  With the metrics registry on, each worker's counters and
+    histograms are merged into it: the ``kernel.*`` counts equal a
+    serial sweep's, while ``cache.*``, ``opt.*`` and ``analysis.*``
+    count each worker's own compiles.  A worker that dies mid-cell is
+    respawned and its cell re-queued, up to ``policy.retries`` times.
 
     ``tolerant`` (implied by a fault-injection ``plan``) makes failed
     cells come back as :class:`~repro.resilience.CellFailure` values in
@@ -190,14 +190,19 @@ def run_suite(benchmarks, targets, runs: int = 5,
     jobs_list = [{
         "ref": refs[spec.name], "name": spec.name, "target": target,
         "runs": runs, "noise": noise, "max_instructions": max_instructions,
-        "use_cache": use_cache, "tolerant": tolerant,
-        "plan": plan, "policy": policy.as_dict(), "timeout": timeout,
+        "use_cache": use_cache, "metrics": metrics.enabled,
+        "tolerant": tolerant, "plan": plan, "policy": policy.as_dict(),
+        "timeout": timeout,
     } for spec in pool_specs for target in targets]
 
     try:
         if jobs_list:
-            run_sharded_jobs(jobs_list, jobs, pooled, tolerant=tolerant,
-                             retries=policy.retries, plan=plan)
+            # Fast-mode cell errors and an exhausted crash budget raise
+            # after draining; Ctrl-C drains and propagates.  Either way
+            # the pool stays warm.
+            ShardScheduler(get_shard_pool(jobs), jobs_list,
+                           tolerant=tolerant, retries=policy.retries,
+                           plan=plan).run(pooled)
         for spec in serial_specs:
             row = functools.cache(functools.partial(
                 runner.compile_benchmark, spec, targets, cache=cache))
@@ -238,16 +243,7 @@ def run_suite(benchmarks, targets, runs: int = 5,
 def _merge_results(benchmarks, targets, cell_results):
     """Reassemble per-cell results in suite order: the merge is a pure
     function of (suite order, cell values), so the output is identical
-    no matter which worker produced each cell.  Merge time
-    lands in the ``shard.merge_seconds`` gauge."""
-    metrics = get_registry()
-    merge_start = time.time()
-    results = {}
-    for spec in benchmarks:
-        results[spec.name] = {
-            target: cell_results[(spec.name, target)] for target in targets
-        }
-    if metrics.enabled:
-        metrics.gauge("shard.merge_seconds").set(
-            time.time() - merge_start)
-    return results
+    no matter which worker produced each cell."""
+    return {spec.name: {target: cell_results[(spec.name, target)]
+                        for target in targets}
+            for spec in benchmarks}

@@ -29,7 +29,7 @@ from ..obs import span
 from ..wasm.binary import encode_module
 from . import compilecache
 from .spec import BenchmarkSpec
-from .stats import mean, p50, p95, p99, stderr
+from .stats import mean, p50, p95, stderr
 
 #: Default measurement-noise level (fraction of the run time).
 NOISE = 0.004
@@ -80,10 +80,6 @@ class BenchResult:
     @property
     def p95_seconds(self) -> float:
         return p95(self.times)
-
-    @property
-    def p99_seconds(self) -> float:
-        return p99(self.times)
 
     @property
     def perf(self):
@@ -271,7 +267,7 @@ def run_compiled(compiled: CompiledBenchmark, target: str, runs: int = 5,
 
 
 def run_benchmark(spec: BenchmarkSpec, targets=None, runs: int = 5,
-                  validate: bool = True, noise: float = NOISE,
+                  noise: float = NOISE,
                   max_instructions: int = 2_000_000_000, cache=None,
                   jobs: int = 1, tolerant: bool = False, plan=None,
                   policy=None, timeout: float = None):
@@ -279,9 +275,9 @@ def run_benchmark(spec: BenchmarkSpec, targets=None, runs: int = 5,
 
     One sweep of :func:`repro.harness.parallel.run_suite`: ``jobs`` > 1
     fans the targets out over the worker pool, with results
-    bit-identical to the in-process path.  With ``validate``, every
-    target's stdout must byte-compare equal to the native baseline's
-    (the harness's ``cmp`` step).
+    bit-identical to the in-process path.  Every target's stdout must
+    byte-compare equal to the native baseline's (the harness's ``cmp``
+    step).
 
     ``tolerant`` (implied by a fault-injection ``plan``) makes failed
     cells come back as :class:`~repro.resilience.CellFailure` values
@@ -297,11 +293,10 @@ def run_benchmark(spec: BenchmarkSpec, targets=None, runs: int = 5,
         max_instructions=max_instructions, jobs=jobs, cache=cache,
         tolerant=tolerant, plan=plan, policy=policy, timeout=timeout)
     results = by_name[spec.name]
-    if validate:
-        if tolerant:
-            _validate_tolerant(spec.name, results, plan)
-        else:
-            _validate_strict(spec.name, results)
+    if tolerant:
+        _validate_tolerant(spec.name, results, plan)
+    else:
+        _validate_strict(spec.name, results)
     return results
 
 

@@ -19,7 +19,7 @@ in-process (see :mod:`repro.harness.parallel`).
   draws from the same queue, so no worker idles while a cell waits.
 
 * **Crash re-queue.**  A dying worker kills one *dispatch*, never the
-  sweep: the pool reaps and respawns it (``shard.worker_respawns``),
+  sweep: the pool reaps and respawns it (``pool.worker_respawns``),
   the cell is re-queued at the head of the queue, and only a cell that
   keeps killing workers past its retry budget surfaces — as a
   ``worker``-phase :class:`~repro.resilience.CellFailure` in tolerant
@@ -45,6 +45,14 @@ in-process (see :mod:`repro.harness.parallel`).
   deterministic simulation with per-cell seeded noise, so the merged
   ``SuiteData`` is bit-identical to a serial run no matter the pool
   width, completion order, or crash pattern.
+
+* **One metrics ledger.**  A payload's ``metrics`` flag says whether
+  the caller's registry is on.  If it is, the worker measures the cell
+  into a fresh :class:`~repro.obs.metrics.MetricsRegistry` and returns
+  it in the reply's ``timing``, and the caller folds it into its own
+  (:meth:`~repro.obs.metrics.MetricsRegistry.merge`).  Its
+  ``kernel.*`` counts then equal a serial sweep's; its ``cache.*``,
+  ``opt.*`` and ``analysis.*`` counts are each worker's own compiles.
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ import time
 
 from ..errors import CellTimeout, WorkerCrashError
 from ..obs import get_registry
+from ..obs import metrics as obs_metrics
 from . import compilecache
 
 #: Seconds granted to in-flight cells when draining after an error.
@@ -67,7 +76,7 @@ DRAIN_SECONDS = 10.0
 def _shard_worker_main(conn):
     """Loop of one persistent pool worker: recv job, measure, reply.
 
-    Jobs carry ``use_cache`` (a per-call ``run_suite`` argument a
+    Jobs carry ``use_cache`` and ``metrics`` (per-call settings a
     persistent worker must not carry over between sweeps), the caller's
     retry ``policy`` (:meth:`RetryPolicy.as_dict`; the defaults when
     absent) and the dispatch ``incarnation``, which scopes the
@@ -75,7 +84,9 @@ def _shard_worker_main(conn):
     runs through :func:`repro.resilience.measure_cell`.  A tolerant job
     (fuel and deadline watchdogs, classification, bounded in-worker
     retry) replies ``fail`` with a CellFailure; a fast job's error
-    replies ``err``.
+    replies ``err``.  An ``ok`` or ``fail`` reply's ``timing`` carries
+    the cell's own registry under ``metrics`` (None when the job's
+    ``metrics`` flag is off).
     """
     from ..resilience import RetryPolicy, measure_cell
     from .parallel import resolve_ref
@@ -88,6 +99,11 @@ def _shard_worker_main(conn):
         if p is None:
             break
         start = time.time()
+        if p.get("metrics"):
+            registry = obs_metrics.enable()   # a fresh one per cell
+        else:
+            registry = None
+            obs_metrics.disable()
         try:
             compilecache.set_enabled(p["use_cache"])
             plan = p.get("plan")
@@ -106,7 +122,7 @@ def _shard_worker_main(conn):
                 plan=plan, policy=policy, timeout=p.get("timeout"),
                 tolerant=p.get("tolerant", False))
             timing = {"pid": os.getpid(), "start": start,
-                      "seconds": time.time() - start}
+                      "seconds": time.time() - start, "metrics": registry}
             if failure is not None:
                 conn.send(("fail", (failure, seconds, attempts), timing))
             else:
@@ -142,7 +158,7 @@ class ShardPool:
       fire) and hands back an ``execute``-phase
       :class:`~repro.errors.CellTimeout` for it.
 
-    Every replacement counts as ``shard.worker_respawns``.
+    Every replacement counts as ``pool.worker_respawns``.
     """
 
     def __init__(self, width: int, ctx=None):
@@ -184,7 +200,7 @@ class ShardPool:
         except OSError:
             pass
         self.workers.remove(worker)
-        get_registry().counter("shard.worker_respawns").inc()
+        get_registry().counter("pool.worker_respawns").inc()
         return proc.exitcode, self._spawn()
 
     def _replace_inflight(self, conn):
@@ -299,12 +315,12 @@ def get_shard_pool(jobs: int) -> ShardPool:
     if _SHARDS is not None and _SHARDS.width == jobs and _SHARDS.alive() \
             and _SHARDS.env == repro_environment():
         return _SHARDS
-    shutdown_shard_pools()
+    shutdown_warm_pool()
     _SHARDS = ShardPool(jobs)
     return _SHARDS
 
 
-def shutdown_shard_pools():
+def shutdown_warm_pool():
     """Tear down the pool (atexit, tests, bench teardown)."""
     global _SHARDS
     if _SHARDS is not None:
@@ -312,7 +328,7 @@ def shutdown_shard_pools():
         _SHARDS = None
 
 
-atexit.register(shutdown_shard_pools)
+atexit.register(shutdown_warm_pool)
 
 
 # -- the coordinator ---------------------------------------------------------------
@@ -374,6 +390,8 @@ class ShardScheduler:
             raise value
         self.completed += 1
         self.busy_by_pid[timing["pid"]] += timing["seconds"]
+        if timing["metrics"] is not None:
+            self.metrics.merge(timing["metrics"])
         if self.metrics.enabled:
             self.metrics.histogram("runner.cell_seconds").observe(
                 timing["seconds"])
@@ -386,7 +404,7 @@ class ShardScheduler:
         self.incarnation[job_id] += 1
         if self.incarnation[job_id] <= self.retries:
             self.queue.appendleft(job_id)
-            self.metrics.counter("shard.requeues").inc()
+            self.metrics.counter("pool.requeues").inc()
             return
         if not self.tolerant:
             self._drain()
@@ -438,18 +456,3 @@ class ShardScheduler:
                 self.metrics.gauge(f"runner.worker.{i}.utilization").set(
                     self.busy_by_pid[pid] / wall)
 
-
-def run_sharded_jobs(jobs_list, jobs: int, record, tolerant: bool = False,
-                     retries: int = 2, plan=None):
-    """Schedule ``jobs_list`` on the persistent pool of ``jobs`` workers.
-
-    ``record(job, kind, value, timing)`` receives every completed cell
-    exactly once (``kind``: ``ok`` or, in tolerant mode, ``fail``).
-    Raises fast-mode cell errors and exhausted-retry
-    :class:`WorkerCrashError` after draining; Ctrl-C drains in-flight
-    cells (the pool stays warm) and propagates.
-    """
-    scheduler = ShardScheduler(get_shard_pool(jobs), jobs_list,
-                               tolerant=tolerant, retries=retries, plan=plan)
-    scheduler.run(record)
-    return scheduler

@@ -14,16 +14,6 @@ MASK32 = 0xFFFFFFFF
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def wrap32(value: int) -> int:
-    """Truncate to 32 bits (unsigned representation)."""
-    return value & MASK32
-
-
-def wrap64(value: int) -> int:
-    """Truncate to 64 bits (unsigned representation)."""
-    return value & MASK64
-
-
 def signed32(value: int) -> int:
     """Reinterpret a 32-bit unsigned value as signed."""
     value &= MASK32

@@ -21,7 +21,7 @@ which ever see a phi.
 
 from __future__ import annotations
 
-from .function import BasicBlock, Function
+from .function import Function
 from .instructions import CondBr, Jump, Move, Phi
 from .types import Type
 from .values import Const, VReg

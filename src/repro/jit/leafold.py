@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from ..ir.function import Function
 from ..ir.instructions import BinOp, Lea
-from ..ir.module import Module
 from ..ir.values import Const, VReg
 
 _SCALES = {1, 2, 4, 8}
@@ -92,7 +91,3 @@ def _redefined(instrs, lo, reg) -> bool:
         if instr is not None and reg in instr.defs():
             return True
     return False
-
-
-def fold_module_leas(module: Module) -> int:
-    return sum(fold_leas(f) for f in module.functions.values())

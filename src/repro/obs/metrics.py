@@ -7,6 +7,14 @@ per-worker utilization and queue wait.  Everything is surfaced through
 ``--stats`` on the CLI and the ``metrics`` block of ``repro report
 --json``.
 
+A pool worker measures each cell into a registry of its own and sends
+it back with the result; the parent folds it in with
+:meth:`MetricsRegistry.merge`, so one registry holds every worker's
+counts.  A pooled sweep's ``kernel.*`` counts equal a serial sweep's;
+its ``cache.*``, ``opt.*`` and ``analysis.*`` counts are each worker's
+own compiles, and ``runner.queue_wait_seconds`` and ``pool.*`` exist
+only in a pooled sweep.
+
 Like tracing, metrics default to a *null sink*: :func:`get_registry`
 returns :data:`NULL_REGISTRY`, whose instruments share no-op singletons,
 so an instrumentation point costs one method call and touches no state.
@@ -80,6 +88,20 @@ class Histogram:
         if len(self.sample) < Histogram.SAMPLE_CAP:
             self.sample.append(value)
 
+    def merge(self, other: "Histogram") -> None:
+        """Pool ``other`` into this histogram: count, sum, min and max
+        exactly, and ``other``'s sample up to the cap."""
+        if not other.count:
+            return
+        self.count += other.count
+        self.total += other.total
+        if self.min is None or other.min < self.min:
+            self.min = other.min
+        if self.max is None or other.max > self.max:
+            self.max = other.max
+        room = Histogram.SAMPLE_CAP - len(self.sample)
+        self.sample.extend(other.sample[:room])
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -151,6 +173,15 @@ class MetricsRegistry:
         if instrument is None:
             instrument = self.histograms[name] = Histogram(name)
         return instrument
+
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Fold ``other`` (a pool worker's registry for one cell) into
+        this one: counters add and histograms pool; gauges are
+        per-process readings and stay as they are."""
+        for name, counter in other.counters.items():
+            self.counter(name).inc(counter.value)
+        for name, hist in other.histograms.items():
+            self.histogram(name).merge(hist)
 
     def as_dict(self) -> dict:
         """All instruments as plain JSON-serializable data."""

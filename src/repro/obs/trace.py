@@ -89,11 +89,6 @@ class Tracer:
     def span(self, name: str, args=None) -> _Span:
         return _Span(self, name, args)
 
-    def instant(self, name: str, args=None) -> None:
-        """Record a zero-duration marker event."""
-        now = self.clock()
-        self.events.append((name, now, now, self.depth, args))
-
     # -- introspection ----------------------------------------------------
 
     def phases(self) -> list:

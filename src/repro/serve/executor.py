@@ -34,12 +34,12 @@ back onto jobs:
 from __future__ import annotations
 
 import threading
-import time
 import zlib
 
 from ..errors import WorkerCrashError, classify
 from ..harness.runner import NOISE
 from ..harness.shard import ShardPool
+from ..obs.metrics import NULL_REGISTRY
 from ..resilience import RetryPolicy
 from . import jobs as J
 
@@ -79,7 +79,7 @@ class ServeExecutor:
 
     def __init__(self, store, admission, breakers, workers: int,
                  retries: int = 2, timeout: float = None, plan=None,
-                 metrics=None, use_cache: bool = True):
+                 metrics=NULL_REGISTRY, use_cache: bool = True):
         self.store = store
         self.admission = admission
         self.breakers = breakers
@@ -95,8 +95,7 @@ class ServeExecutor:
         self.force = False
         self._thread = threading.Thread(target=self._loop, daemon=True,
                                         name="serve-executor")
-        if metrics is not None:
-            metrics.gauge("serve.workers").set(self.pool.width)
+        metrics.gauge("serve.workers").set(self.pool.width)
 
     def start(self) -> None:
         self._thread.start()
@@ -115,10 +114,9 @@ class ServeExecutor:
         payload = dict(memo, memo=True, attempts=0)
         job.memo_hit = True
         self.store.transition(job, J.DONE, "memoized result", result=payload)
-        if self.metrics is not None:
-            self.metrics.counter("serve.memo_hits").inc()
-            self.metrics.counter("serve.done").inc()
-            self._observe_latency(job)
+        self.metrics.counter("serve.memo_hits").inc()
+        self.metrics.counter("serve.done").inc()
+        self._observe_latency(job)
 
     # -- dispatch --------------------------------------------------------------------
 
@@ -133,6 +131,7 @@ class ServeExecutor:
             "runs": job.runs, "noise": NOISE,
             "max_instructions": MAX_INSTRUCTIONS,
             "use_cache": self.use_cache, "plan": self.plan,
+            "metrics": self.metrics.enabled,
             "policy": RetryPolicy(
                 retries=self.retries, jitter=1.0,
                 seed=zlib.crc32(job.id.encode())).as_dict(),
@@ -154,25 +153,23 @@ class ServeExecutor:
                     job, J.EVICTED, "deadline expired before dispatch",
                     error={"code": "deadline",
                            "message": "deadline expired before dispatch"})
-                if self.metrics is not None:
-                    self.metrics.counter("serve.evictions").inc()
-                    self.metrics.counter("serve.evictions.deadline").inc()
+                self.metrics.counter("serve.evictions").inc()
+                self.metrics.counter("serve.evictions.deadline").inc()
                 continue
             worker = self.pool.dispatch(job, self._payload(job, now))
             self.store.transition(
                 job, J.RUNNING,
                 f"dispatched to worker pid {worker['proc'].pid} "
                 f"(incarnation {job.incarnation})")
-            if self.metrics is not None:
-                self.metrics.gauge("serve.inflight").set(
-                    len(self.pool.inflight))
-                self.metrics.histogram("serve.queue_wait_seconds").observe(
-                    max(now - job.submitted, 0.0))
+            self.metrics.gauge("serve.inflight").set(
+                len(self.pool.inflight))
+            self.metrics.histogram("serve.queue_wait_seconds").observe(
+                max(now - job.submitted, 0.0))
 
     # -- completion ------------------------------------------------------------------
 
     def _observe_latency(self, job) -> None:
-        if self.metrics is not None and job.finished is not None:
+        if job.finished is not None:
             self.metrics.histogram("serve.latency_seconds").observe(
                 job.finished - job.submitted)
 
@@ -181,8 +178,7 @@ class ServeExecutor:
         job.incarnation += 1
         if job.incarnation <= self.retries:
             self.admission.requeue(job)
-            if self.metrics is not None:
-                self.metrics.counter("serve.requeues").inc()
+            self.metrics.counter("serve.requeues").inc()
             return
         info = classify(exc)
         self._fail(job, {
@@ -206,9 +202,8 @@ class ServeExecutor:
         self.breakers.record(
             (job.benchmark, job.target), success=False,
             permanent=permanent)
-        if self.metrics is not None:
-            self.metrics.counter("serve.failed").inc()
-            self._observe_latency(job)
+        self.metrics.counter("serve.failed").inc()
+        self._observe_latency(job)
 
     def _fail_cell(self, job, failure, attempts: int) -> None:
         self._fail(job, {
@@ -221,9 +216,7 @@ class ServeExecutor:
     def _complete(self, record, reply) -> None:
         """End one dispatch with the pool's ``reply`` (store lock held)."""
         job = record["job"]
-        if self.metrics is not None:
-            self.metrics.gauge("serve.inflight").set(
-                len(self.pool.inflight))
+        self.metrics.gauge("serve.inflight").set(len(self.pool.inflight))
         if isinstance(reply, WorkerCrashError):
             self._crash(job, reply)
             return
@@ -242,10 +235,11 @@ class ServeExecutor:
             return
         payload, _seconds, attempts = value
         job.attempts = attempts
-        seconds = timing["seconds"] if timing else 0.0
+        seconds = timing["seconds"]
         self.admission.observe_cell_seconds(seconds)
-        if self.metrics is not None:
-            self.metrics.histogram("serve.cell_seconds").observe(seconds)
+        if timing["metrics"] is not None:
+            self.metrics.merge(timing["metrics"])
+        self.metrics.histogram("serve.cell_seconds").observe(seconds)
         if kind != "ok":
             self._fail_cell(job, payload, attempts)   # a CellFailure
             return
@@ -254,9 +248,8 @@ class ServeExecutor:
         self.store.transition(job, J.DONE, "measured", result=result)
         self.breakers.record(
             (job.benchmark, job.target), success=True)
-        if self.metrics is not None:
-            self.metrics.counter("serve.done").inc()
-            self._observe_latency(job)
+        self.metrics.counter("serve.done").inc()
+        self._observe_latency(job)
 
     # -- the dispatcher loop ---------------------------------------------------------
 
@@ -293,9 +286,8 @@ class ServeExecutor:
                 job, J.EVICTED, "drain grace expired mid-run",
                 error={"code": "drain", "message":
                        "service drained before this job finished"})
-            if self.metrics is not None:
-                self.metrics.counter("serve.evictions").inc()
-                self.metrics.counter("serve.evictions.drain").inc()
+            self.metrics.counter("serve.evictions").inc()
+            self.metrics.counter("serve.evictions.drain").inc()
         self.pool.inflight.clear()
 
     # -- drain -----------------------------------------------------------------------

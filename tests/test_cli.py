@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.harness import compilecache
 
 PROGRAM = """
 int main(void) {
@@ -104,6 +105,83 @@ def test_report_unknown(capsys):
 def test_report_spec_figure_at_test_size(capsys):
     assert main(["report", "fig4", "--size", "test", "--runs", "1"]) == 0
     assert "Browsix" in capsys.readouterr().out
+
+
+#: Two SPEC proxies for the pooled report test; 464.h264ref makes file
+#: syscalls, so every kernel.syscall.* kind is exercised.
+POOLED_REPORT_SUITE = ("445.gobmk", "464.h264ref")
+REPORT_KEYS = ["schema", "artifact", "data", "text", "config", "metrics",
+               "failures", "partial", "hwc"]
+
+
+@pytest.fixture
+def table1_json(tmp_path, monkeypatch, capsys):
+    """``report table1 --json`` over :data:`POOLED_REPORT_SUITE`, each
+    call on an empty compile cache and a fresh metrics registry of its
+    own; returns ``(payload, stderr)``."""
+    from repro import obs
+    from repro.analysis import experiments
+    from repro.benchsuite import spec_benchmark
+    from repro.harness.parallel import shutdown_warm_pool
+
+    monkeypatch.setenv("REPRO_FORCE_JOBS", "1")
+    monkeypatch.setattr(compilecache, "_ENABLED", True)
+    monkeypatch.setattr(experiments, "all_spec_benchmarks", lambda size: [
+        spec_benchmark(name, size) for name in POOLED_REPORT_SUITE])
+
+    def report(jobs):
+        cache_dir = str(tmp_path / f"cache-{jobs}")
+        # A new REPRO_CACHE_DIR also re-forks the pool over this cache.
+        monkeypatch.setenv("REPRO_CACHE_DIR", cache_dir)
+        monkeypatch.setattr(compilecache, "_GLOBAL",
+                            compilecache.CompileCache(cache_dir))
+        obs.disable_metrics()
+        out = tmp_path / f"table1-{jobs}.json"
+        assert main(["report", "table1", "--size", "test", "--runs", "1",
+                     "--jobs", str(jobs), "--json", str(out)]) == 0
+        return json.loads(out.read_text()), capsys.readouterr().err
+
+    yield report
+    obs.disable_metrics()
+    shutdown_warm_pool()
+
+
+def test_pooled_report_json_counts_what_serial_counts(table1_json):
+    """A pooled report's workers feed its one metrics ledger: the
+    kernel counts behind Fig. 4 equal the serial run's, and the
+    workers' compile-cache and mid-end counters reach the report and
+    its stderr cache line."""
+    serial, _ = table1_json(1)
+    pooled, err = table1_json(2)
+    assert (pooled["data"], pooled["text"]) == \
+        (serial["data"], serial["text"])
+    assert list(pooled) == list(serial) == REPORT_KEYS
+    assert pooled["schema"] == 2
+    assert pooled["config"] == serial["config"] == \
+        dict(compilecache.compile_config())
+
+    def kernel(report):
+        return {name: value
+                for name, value in report["metrics"]["counters"].items()
+                if name.startswith("kernel.")}
+
+    assert kernel(pooled) == kernel(serial)
+    assert kernel(serial)["kernel.syscall.sys_open"] > 0
+
+    def syscall_cycles(report):
+        return report["metrics"]["histograms"]["kernel.syscall.cycles"]
+
+    assert syscall_cycles(pooled)["count"] == \
+        syscall_cycles(serial)["count"] > 0
+    counters = pooled["metrics"]["counters"]
+    for name in ("cache.misses", "cache.stores", "opt.instrs_deleted",
+                 "analysis.verifier_runs"):
+        assert counters.get(name, 0) > 0, name
+    assert f"{counters['cache.misses']} misses, " \
+           f"{counters['cache.stores']} stores" in err
+    names = [name for section in pooled["metrics"].values()
+             for name in section]
+    assert not [name for name in names if name.startswith("shard.")]
 
 
 def test_profile_json_rows_sum_to_the_events(tmp_path, capsys):

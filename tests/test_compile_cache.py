@@ -10,6 +10,7 @@ import pytest
 
 from repro import obs
 from repro.benchsuite import polybench_benchmark, spec_benchmark
+from repro.cli import _cache_line
 from repro.codegen.emscripten import compile_ir_to_wasm
 from repro.codegen.native import compile_ir_native
 from repro.harness import compilecache, runner
@@ -63,7 +64,7 @@ def test_disk_hit_across_cache_instances(tmp_path):
     assert registry.as_dict()["counters"]["cache.bytes_read"] == \
         cold.stats.bytes_read
     assert cold.stats.as_dict()["bytes_read"] == cold.stats.bytes_read
-    assert f"{cold.stats.bytes_read} bytes read" in cold.stats.summary_line()
+    assert f"{cold.stats.bytes_read} bytes read" in _cache_line(registry)
 
 
 def test_cached_artifacts_equal_fresh(cache):

@@ -114,7 +114,7 @@ class TestRunner:
 
     def test_validation_error_on_mismatch(self, monkeypatch, spec):
         results = run_benchmark(spec, targets=("native", "chrome"),
-                                runs=1, validate=False)
+                                runs=1)
         # Force a mismatch through the private check to prove it bites.
         results["chrome"].run.stdout = b"corrupted"
         from repro.harness.runner import _validate_strict

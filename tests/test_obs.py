@@ -19,6 +19,7 @@ from conftest import GuestHost
 
 from repro import obs
 from repro.benchsuite import matmul_spec
+from repro.cli import _cache_line
 from repro.codegen import compile_native
 from repro.errors import TrapError
 from repro.harness.compilecache import CompileCache
@@ -55,14 +56,6 @@ int main(void) {
     return 0;
 }
 """
-
-
-@pytest.fixture(autouse=True)
-def _observability_off():
-    """Never leak an enabled tracer/registry into another test."""
-    yield
-    obs.disable_tracing()
-    obs.disable_metrics()
 
 
 def _run_native(instrument=None):
@@ -267,6 +260,36 @@ def test_metrics_registry_records():
     assert obs.get_registry() is obs_metrics.NULL_REGISTRY
 
 
+def test_metrics_registry_merge(monkeypatch):
+    """A pool worker's registry folds into the sweep's: counters add,
+    histograms pool count, sum, min, max and a capped sample, and
+    gauges stay the receiver's own."""
+    monkeypatch.setattr(obs_metrics.Histogram, "SAMPLE_CAP", 3)
+    ours = obs_metrics.MetricsRegistry()
+    theirs = obs_metrics.MetricsRegistry()
+    ours.counter("c").inc(2)
+    theirs.counter("c").inc(3)
+    theirs.counter("new").inc()
+    ours.gauge("g").set(1.0)
+    theirs.gauge("g").set(9.0)
+    theirs.gauge("theirs").set(5.0)
+    for value in (2.0, 4.0):
+        ours.histogram("h").observe(value)
+    for value in (1.0, 8.0):
+        theirs.histogram("h").observe(value)
+    theirs.histogram("empty")
+    ours.merge(theirs)
+    data = ours.as_dict()
+    assert data["counters"] == {"c": 5, "new": 1}
+    assert data["gauges"] == {"g": 1.0}
+    hist = ours.histograms["h"]
+    assert (hist.count, hist.total, hist.min, hist.max) == \
+        (4, 15.0, 1.0, 8.0)
+    assert hist.sample == [2.0, 4.0, 1.0]       # capped, ours first
+    assert ours.histograms["empty"].count == 0
+    assert theirs.counters["c"].value == 3       # the source is untouched
+
+
 def test_kernel_syscall_metrics():
     registry = obs.enable_metrics()
     spec = matmul_spec(8)
@@ -293,7 +316,7 @@ def test_compile_cache_metrics():
     assert counters["cache.stores"] == 1
     assert counters["cache.memory_hits"] == 1
     assert counters["cache.evictions"] == 1
-    line = cache.stats.summary_line()
+    line = _cache_line(registry)
     assert "1 hits" in line and "1 misses" in line
 
 

@@ -17,12 +17,6 @@ from repro.jit import CHROME_2018, CHROME_ENGINE
 from repro.mcc import compile_source
 
 
-@pytest.fixture(autouse=True)
-def _metrics():
-    yield
-    obs.disable_metrics()
-
-
 def _func():
     module = compile_source(matmul_source(4, 4, 4), "matmul")
     return module.functions["matmul"], module

@@ -29,10 +29,8 @@ from repro.serve.breaker import RESET_SECONDS
 
 @pytest.fixture(autouse=True)
 def fresh_metrics():
-    """Each test gets its own registry; never leak one across tests."""
+    """Each test gets its own registry (conftest turns it off after)."""
     obs.enable_metrics()
-    yield
-    obs.disable_metrics()
 
 
 class FakeClock:
@@ -347,6 +345,17 @@ class TestBenchService:
         assert result["times"] and len(result["times"]) == 2
         assert result["exit_code"] == 0
 
+    def test_stats_carry_the_workers_counters(self, service):
+        """The worker measures a job into a registry of its own, which
+        the service folds into the one ``stats`` reports."""
+        reply = service.rpc("submit", {"benchmark": "matmul-8x8x8",
+                                       "target": "native", "client": "t"})
+        status = service.rpc("wait", {"job_id": reply["job_id"],
+                                      "timeout_s": 60.0})
+        assert status["state"] == "done"
+        counters = service.rpc("stats", {})["metrics"]["counters"]
+        assert counters.get("kernel.syscalls", 0) > 0, counters
+
     def test_memo_hit_is_bit_identical(self, service):
         params = {"benchmark": "matmul-8x8x8", "target": "native",
                   "client": "t"}
@@ -438,7 +447,7 @@ class TestBenchService:
             status = svc.rpc("wait", {"job_id": reply["job_id"],
                                       "timeout_s": 60.0})
             assert status["state"] == "done"
-            assert svc.metrics.counter("shard.worker_respawns").value >= 1
+            assert svc.metrics.counter("pool.worker_respawns").value >= 1
         finally:
             svc.drain(grace=20.0)
 

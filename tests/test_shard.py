@@ -19,7 +19,7 @@ from repro.benchsuite import matmul_spec, polybench_benchmark
 from repro.harness import runner
 from repro.harness.parallel import run_suite
 from repro.harness.shard import (
-    ShardScheduler, get_shard_pool, shutdown_shard_pools,
+    ShardScheduler, get_shard_pool, shutdown_warm_pool,
 )
 from repro.harness import shard as shard_mod
 from repro.obs import metrics as obs_metrics
@@ -34,7 +34,7 @@ def force_jobs(monkeypatch):
     """Exercise the real pool even on a single-CPU box."""
     monkeypatch.setenv("REPRO_FORCE_JOBS", "1")
     yield
-    shutdown_shard_pools()
+    shutdown_warm_pool()
 
 
 @pytest.fixture
@@ -65,7 +65,7 @@ def _pids():
 def _patch_workers(monkeypatch, replacement):
     """Wrap ``run_compiled`` in the workers: tear the pool down so the
     next sweep forks fresh workers that inherit the patched module."""
-    shutdown_shard_pools()
+    shutdown_warm_pool()
     original = runner.run_compiled
 
     def patched(compiled, target, *args, **kwargs):
@@ -210,8 +210,8 @@ def test_worker_crashes_requeue_deterministically(force_jobs, metrics):
             else:
                 assert cell.times == serial[name][target].times, \
                     (name, target)
-    assert _counter(metrics, "shard.worker_respawns") > 0
-    assert _counter(metrics, "shard.requeues") > 0
+    assert _counter(metrics, "pool.worker_respawns") > 0
+    assert _counter(metrics, "pool.requeues") > 0
 
 
 def test_killed_workers_requeue_fast_sweep(force_jobs, metrics,
@@ -234,8 +234,8 @@ def test_killed_workers_requeue_fast_sweep(force_jobs, metrics,
     pids = _pids()
     results, _ = run_suite(suite, TARGETS, runs=2, jobs=2, cache=False)
     _assert_identical(results, serial, suite)
-    assert _counter(metrics, "shard.requeues") == len(doomed)
-    assert _counter(metrics, "shard.worker_respawns") == len(doomed)
+    assert _counter(metrics, "pool.requeues") == len(doomed)
+    assert _counter(metrics, "pool.worker_respawns") == len(doomed)
     assert shard_mod._SHARDS is pool
     assert pool.alive() and _pids() != pids
 
@@ -300,11 +300,11 @@ def test_pooled_cells_keep_the_callers_retry_policy(force_jobs,
     from repro.harness import compilecache, parallel
     captured = []
 
-    def capture(jobs_list, *args, **kwargs):
+    def capture(pool, jobs_list, *args, **kwargs):
         captured.extend(jobs_list)
         raise _Captured
 
-    monkeypatch.setattr(parallel, "run_sharded_jobs", capture)
+    monkeypatch.setattr(parallel, "ShardScheduler", capture)
     policy = RetryPolicy(retries=1, base_delay=0.3, max_delay=0.3,
                          jitter=0.5, seed=4)
     with pytest.raises(_Captured):
@@ -338,10 +338,10 @@ def test_worker_crash_fast_mode_raises_after_retries(force_jobs):
         "max_instructions": 2_000_000_000, "use_cache": False,
         "plan": plan,
     }]
-    from repro.harness.shard import run_sharded_jobs
+    scheduler = ShardScheduler(get_shard_pool(4), jobs_list, retries=1,
+                               plan=plan)
     with pytest.raises(WorkerCrashError):
-        run_sharded_jobs(jobs_list, 4, lambda *a: None, retries=1,
-                         plan=plan)
+        scheduler.run(lambda *a: None)
     results, _ = run_suite(_suite()[:1], ["native"], runs=1, jobs=4,
                            cache=False)
     assert "trisolv" in results

@@ -11,7 +11,6 @@ import pytest
 
 from conftest import GuestHost
 
-from repro import obs
 from repro.benchsuite import matmul_spec, polybench_benchmark, spec_benchmark
 from repro.codegen import compile_native
 from repro.harness.runner import compile_benchmark, run_compiled
@@ -39,12 +38,6 @@ int main(void) {
     return 0;
 }
 """
-
-
-@pytest.fixture(autouse=True)
-def _reset_metrics():
-    yield
-    obs.disable_metrics()
 
 
 # -- bit-identity on the x86 machine ------------------------------------------------
