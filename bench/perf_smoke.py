@@ -22,10 +22,13 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from run_bench import bench_parallel_warm, bench_x86_blocks  # noqa: E402
 
-#: (scenario, floor): measured speedups are ~2.0x (x86_blocks) and
-#: 1.1-1.4x (parallel_warm on a 2-vCPU host, unpinned and pinned to one
-#: CPU).  The floors sit well below them, so they trip only when an
-#: optimization has actually regressed, not on timer jitter.
+#: (scenario, floor): measured speedups are 1.6-2.7x, about 2.0x
+#: typical (x86_blocks: its ref-size gemm retires 49,507 instructions
+#: and no block reaches the generated tier's 1,024 runs, so it times the
+#: closure tier), and 1.1-1.4x (parallel_warm); both on a 2-vCPU host,
+#: parallel_warm unpinned and pinned to one CPU.  The floors sit well
+#: below them, so they trip only when an optimization has actually
+#: regressed, not on timer jitter.
 GATES = (
     ("x86_blocks", bench_x86_blocks, 1.3),
     ("parallel_warm", bench_parallel_warm, 1.05),

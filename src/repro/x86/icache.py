@@ -49,20 +49,17 @@ class SetAssocCache:
     def _access_line(self, line: int) -> int:
         """Touch one line; returns 1 on a miss, 0 on a hit."""
         self.accesses += 1
-        index = line & self._set_mask
-        ways = self.sets[index]
-        try:
-            pos = ways.index(line)
-        except ValueError:
-            self.misses += 1
-            ways.insert(0, line)
-            if len(ways) > self.ways:
-                ways.pop()
-            return 1
-        if pos:
-            del ways[pos]
-            ways.insert(0, line)
-        return 0
+        ways = self.sets[line & self._set_mask]
+        if line in ways:
+            if ways[0] != line:
+                ways.remove(line)
+                ways.insert(0, line)
+            return 0
+        self.misses += 1
+        ways.insert(0, line)
+        if len(ways) > self.ways:
+            ways.pop()
+        return 1
 
     def access(self, addr: int, size: int = 8) -> int:
         """Data-side access: touch every line the access covers.

@@ -160,15 +160,15 @@ def _sub_flags(f, a: int, b: int, mask: int, shift: int) -> None:
     f.of = ((a ^ b) & (a ^ result)) >> shift & 1
 
 
-#: Condition tests by ``_COND_IDX`` index, over anything holding flags.
-_CONDS = (
-    lambda f: f.zf == 1, lambda f: f.zf == 0, lambda f: f.sf != f.of,
-    lambda f: f.zf == 1 or f.sf != f.of,
-    lambda f: f.zf == 0 and f.sf == f.of, lambda f: f.sf == f.of,
-    lambda f: f.cf == 1, lambda f: f.cf == 1 or f.zf == 1,
-    lambda f: f.cf == 0 and f.zf == 0, lambda f: f.cf == 0,
-    lambda f: f.sf == 1, lambda f: f.sf == 0,
+#: Condition tests by ``_COND_IDX`` index, as expressions over ``f``,
+#: anything holding flags; the block engine's generated code inlines them.
+_COND_EXPRS = (
+    "f.zf == 1", "f.zf == 0", "f.sf != f.of", "f.zf == 1 or f.sf != f.of",
+    "f.zf == 0 and f.sf == f.of", "f.sf == f.of", "f.cf == 1",
+    "f.cf == 1 or f.zf == 1", "f.cf == 0 and f.zf == 0", "f.cf == 0",
+    "f.sf == 1", "f.sf == 0",
 )
+_CONDS = tuple(eval(f"lambda f: {expr}") for expr in _COND_EXPRS)
 
 
 def _cond_of(f, cond) -> bool:

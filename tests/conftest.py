@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import pytest
@@ -21,7 +22,23 @@ from repro.ir import CollectingHost, IRInterpreter
 from repro.jit import CHROME_ENGINE, FIREFOX_ENGINE
 from repro.mcc import compile_source
 from repro.wasm import WasmInstance, encode_module
-from repro.x86 import X86Machine
+from repro.x86 import X86Machine, blocks
+
+
+@contextlib.contextmanager
+def every_block_generated():
+    """Run the x86 block engine on its generated tier from every block's
+    first run: ``blocks.HOT_RUNS`` is 0 inside the block, restored after.
+    Yields a check that no block of a machine that ran inside ran on
+    closures."""
+    def check(machine):
+        closure_runs = [blk for blk in machine._built
+                        if blk[blocks._COUNT] and blk[blocks._CODE] is None]
+        assert not closure_runs, "a block ran on closures"
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(blocks, "HOT_RUNS", 0)
+        yield check
 
 
 class GuestHost(CollectingHost):

@@ -116,9 +116,9 @@ REPORT_KEYS = ["schema", "artifact", "data", "text", "config", "metrics",
 
 @pytest.fixture
 def table1_json(tmp_path, monkeypatch, capsys):
-    """``report table1 --json`` over :data:`POOLED_REPORT_SUITE`, each
-    call on an empty compile cache and a fresh metrics registry of its
-    own; returns ``(payload, stderr)``."""
+    """``report table1 --size ref --json`` over
+    :data:`POOLED_REPORT_SUITE`, each call on an empty compile cache and
+    a fresh metrics registry of its own; returns ``(payload, stderr)``."""
     from repro import obs
     from repro.analysis import experiments
     from repro.benchsuite import spec_benchmark
@@ -137,7 +137,7 @@ def table1_json(tmp_path, monkeypatch, capsys):
                             compilecache.CompileCache(cache_dir))
         obs.disable_metrics()
         out = tmp_path / f"table1-{jobs}.json"
-        assert main(["report", "table1", "--size", "test", "--runs", "1",
+        assert main(["report", "table1", "--size", "ref", "--runs", "1",
                      "--jobs", str(jobs), "--json", str(out)]) == 0
         return json.loads(out.read_text()), capsys.readouterr().err
 
@@ -148,9 +148,9 @@ def table1_json(tmp_path, monkeypatch, capsys):
 
 def test_pooled_report_json_counts_what_serial_counts(table1_json):
     """A pooled report's workers feed its one metrics ledger: the
-    kernel counts behind Fig. 4 equal the serial run's, and the
-    workers' compile-cache and mid-end counters reach the report and
-    its stderr cache line."""
+    kernel counts behind Fig. 4 and the x86 blocks generated equal the
+    serial run's, and the workers' compile-cache and mid-end counters
+    reach the report and its stderr cache line."""
     serial, _ = table1_json(1)
     pooled, err = table1_json(2)
     assert (pooled["data"], pooled["text"]) == \
@@ -167,6 +167,11 @@ def test_pooled_report_json_counts_what_serial_counts(table1_json):
 
     assert kernel(pooled) == kernel(serial)
     assert kernel(serial)["kernel.syscall.sys_open"] > 0
+    generated = [report["metrics"]["counters"]["x86.blocks_generated"]
+                 for report in (serial, pooled)]
+    assert generated[0] == generated[1] > 0
+    assert pooled["metrics"]["histograms"]["x86.codegen_seconds"]["count"] \
+        == generated[1]
 
     def syscall_cycles(report):
         return report["metrics"]["histograms"]["kernel.syscall.cycles"]

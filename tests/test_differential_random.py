@@ -11,7 +11,9 @@ denominators so programs are trap-free.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import GuestHost, run_engine, run_ir, run_native
+from conftest import (
+    GuestHost, every_block_generated, run_engine, run_ir, run_native,
+)
 
 from repro.jit import CHROME_ENGINE
 from repro.x86 import X86Machine
@@ -20,18 +22,28 @@ from repro.x86.registers import RAX
 
 def assert_matches_reference_loop(machine):
     """``machine`` ran ``main`` on the block engine; a run of the same
-    program on the reference loop (``reference=True``) leaves identical
-    output, counters and i-cache state."""
+    program on the reference loop (``reference=True``), and one on the
+    block engine with every block generated, leave identical output,
+    counters and i-cache state."""
     program = machine.program
-    host = GuestHost(program.heap_base)
-    reference = X86Machine(program, host=host, reference=True)
-    reference.call("main")
-    assert (reference.regs[RAX], bytes(host.output),
-            reference.perf.as_dict(), reference.icache.accesses,
-            reference.icache.misses) == \
-        (machine.regs[RAX], bytes(machine.host.output),
-         machine.perf.as_dict(), machine.icache.accesses,
-         machine.icache.misses)
+
+    def observed(machine):
+        return (machine.regs[RAX], bytes(machine.host.output),
+                machine.perf.as_dict(), machine.icache.accesses,
+                machine.icache.misses)
+
+    def rerun(**kwargs):
+        again = X86Machine(program, host=GuestHost(program.heap_base),
+                           **kwargs)
+        again.call("main")
+        return again
+
+    expected = observed(rerun(reference=True))
+    assert observed(machine) == expected
+    with every_block_generated() as check:
+        generated = rerun()
+        check(generated)
+    assert observed(generated) == expected
 
 
 @st.composite

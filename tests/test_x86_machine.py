@@ -9,6 +9,8 @@ import weakref
 
 import pytest
 
+from conftest import every_block_generated
+
 from repro.benchsuite import spec_benchmark
 from repro.browser.browser import execute_program
 from repro.codegen import compile_native
@@ -19,7 +21,8 @@ from repro.kernel import Kernel, NativeRuntime
 from repro.mcc import compile_source
 from repro.x86 import ICache, Imm, Instr, Label, Mem, Reg, X86Machine, X86Program
 from repro.x86.registers import (
-    R8, R9, RAX, RBX, RCX, RDI, RDX, RSI, XMM0, xmm,
+    R8, R9, R10, R11, R12, R13, R14, R15, RAX, RBP, RBX, RCX, RDI, RDX,
+    RSI, XMM0, xmm,
 )
 
 _I = Instr
@@ -383,9 +386,12 @@ def test_fresh_memory_matches_module_image(proxies, name):
 # -- the block engine against the reference loop ------------------------------------
 #
 # ``reference=True`` runs the per-instruction reference loop; the default
-# runs the block engine.  Each test below requires the two to leave the
-# same exception (class and text), every PerfCounters field, the same
-# i-cache accesses and misses, and the same register files.
+# runs the block engine, whose blocks in these small programs mostly stay
+# on closures, so each case runs a second time with every block
+# generated.  Each test below requires the reference loop and both block
+# engine runs to leave the same exception (class and text), every
+# PerfCounters field, the same i-cache accesses and misses, and the same
+# register files.
 
 class _FailingHost:
     """Host whose every call fails at the OS boundary."""
@@ -395,7 +401,7 @@ class _FailingHost:
 
 
 def _outcome(program, reference, entry="f", setup=None, setup_regs=False,
-             **kwargs):
+             check=None, **kwargs):
     machine = X86Machine(program, reference=reference, **kwargs)
     if setup:
         setup(machine)
@@ -404,6 +410,8 @@ def _outcome(program, reference, entry="f", setup=None, setup_regs=False,
         error = None
     except Exception as exc:       # compared verbatim below
         error = (type(exc), str(exc))
+    if check:
+        check(machine)
     return (error, machine.perf.as_dict(), machine.icache.accesses,
             machine.icache.misses, list(machine.regs),
             [struct.pack("<d", x) for x in machine.xmm])
@@ -412,6 +420,8 @@ def _outcome(program, reference, entry="f", setup=None, setup_regs=False,
 def assert_blocks_match_reference(program, **kwargs):
     reference = _outcome(program, True, **kwargs)
     assert _outcome(program, False, **kwargs) == reference
+    with every_block_generated() as check:
+        assert _outcome(program, False, check=check, **kwargs) == reference
     return reference
 
 
@@ -529,11 +539,13 @@ _FAR = 1 << 30      # beyond the machine's memory
     _I("trap", "unreachable"),
     _I("setcc", Reg(RAX), cond="zz"),
     _I("frob", Reg(RAX)),
+    _I("jcc", Label("out"), cond="zz"),
 ], ids=lambda ins: repr(ins).split()[0])
 def test_blocks_match_reference_on_mid_block_trap(trapping):
-    """The trapping instruction sits mid-block; 0-63 three-byte nops
-    move it to every offset in an i-cache line, so it both shares the
-    previous instruction's line and touches a new one."""
+    """The trapping instruction sits mid-block (a jcc ends its block);
+    0-63 three-byte nops move it to every offset in an i-cache line, so
+    it both shares the previous instruction's line and touches a new
+    one."""
     def nan(machine):
         machine.xmm[3] = float("nan")
 
@@ -552,6 +564,7 @@ def test_blocks_match_reference_on_mid_block_trap(trapping):
             trapping,
             _I("add", Reg(RBX), Imm(1)),
             _I("mov", Mem(base=RSI, disp=16, size=8), Reg(RBX)),
+            "out",
             _I("ret"),
         ])
         error, *_ = assert_blocks_match_reference(program, setup=nan)
@@ -569,27 +582,123 @@ _CONDS = ("e", "ne", "l", "le", "g", "ge", "b", "be", "a", "ae", "s", "ns")
 @pytest.mark.parametrize("cond", _CONDS)
 def test_blocks_match_reference_on_cmp_branch(cond):
     """Every jcc condition joined to a cmp, on signed, unsigned and equal
-    operand pairs, 32- and 64-bit, register and immediate."""
+    operand pairs, 32- and 64-bit, register and immediate; with the
+    flags dead on both paths, and read (by setcc on every flag) after
+    the fall-through, the taken branch, or both."""
     values = (-3, -1, 0, 2, 5, 1 << 31, (1 << 63) + 4)
+
+    def readers(reads, *regs):
+        return [_I("setcc", Reg(reg), cond=c) for reg, c in
+                zip(regs, ("l", "be")) if reads]
+
     for size in (4, 8):
         for x in values:
             for y in values:
                 for imm in (False, True):
                     if imm and not -(1 << 31) <= y < 1 << 31:
                         continue
-                    program = build_program([
-                        _I("mov", Reg(RAX), Imm(x)),
-                        _I("mov", Reg(RBX), Imm(y)),
-                        _I("cmp", Reg(RAX, size),
-                           Imm(y) if imm else Reg(RBX, size), size=size),
-                        _I("jcc", Label("taken"), cond=cond),
-                        _I("mov", Reg(RCX), Imm(1)),
-                        "taken",
-                        _I("xor", Reg(RDX), Reg(RDX)),   # flags dead
-                        _I("ret"),
-                    ])
-                    error, *_ = assert_blocks_match_reference(program)
-                    assert error is None
+                    for fall, taken in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                        program = build_program([
+                            _I("mov", Reg(RAX), Imm(x)),
+                            _I("mov", Reg(RBX), Imm(y)),
+                            _I("cmp", Reg(RAX, size),
+                               Imm(y) if imm else Reg(RBX, size), size=size),
+                            _I("jcc", Label("taken"), cond=cond),
+                            *readers(fall, R8, R9),
+                            _I("mov", Reg(RCX), Imm(1)),
+                            _I("xor", Reg(RDX), Reg(RDX)),  # flags dead
+                            _I("ret"),
+                            "taken",
+                            *readers(taken, R10, R11),
+                            _I("xor", Reg(RDX), Reg(RDX)),  # flags dead
+                            _I("ret"),
+                        ])
+                        error, *_ = assert_blocks_match_reference(program)
+                        assert error is None
+
+
+@pytest.mark.parametrize("width, access", [
+    (4, lambda mem: _I("mov", Reg(RAX, 4), mem, size=4)),
+    (8, lambda mem: _I("mov", Reg(RAX), mem)),
+    (8, lambda mem: _I("mov", Reg(RAX, 4), mem, size=4)),  # the low half
+    (1, lambda mem: _I("mov", Reg(RAX), mem)),
+    (2, lambda mem: _I("mov", mem, Reg(RBX, 2), size=2)),
+    (8, lambda mem: _I("mov", mem, Reg(RBX))),
+    (4, lambda mem: _I("mov", mem, Imm(-5), size=4)),
+    (8, lambda mem: _I("movsd", Reg(xmm(1)), mem)),
+    (8, lambda mem: _I("movsd", mem, Reg(xmm(1)))),
+], ids=["load4", "load8", "load4of8", "load1", "store2", "store8",
+        "store-imm4", "movsd-load", "movsd-store"])
+def test_blocks_match_reference_at_memory_bounds(width, access):
+    """A plain load or store at the last in-bounds address and one byte
+    past it, by base register, scaled index or constant address, and
+    one whose displacement wraps below zero."""
+    end = len(X86Machine(build_program([_I("ret")])).memory)
+    for past in (0, 1):
+        top = end - width + past
+        for mem, wraps in ((Mem(base=RSI, size=width), False),
+                           (Mem(base=RDI, index=RCX, scale=8, disp=-16,
+                                size=width), False),
+                           (Mem(disp=top, size=width), False),
+                           (Mem(base=RDX, disp=-8, size=width), True)):
+            program = build_program([
+                _I("mov", Reg(RSI), Imm(top)),
+                _I("mov", Reg(RDI), Imm(top)),
+                _I("mov", Reg(RCX), Imm(2)),
+                _I("mov", Reg(RBX), Imm(-3)),
+                _I("mov", Reg(RDX), Imm(past)),
+                access(mem),
+                _I("ret"),
+            ])
+            error, *_ = assert_blocks_match_reference(program)
+            assert (error is None) == (not past and not wraps), (mem, past)
+
+
+def test_blocks_match_reference_on_inline_kinds():
+    """Every kind generated code runs inline, on operands with their
+    upper bits set, each result left in a register of its own, so every
+    mask and wrap shows in the register file."""
+    program = build_program([
+        _I("mov", Reg(RAX), Imm(-3)),
+        _I("mov", Reg(RBX), Imm(0x1_0000_0005)),
+        _I("mov", Reg(RCX, 4), Reg(RAX, 4), size=4),
+        _I("mov", Reg(RDX), Reg(RAX)),
+        _I("sub", Reg(RDX, 4), Imm(7), size=4),
+        _I("mov", Reg(RSI), Reg(RAX)),
+        _I("add", Reg(RSI, 4), Reg(RBX, 4), size=4),
+        _I("mov", Reg(RBP), Reg(RAX)),
+        _I("and", Reg(RBP, 4), Reg(RBX, 4), size=4),
+        _I("mov", Reg(RDI), Reg(RAX)),
+        _I("or", Reg(RDI), Reg(RBX)),
+        _I("mov", Reg(R8), Reg(RAX)),
+        _I("xor", Reg(R8, 4), Imm(0x55), size=4),
+        _I("mov", Reg(R9), Reg(RAX)),
+        _I("imul", Reg(R9, 4), Reg(RBX, 4), size=4),
+        _I("mov", Reg(R10), Reg(RBX)),
+        _I("imul", Reg(R10), Reg(RAX)),
+        _I("lea", Reg(R11, 4), Mem(base=RAX, index=RBX, scale=8, disp=5),
+           size=4),
+        _I("lea", Reg(R12), Mem(base=RAX, index=RBX, scale=2, disp=-9)),
+        _I("mov", Reg(R13), Reg(RAX)),
+        _I("shl", Reg(R13, 4), Imm(31), size=4),
+        _I("mov", Reg(R14), Reg(RBX)),
+        _I("shl", Reg(R14), Imm(63)),
+        _I("cvtsi2sd", Reg(xmm(1)), Reg(RAX), size=8),
+        _I("cvtsi2sd", Reg(xmm(2)), Reg(RBX), size=8),
+        _I("movsd", Reg(xmm(3)), Reg(xmm(1))),
+        _I("addsd", Reg(xmm(3)), Reg(xmm(2))),
+        _I("subsd", Reg(xmm(1)), Reg(xmm(2))),
+        _I("mulsd", Reg(xmm(2)), Reg(xmm(3))),
+        _I("mov", Mem(disp=0x100, size=8), Reg(RAX)),
+        _I("mov", Reg(RBX, 4), Mem(disp=0x100, size=8), size=4),
+        _I("mov", Reg(R15), Mem(disp=0x101, size=2)),
+        _I("cmp", Reg(R15), Imm(0)),     # the flags ret reads
+        _I("ret"),
+    ])
+    error, *_, regs, xmms = assert_blocks_match_reference(program)
+    assert error is None
+    assert regs[RCX] == regs[RBX] == 0xFFFF_FFFD and regs[R15] == 0xFFFF
+    assert regs[R13] == 1 << 31
 
 
 @pytest.mark.parametrize("memory_form", [False, True])
@@ -668,27 +777,34 @@ def test_blocks_match_reference_on_rare_kinds():
 
 
 def test_block_engine_frees_finished_machines():
-    """No closure or block table keeps a finished machine (or its memory
-    and registers) alive: reference counting alone frees it."""
+    """No closure, generated function or block table keeps a finished
+    machine (or its memory and registers) alive: reference counting
+    alone frees it, on closures and with every block generated."""
     program, module = compile_native(LOOP_PRINT_SOURCE, "t")
     seen = []
 
     class Host(NativeRuntime):
         def call(self, env, name, args):
             if not seen:
-                seen.append((weakref.ref(env), env.memory, env.regs))
+                seen.append((weakref.ref(env), env.memory, env.regs,
+                             len(env._built)))
             return super().call(env, name, args)
 
-    gc.disable()
-    try:
+    def run_and_release():
         kernel = Kernel()
         host = Host(kernel, kernel.spawn("t"), module.heap_base)
         result = execute_program(program, host, "t")
         assert result.perf.instructions > 0
-        machine, memory, regs = seen.pop()
-        assert result.stdout and machine() is None
+        machine, memory, regs, built = seen.pop()
+        assert result.stdout and built and machine() is None
         # Only this frame and getrefcount's argument still hold them.
         assert sys.getrefcount(memory) == 2
         assert sys.getrefcount(regs) == 2
+
+    gc.disable()
+    try:
+        run_and_release()
+        with every_block_generated():
+            run_and_release()
     finally:
         gc.enable()
